@@ -8,11 +8,20 @@ quadratic form in the durations, so residuals and Jacobians are exact;
 the optimizer is a projected, damped Gauss-Newton run from multiple
 deterministic starts, batched over patterns with numpy.
 
+Before any search, `fit` checks two proven bounds on the attainable
+set: the cyclic identity 1 <= p + q + r <= 2 (exactly one or two of the
+events x1 < x2, x2 < x3, x3 < x1 hold for independent variables) and the
+golden bound min(p, q, r) <= (sqrt 5 - 1)/2 of Steinhaus-Trybula and
+Usiskin, with max(p, q, r) >= (3 - sqrt 5)/2 by reversal.  A target
+farther than tol from every point the bounds allow is not-found at once,
+with a certificate naming the bound.
+
 "attained" comes with a reproducing witness word; "not-found" is
-evidence, not proof, of non-attainability.
+evidence, not proof, of non-attainability, unless it carries a certificate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -24,6 +33,7 @@ from .words import LETTERS, PQR_PAIRS, InvariantViolation, PqrPoint, Word, canon
 __all__ = [
     "FitResult",
     "enumerate_patterns",
+    "exclusion_bound",
     "fit",
     "probe",
     "max_min_coordinate",
@@ -37,6 +47,11 @@ DEFAULT_TOL = 1e-7
 DEFAULT_STARTS = 20
 GN_ITERS = 70
 
+# golden bound: min(p, q, r) <= PHI and max(p, q, r) >= 1 - PHI on the attainable set
+PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# absorbs float rounding of targets on a bound, e.g. a vertex whose sum is 1 - 2^-52
+SCREEN_SLACK = 1e-12
+
 ATTAINABLE_BEYOND = "attainable-beyond"
 UNATTAINABLE_BEYOND = "unattainable-beyond"
 UNDECIDED = "undecided"
@@ -48,8 +63,9 @@ class FitResult:
 
     status: str  # "attained" | "not-found"
     witness: Word | None
-    residual: float  # Euclidean distance in (p, q, r)
+    residual: float  # Euclidean distance in (p, q, r); a lower bound when certified
     starts_used: int
+    certificate: str | None = None  # "sum-bound" | "golden-bound": proven unattainable
 
     def to_dict(self) -> dict:
         from .words import word_to_dict
@@ -57,6 +73,8 @@ class FitResult:
         d = {"status": self.status, "residual": self.residual, "starts_used": self.starts_used}
         if self.witness is not None:
             d["witness"] = word_to_dict(self.witness)
+        if self.certificate is not None:
+            d["certificate"] = self.certificate
         return d
 
 
@@ -143,27 +161,25 @@ def _fit_length_batch(
     raw = rng.gamma(1.0, size=(P, S, n))
     t = _renormalize(raw, onehot)
 
-    def pvals(tt):
-        return np.einsum("pklm,psl,psm->psk", M, tt, tt)
+    def residuals(tt):
+        return np.einsum("pklm,psl,psm->psk", M, tt, tt) - target  # (P, S, 3)
 
-    def obj(tt):
-        r = pvals(tt) - target
+    def sqnorm(r):
         return np.einsum("psk,psk->ps", r, r)
 
+    rcur = residuals(t)
+    fcur = sqnorm(rcur)
     if n == 3:
-        f = obj(t)
-        b = int(np.argmin(f[:, 0]))
-        return float(np.sqrt(f[b, 0])), patterns[b], t[b, 0], P * S
+        b = int(np.argmin(fcur[:, 0]))
+        return float(np.sqrt(fcur[b, 0])), patterns[b], t[b, 0], P * S
 
     lam = np.full((P, S), 1e-3)
-    fcur = obj(t)
     eye = np.eye(n)
     for _ in range(GN_ITERS):
-        r = pvals(t) - target  # (P, S, 3)
         J = np.einsum("pklm,psm->pskl", Msym, t)  # (P, S, 3, n)
         J = _tangent_project(J, onehot)
         JtJ = np.einsum("pskl,pskm->pslm", J, J)
-        g = np.einsum("pskl,psk->psl", J, r)
+        g = np.einsum("pskl,psk->psl", J, rcur)
         A = JtJ + lam[..., None, None] * eye
         try:
             d = -np.linalg.solve(A, g[..., None])[..., 0]
@@ -171,9 +187,11 @@ def _fit_length_batch(
             d = -g
         d = _tangent_project(d, onehot)
         t_trial = _renormalize(t + d, onehot)
-        f_trial = obj(t_trial)
+        r_trial = residuals(t_trial)
+        f_trial = sqnorm(r_trial)
         accept = f_trial < fcur
         t = np.where(accept[..., None], t_trial, t)
+        rcur = np.where(accept[..., None], r_trial, rcur)
         fcur = np.where(accept, f_trial, fcur)
         lam = np.clip(np.where(accept, lam * 0.3, lam * 5.0), 1e-14, 1e10)
         if fcur.min() <= (tol * tol) * 1e-4:
@@ -188,6 +206,26 @@ def _witness_from(pattern, durations) -> Word:
     return canonicalize(Word.of(zip(pattern, durations)))
 
 
+def exclusion_bound(point: PqrPoint) -> tuple[float, str | None]:
+    """Proven lower bound on the distance from the point to the attainable
+    set, with the name of the bound that gives it; (0.0, None) when the
+    point satisfies both bounds.
+
+    The attainable set lies in the slab 1 <= p + q + r <= 2 and outside the
+    corners min(p, q, r) > PHI and max(p, q, r) < 1 - PHI, so the distance
+    to the slab, or out of a corner, bounds the distance to the set.
+    """
+    x = point.as_array()
+    s = float(x.sum())
+    sum_gap = max(0.0, 1.0 - s, s - 2.0) / math.sqrt(3.0)
+    golden_gap = max(0.0, float(x.min()) - PHI, (1.0 - PHI) - float(x.max()))
+    if sum_gap == golden_gap == 0.0:
+        return 0.0, None
+    if sum_gap >= golden_gap:
+        return sum_gap, "sum-bound"
+    return golden_gap, "golden-bound"
+
+
 def fit(
     target: PqrPoint,
     max_arcs: int = DEFAULT_MAX_ARCS,
@@ -199,7 +237,10 @@ def fit(
 
     Patterns are swept by increasing length with per-length deterministic
     seeds, so enlarging max_arcs with the same seed never worsens the
-    best residual.  Stops early once the tolerance is met.
+    best residual.  Stops early once the tolerance is met.  A target that
+    `exclusion_bound` puts farther than tol from the attainable set is
+    not-found without a search: its residual is that lower bound and its
+    certificate names the bound.
     """
     if max_arcs < 3:
         raise InvariantViolation("max-arcs", f"max_arcs must be >= 3, got {max_arcs}")
@@ -207,6 +248,9 @@ def fit(
         raise InvariantViolation("tol", f"tol must be positive, got {tol}")
     if n_starts < 1:
         raise InvariantViolation("n-starts", f"n_starts must be >= 1, got {n_starts}")
+    bound, certificate = exclusion_bound(target)
+    if bound > tol + SCREEN_SLACK:
+        return FitResult("not-found", None, bound, 0, certificate)
     tvec = target.as_array()
 
     best = (np.inf, None, None)
@@ -245,6 +289,8 @@ def probe(
     if eps <= 0:
         raise InvariantViolation("eps", f"eps must be positive, got {eps}")
     d = np.asarray(direction, dtype=float)
+    if not np.isfinite(d).all():
+        raise InvariantViolation("direction-finite", f"direction must be finite, got {d}")
     x = point.as_array() + eps * d
     if (x < -1e-12).any() or (x > 1.0 + 1e-12).any():
         return UNATTAINABLE_BEYOND

@@ -26,8 +26,8 @@ def _read_json(path: str):
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # strict JSON: a non-finite number is an error, not an "Infinity" token
+    sys.stdout.write(json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 def _triple(text: str) -> tuple[float, float, float]:

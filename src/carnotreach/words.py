@@ -15,6 +15,7 @@ conversion (the cyclic index r = p31 is the only sign flip).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,8 @@ class PqrPoint:
     def __post_init__(self):
         tol = 1e-9
         for name, v in (("p", self.p), ("q", self.q), ("r", self.r)):
+            if not math.isfinite(v):
+                raise InvariantViolation("pqr-finite", f"{name} = {v} is not finite")
             if v < -tol or v > 1.0 + tol:
                 raise InvariantViolation("pqr-range", f"{name} = {v} outside [0, 1]")
 

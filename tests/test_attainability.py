@@ -1,10 +1,16 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from carnotreach import boundary_atlas
 from carnotreach.attainability import (
     ATTAINABLE_BEYOND,
     UNATTAINABLE_BEYOND,
     enumerate_patterns,
+    exclusion_bound,
     fit,
     max_min_coordinate,
     probe,
@@ -12,6 +18,7 @@ from carnotreach.attainability import (
 from carnotreach.words import InvariantViolation, PqrPoint, pqr, random_word
 
 PHI = (np.sqrt(5.0) - 1.0) / 2.0
+CUBE_SCAN_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "cube_scan.json"
 
 
 def test_enumerate_patterns_counts():
@@ -108,3 +115,77 @@ def test_max_min_coordinate_golden():
     assert abs(val - PHI) <= 1e-6
     pt = pqr(word)
     assert min(pt.p, pt.q, pt.r) >= val - 1e-9
+
+
+def test_probe_rejects_non_finite_direction():
+    center = PqrPoint(0.5, 0.5, 0.5)
+    for direction in ((np.nan, 0.0, 0.0), (np.nan, 1e3, 0.0), (np.inf, 0.0, 0.0)):
+        with pytest.raises(InvariantViolation) as exc:
+            probe(center, direction)
+        assert exc.value.name == "direction-finite"
+
+
+@given(st.integers(3, 10), st.integers(0, 2**31 - 1))
+def test_screen_never_certifies_a_word(n_arcs, seed):
+    bound, _ = exclusion_bound(pqr(random_word(n_arcs, seed)))
+    assert bound <= 1e-12
+
+
+def test_screen_equivariant_under_shift_and_reversal():
+    rng = np.random.default_rng(11)
+    certified = 0
+    for x in rng.uniform(0.0, 1.0, size=(2000, 3)):
+        bound, cert = exclusion_bound(PqrPoint(*x))
+        certified += cert is not None
+        for y in (np.roll(x, -1), 1.0 - x):
+            other_bound, other_cert = exclusion_bound(PqrPoint(*y))
+            assert other_cert == cert
+            assert abs(other_bound - bound) <= 1e-12
+    assert certified > 500
+
+
+def test_screen_keeps_vertices_attained_at_tiny_tol():
+    for v in boundary_atlas.vertices():
+        result = fit(v.point, max_arcs=3, tol=1e-16)
+        assert result.status == "attained"
+        assert result.certificate is None
+
+
+def test_screen_spares_points_within_tol_of_the_slab():
+    tol = 1e-7
+    diagonal = next(p for p in boundary_atlas.edge_families() if p.kind == "diagonal-edge")
+    x = diagonal.point(0.4).as_array()
+    assert abs(x.sum() - 1.0) <= 1e-12 or abs(x.sum() - 2.0) <= 1e-12
+    # step tol/2 out of the slab through the two coordinates off the facet
+    outward = -1.0 if abs(x.sum() - 1.0) <= 1e-12 else 1.0
+    inner = (x > 1e-9) & (x < 1.0 - 1e-9)
+    assert inner.sum() == 2
+    x[inner] += outward * (tol / 2.0) * np.sqrt(3.0) / 2.0
+    bound, _ = exclusion_bound(PqrPoint(*x))
+    assert bound == pytest.approx(tol / 2.0, rel=1e-6)
+    result = fit(PqrPoint(*x), max_arcs=4, tol=tol, n_starts=2)
+    assert result.certificate is None
+    assert result.starts_used > 0
+
+
+def test_screen_certifies_cube_corners():
+    # each corner violates both bounds; the certificate names the farther one
+    cases = (
+        (PqrPoint(0.7, 0.7, 0.7), "golden-bound", 0.7 - PHI),
+        (PqrPoint(0.2, 0.2, 0.2), "sum-bound", 0.4 / np.sqrt(3.0)),
+    )
+    for target, cert, distance in cases:
+        result = fit(target)
+        assert result.status == "not-found"
+        assert result.certificate == cert
+        assert result.starts_used == 0
+        assert result.residual == pytest.approx(distance, rel=1e-12)
+        assert result.to_dict()["certificate"] == cert
+
+
+def test_screen_spares_reference_attained_points():
+    points = json.loads(CUBE_SCAN_REFERENCE.read_text())["points"]
+    attained = [r for r in points if r["status"] == "attained"]
+    assert len(attained) > 200
+    for r in attained:
+        assert exclusion_bound(PqrPoint(r["p"], r["q"], r["r"])) == (0.0, None)

@@ -48,6 +48,48 @@ def test_member_attained_witness_reproduces(capsys):
     assert set(data["witness"]) == {"letters", "durations"}
 
 
+def test_member_certified_not_found(capsys):
+    code, out, _ = run(capsys, "member", "--p", "0.2", "--q", "0.2", "--r", "0.2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["status"] == "not-found"
+    assert data["certificate"] == "sum-bound"
+    assert data["starts_used"] == 0
+
+
+def test_member_non_finite_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "member", "--p", "nan", "--q", "0.5", "--r", "0.5")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "pqr-finite"
+
+
+# exact bytes of `member --max-arcs 5 --seed 3`, recorded before the exclusion
+# screen and the Gauss-Newton residual reuse; neither may change them
+GOLDEN_MEMBER = {
+    ("0.6", "0.5", "0.4"): (
+        '{\n  "status": "attained",\n  "residual": 1.2483976575904067e-11,\n'
+        '  "starts_used": 1206,\n  "witness": {\n    "letters": [\n      1,\n'
+        '      3,\n      2,\n      3,\n      1\n    ],\n    "durations": [\n'
+        '      0.6000000000074737,\n      0.5000000000066438,\n      1.0,\n'
+        '      0.49999999999335626,\n      0.39999999999252644\n    ]\n  },\n'
+        '  "max_arcs": 5\n}\n'
+    ),
+    ("0.36", "0.24", "0.45"): (
+        '{\n  "status": "not-found",\n  "residual": 0.02593712749248486,\n'
+        '  "starts_used": 1206,\n  "max_arcs": 5\n}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("point", sorted(GOLDEN_MEMBER))
+def test_member_golden_output(capsys, point):
+    p, q, r = point
+    code, out, _ = run(capsys, "member", "--p", p, "--q", q, "--r", r, "--max-arcs", "5", "--seed", "3")
+    assert code == 0
+    assert out == GOLDEN_MEMBER[point]
+
+
 def test_member_byte_identical_reruns(capsys):
     args = ("member", "--p", "0.41", "--q", "0.52", "--r", "0.63", "--seed", "5")
     _, out1, _ = run(capsys, *args)

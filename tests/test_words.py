@@ -180,3 +180,10 @@ def test_json_round_trip():
     assert word_from_dict(messy) == Word.of([(1, 1.0), (2, 1.0)])
     with pytest.raises(InvariantViolation):
         word_from_dict({"letters": [1, 2]})
+
+
+def test_pqr_point_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvariantViolation) as exc:
+            PqrPoint(0.5, bad, 0.5)
+        assert exc.value.name == "pqr-finite"
