@@ -28,7 +28,16 @@ from itertools import product
 
 import numpy as np
 
-from .words import LETTERS, PQR_PAIRS, InvariantViolation, PqrPoint, Word, canonicalize, pqr
+from .words import (
+    LETTERS,
+    PQR_PAIRS,
+    SECTION_TOL,
+    InvariantViolation,
+    PqrPoint,
+    Word,
+    canonicalize,
+    pqr,
+)
 
 __all__ = [
     "FitResult",
@@ -142,24 +151,20 @@ def _tangent_project(d: np.ndarray, onehot: np.ndarray) -> np.ndarray:
     return flat.reshape(orig_shape)
 
 
-def _fit_length_batch(
-    patterns: list[tuple[int, ...]],
+def _gauss_newton(
+    pat: np.ndarray,
+    t: np.ndarray,
     target: np.ndarray,
-    n_starts: int,
-    rng: np.random.Generator,
     tol: float,
+    iters: int = GN_ITERS,
 ):
-    """Damped Gauss-Newton over all patterns of one length; returns
-    (best_residual, best_pattern, best_durations)."""
-    pat = np.array(patterns)  # (P, n)
+    """Damped Gauss-Newton over patterns `pat` (P, n) from starts `t`
+    (P, S, n) on the per-letter simplices; returns (durations, squared
+    residuals (P, S)).  Stops once any start meets the tolerance."""
     P, n = pat.shape
     M = _pair_masks(pat)
     Msym = M + M.transpose(0, 1, 3, 2)
     onehot = _letter_onehot(pat)
-
-    S = 1 if n == 3 else n_starts
-    raw = rng.gamma(1.0, size=(P, S, n))
-    t = _renormalize(raw, onehot)
 
     def residuals(tt):
         return np.einsum("pklm,psl,psm->psk", M, tt, tt) - target  # (P, S, 3)
@@ -169,13 +174,9 @@ def _fit_length_batch(
 
     rcur = residuals(t)
     fcur = sqnorm(rcur)
-    if n == 3:
-        b = int(np.argmin(fcur[:, 0]))
-        return float(np.sqrt(fcur[b, 0])), patterns[b], t[b, 0], P * S
-
-    lam = np.full((P, S), 1e-3)
+    lam = np.full(fcur.shape, 1e-3)
     eye = np.eye(n)
-    for _ in range(GN_ITERS):
+    for _ in range(iters):
         J = np.einsum("pklm,psm->pskl", Msym, t)  # (P, S, 3, n)
         J = _tangent_project(J, onehot)
         JtJ = np.einsum("pskl,pskm->pslm", J, J)
@@ -196,10 +197,79 @@ def _fit_length_batch(
         lam = np.clip(np.where(accept, lam * 0.3, lam * 5.0), 1e-14, 1e10)
         if fcur.min() <= (tol * tol) * 1e-4:
             break
+    return t, fcur
 
-    flat = int(np.argmin(fcur))
-    bp, bs = divmod(flat, S)
-    return float(np.sqrt(fcur[bp, bs])), patterns[bp], t[bp, bs], P * S
+
+def _best_start(patterns, t: np.ndarray, fcur: np.ndarray):
+    """(residual, pattern, durations) of the best start."""
+    bp, bs = divmod(int(np.argmin(fcur)), fcur.shape[1])
+    return float(np.sqrt(fcur[bp, bs])), patterns[bp], t[bp, bs]
+
+
+def _fit_length_batch(
+    patterns: list[tuple[int, ...]],
+    target: np.ndarray,
+    n_starts: int,
+    rng: np.random.Generator,
+    tol: float,
+):
+    """Multi-start Gauss-Newton over all patterns of one length; returns
+    (best_residual, best_pattern, best_durations, starts)."""
+    pat = np.array(patterns)  # (P, n)
+    P, n = pat.shape
+    # three arcs fix the durations: evaluate the single start, no iterations
+    S = 1 if n == 3 else n_starts
+    t = _renormalize(rng.gamma(1.0, size=(P, S, n)), _letter_onehot(pat))
+    t, fcur = _gauss_newton(pat, t, target, tol, iters=0 if n == 3 else GN_ITERS)
+    return (*_best_start(patterns, t, fcur), P * S)
+
+
+def _pad_once(candidates):
+    """Insert one zero-duration arc at every slot of every (pattern,
+    durations) candidate, with each letter differing from both neighbours."""
+    out = {}
+    for pattern, durs in candidates:
+        for i in range(len(pattern) + 1):
+            for letter in LETTERS:
+                if letter in pattern[max(i - 1, 0) : i + 1]:
+                    continue
+                out[(pattern[:i] + (letter,) + pattern[i:], durs[:i] + (0.0,) + durs[i:])] = None
+    return list(out)
+
+
+def _refine(
+    hint: Word,
+    target: np.ndarray,
+    max_arcs: int,
+    tol: float,
+    seed: int,
+):
+    """Gauss-Newton from the hint's durations padded with one, then two,
+    zero-duration arcs; returns (best_residual, pattern, durations, starts).
+
+    Each padded pattern runs from two starts: the hint's durations and a
+    3% blend of them with a gamma draw, which leaves the stationary point
+    where the residual is normal to the Jacobian's range."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    canon = canonicalize(hint)
+    candidates = [(tuple(l for l, _ in canon.arcs), tuple(t for _, t in canon.arcs))]
+    best = (np.inf, None, None)
+    starts = 0
+    for _ in range(2):
+        candidates = _pad_once(candidates)
+        if len(candidates[0][0]) > max_arcs:
+            break
+        patterns = [c[0] for c in candidates]
+        pat = np.array(patterns)
+        seeded = np.array([c[1] for c in candidates])
+        blend = 0.97 * seeded + 0.03 * rng.gamma(1.0, size=seeded.shape)
+        t = _renormalize(np.stack([seeded, blend], axis=1), _letter_onehot(pat))
+        t, fcur = _gauss_newton(pat, t, target, tol)
+        starts += t.shape[0] * t.shape[1]
+        best = _best_start(patterns, t, fcur)
+        if best[0] <= tol:
+            break
+    return (*best, starts)
 
 
 def _witness_from(pattern, durations) -> Word:
@@ -226,12 +296,21 @@ def exclusion_bound(point: PqrPoint) -> tuple[float, str | None]:
     return golden_gap, "golden-bound"
 
 
+def _check_hint(hint) -> None:
+    if not isinstance(hint, Word):
+        raise InvariantViolation("hint", f"hint must be a Word, got {type(hint).__name__}")
+    totals = hint.letter_totals()
+    if any(abs(T - 1.0) > SECTION_TOL for T in totals.values()):
+        raise InvariantViolation("hint", f"hint must be a section word, letter totals {totals}")
+
+
 def fit(
     target: PqrPoint,
     max_arcs: int = DEFAULT_MAX_ARCS,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
     n_starts: int = DEFAULT_STARTS,
+    hint: Word | None = None,
 ) -> FitResult:
     """Search for a section word whose (p, q, r) hits the target.
 
@@ -241,6 +320,14 @@ def fit(
     `exclusion_bound` puts farther than tol from the attainable set is
     not-found without a search: its residual is that lower bound and its
     certificate names the bound.
+
+    `hint`, a section word whose point lies near the target, is refined
+    before the sweep: Gauss-Newton runs from its durations with one
+    zero-duration arc inserted at every slot, then, if that misses tol,
+    with two; padded patterns longer than max_arcs are skipped.  A hit
+    returns attained with `starts_used` counting the refinement starts
+    only.  A miss falls back to the sweep, whose result is returned
+    unchanged except that `starts_used` also counts the refinement.
     """
     if max_arcs < 3:
         raise InvariantViolation("max-arcs", f"max_arcs must be >= 3, got {max_arcs}")
@@ -248,13 +335,20 @@ def fit(
         raise InvariantViolation("tol", f"tol must be positive, got {tol}")
     if n_starts < 1:
         raise InvariantViolation("n-starts", f"n_starts must be >= 1, got {n_starts}")
+    if hint is not None:
+        _check_hint(hint)
     bound, certificate = exclusion_bound(target)
     if bound > tol + SCREEN_SLACK:
         return FitResult("not-found", None, bound, 0, certificate)
     tvec = target.as_array()
 
-    best = (np.inf, None, None)
     starts_used = 0
+    if hint is not None:
+        residual, pattern, durs, starts_used = _refine(hint, tvec, max_arcs, tol, seed)
+        if residual <= tol:
+            return _attained(pattern, durs, tvec, starts_used)
+
+    best = (np.inf, None, None)
     for n in range(3, max_arcs + 1):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
         res, pattern, durs, used = _fit_length_batch(
@@ -268,11 +362,15 @@ def fit(
 
     residual, pattern, durs = best
     if residual <= tol:
-        witness = _witness_from(pattern, durs)
-        # report the residual of the actual witness word
-        residual = float(np.linalg.norm(pqr(witness).as_array() - tvec))
-        return FitResult("attained", witness, residual, starts_used)
+        return _attained(pattern, durs, tvec, starts_used)
     return FitResult("not-found", None, float(residual), starts_used)
+
+
+def _attained(pattern, durs, tvec: np.ndarray, starts_used: int) -> FitResult:
+    witness = _witness_from(pattern, durs)
+    # report the residual of the actual witness word
+    residual = float(np.linalg.norm(pqr(witness).as_array() - tvec))
+    return FitResult("attained", witness, residual, starts_used)
 
 
 def probe(
@@ -284,7 +382,8 @@ def probe(
     """Classify the point eps further along the direction.
 
     Points leaving the unit cube are unattainable outright; otherwise the
-    verdict comes from `fit`.  Optimizer irregularities map to undecided.
+    verdict comes from `fit`.  A linear-algebra failure in the solver maps
+    to undecided; any other error propagates.
     """
     if eps <= 0:
         raise InvariantViolation("eps", f"eps must be positive, got {eps}")
@@ -296,9 +395,7 @@ def probe(
         return UNATTAINABLE_BEYOND
     try:
         result = fit(PqrPoint(*np.clip(x, 0.0, 1.0)), **fit_kwargs)
-    except InvariantViolation:
-        raise
-    except Exception:
+    except np.linalg.LinAlgError:
         return UNDECIDED
     return ATTAINABLE_BEYOND if result.status == "attained" else UNATTAINABLE_BEYOND
 

@@ -271,11 +271,11 @@ def quadric_crossing_residual(x: np.ndarray) -> float:
     return float(min(abs(x[0] - x[1]), abs(x[1] - x[2]), abs(x[2] - x[0])))
 
 
-def make_prober(**fit_kwargs) -> Callable[[PqrPoint], bool]:
-    """Attainability handle for trimming: point -> attained?"""
+def make_prober(**fit_kwargs) -> Callable[..., bool]:
+    """Attainability handle for trimming: (point, hint word) -> attained?"""
 
-    def prober(point: PqrPoint) -> bool:
-        return attainability.fit(point, **fit_kwargs).status == "attained"
+    def prober(point: PqrPoint, hint: Word | None = None) -> bool:
+        return attainability.fit(point, hint=hint, **fit_kwargs).status == "attained"
 
     return prober
 
@@ -300,25 +300,24 @@ class AtlasMesh:
     failures: list[SampleRecord] = field(default_factory=list)
 
 
-def _probe_side(prober, x: np.ndarray) -> bool:
+def _probe_side(prober, x: np.ndarray, hint: Word) -> bool:
     if (x < -1e-12).any() or (x > 1.0 + 1e-12).any():
         return False  # the body lives inside the unit cube
-    return prober(PqrPoint(*np.clip(x, 0.0, 1.0)))
+    return prober(PqrPoint(*np.clip(x, 0.0, 1.0)), hint=hint)
 
 
 def trim_and_mesh(
     resolution: int,
-    prober: Callable[[PqrPoint], bool],
+    prober: Callable[..., bool],
     eps: float = 1e-3,
-    threads: int = 1,
 ) -> AtlasMesh:
     """Sample the surface patches, keep oracle-certified boundary samples,
     and triangulate them.
 
     A sample is boundary iff the point eps outward is unattainable and the
-    point eps inward is attainable.  Prober failures are recorded, never
-    dropped.  Probing parallelizes over samples; output ordering is
-    deterministic (grid index order) regardless of thread count.
+    point eps inward is attainable.  Both probes pass the sample's witness
+    word to the prober as a hint.  Linear-algebra failures of the prober
+    are recorded, never dropped; any other error propagates.
     """
     if resolution < 2:
         raise InvariantViolation("resolution", f"resolution must be >= 2, got {resolution}")
@@ -332,48 +331,36 @@ def trim_and_mesh(
             mesh.vertices.append(tuple(float(v) for v in x))
         return vertex_index[key]
 
-    def probe_sample(task):
-        x, n = task
+    def probe_sample(x, n, w):
         try:
-            outside_free = not _probe_side(prober, x + eps * n)
-            inside_full = _probe_side(prober, x - eps * n)
+            outside_free = not _probe_side(prober, x + eps * n, w)
+            inside_full = _probe_side(prober, x - eps * n, w)
             return outside_free and inside_full, None
-        except Exception as exc:
+        except np.linalg.LinAlgError as exc:
             return False, f"{type(exc).__name__}: {exc}"
 
     for patch in quadric_patches() + flat_triangles():
         grid = np.empty((resolution, resolution), dtype=object)
         kept = np.zeros((resolution, resolution), dtype=bool)
         axes = [np.linspace(lo, hi, resolution) for lo, hi in patch.param_box]
-        cells = [(ia, ib) for ia in range(resolution) for ib in range(resolution)]
-        tasks = []
-        for ia, ib in cells:
-            x = patch.point(axes[0][ia], axes[1][ib]).as_array()
-            grid[ia, ib] = x
-            tasks.append((x, patch.outward(x)))
-
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(threads) as pool:
-                outcomes = list(pool.map(probe_sample, tasks))
-        else:
-            outcomes = [probe_sample(t) for t in tasks]
-
-        for (ia, ib), (boundary, error) in zip(cells, outcomes):
-            x = grid[ia, ib]
-            rec = SampleRecord(
-                patch.id,
-                (float(axes[0][ia]), float(axes[1][ib])),
-                tuple(x),
-                boundary,
-                quadric_crossing_residual(x),
-                error,
-            )
-            if error is not None:
-                mesh.failures.append(rec)
-            mesh.samples.append(rec)
-            kept[ia, ib] = boundary
+        for ia in range(resolution):
+            for ib in range(resolution):
+                w = patch.word(axes[0][ia], axes[1][ib])
+                x = pqr(w).as_array()
+                grid[ia, ib] = x
+                boundary, error = probe_sample(x, patch.outward(x), w)
+                rec = SampleRecord(
+                    patch.id,
+                    (float(axes[0][ia]), float(axes[1][ib])),
+                    tuple(x),
+                    boundary,
+                    quadric_crossing_residual(x),
+                    error,
+                )
+                if error is not None:
+                    mesh.failures.append(rec)
+                mesh.samples.append(rec)
+                kept[ia, ib] = boundary
 
         faces: list[tuple[int, int, int]] = []
         for ia in range(resolution - 1):

@@ -66,9 +66,7 @@ def _cmd_atlas(args) -> int:
     prober = boundary_atlas.make_prober(
         max_arcs=args.probe_max_arcs, n_starts=args.probe_starts, seed=args.seed
     )
-    mesh = boundary_atlas.trim_and_mesh(
-        args.resolution, prober, eps=args.eps, threads=args.threads
-    )
+    mesh = boundary_atlas.trim_and_mesh(args.resolution, prober, eps=args.eps)
     with open(args.out_obj, "w") as fh:
         fh.write(boundary_atlas.write_obj(mesh))
     with open(args.out_csv, "w") as fh:
@@ -172,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="carnotreach",
         description="Attainable set of the positive-control system on the rank-3 step-2 Carnot group.",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (default sequential)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("endpoint", help="word JSON -> group element JSON")

@@ -8,6 +8,7 @@ solver: every dice triple should be reported attained.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,8 @@ class DiscreteDistribution:
             raise InvariantViolation("atoms", "distribution needs at least one atom")
         values = [v for v, _ in self.atoms]
         masses = [m for _, m in self.atoms]
+        if not all(math.isfinite(v) and math.isfinite(m) for v, m in self.atoms):
+            raise InvariantViolation("dice-finite", f"values and masses must be finite, got {self.atoms}")
         if any(m <= 0 for m in masses):
             raise InvariantViolation("mass-positive", f"masses must be positive, got {masses}")
         if abs(sum(masses) - 1.0) > TIE_TOL:
@@ -134,7 +137,7 @@ def random_dice_check(
         point = dice_pqr(d1, d2, d3)
         try:
             result = attainability.fit(point, **fit_kwargs)
-        except Exception:
+        except np.linalg.LinAlgError:
             report.failures.append(trial)
             report.rows.append((point.p, point.q, point.r, "error", float("nan")))
             continue

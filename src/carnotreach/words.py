@@ -65,8 +65,8 @@ class Word:
         for letter, dur in self.arcs:
             if letter not in LETTERS:
                 raise InvariantViolation("word-letter", f"letter must be 1, 2 or 3, got {letter}")
-            if dur < 0:
-                raise InvariantViolation("word-duration", f"durations must be nonnegative, got {dur}")
+            if not 0.0 <= dur < math.inf:
+                raise InvariantViolation("word-duration", f"durations must be finite and nonnegative, got {dur}")
 
     @staticmethod
     def of(arcs) -> "Word":

@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from carnotreach import boundary_atlas
+from carnotreach import attainability, boundary_atlas
 from carnotreach.attainability import (
     ATTAINABLE_BEYOND,
     UNATTAINABLE_BEYOND,
+    UNDECIDED,
     enumerate_patterns,
     exclusion_bound,
     fit,
     max_min_coordinate,
     probe,
 )
-from carnotreach.words import InvariantViolation, PqrPoint, pqr, random_word
+from carnotreach.words import InvariantViolation, PqrPoint, Word, pqr, random_word
 
 PHI = (np.sqrt(5.0) - 1.0) / 2.0
 CUBE_SCAN_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "cube_scan.json"
@@ -189,3 +190,78 @@ def test_screen_spares_reference_attained_points():
     assert len(attained) > 200
     for r in attained:
         assert exclusion_bound(PqrPoint(r["p"], r["q"], r["r"])) == (0.0, None)
+
+
+def test_hint_far_from_target_falls_back_to_the_sweep():
+    target = PqrPoint(0.5, 0.5, 0.5)
+    vertex = boundary_atlas.vertices()[0].word
+    plain = fit(target, max_arcs=4).to_dict()
+    hinted = fit(target, max_arcs=4, hint=vertex).to_dict()
+    assert hinted.pop("starts_used") > plain.pop("starts_used")
+    assert hinted == plain
+
+
+def test_hint_keeps_a_certified_target_certified():
+    vertex = boundary_atlas.vertices()[0].word
+    for target in (PqrPoint(0.7, 0.7, 0.7), PqrPoint(0.2, 0.2, 0.2)):
+        hinted = fit(target, hint=vertex)
+        assert hinted == fit(target)
+        assert hinted.certificate is not None
+        assert hinted.starts_used == 0
+
+
+def test_hint_refines_nearby_targets_within_max_arcs():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        w = random_word(int(rng.integers(3, 7)), int(rng.integers(2**31)))
+        n_arcs = len(w.arcs)
+        x = np.clip(pqr(w).as_array() + rng.normal(scale=1e-3, size=3), 0.0, 1.0)
+        target = PqrPoint(*x)
+        for max_arcs in (n_arcs + 1, n_arcs + 2):
+            plain = fit(target, max_arcs=max_arcs, n_starts=6, seed=1)
+            hinted = fit(target, max_arcs=max_arcs, n_starts=6, seed=1, hint=w)
+            if plain.status == "attained":
+                assert hinted.status == "attained"
+            if hinted.status == "attained":
+                assert len(hinted.witness.arcs) <= max_arcs
+                assert hinted.residual <= 1e-7
+                got = pqr(hinted.witness).as_array()
+                assert np.linalg.norm(got - x) == hinted.residual
+
+
+def test_hint_hit_counts_only_refinement_starts():
+    # a 5-arc hint pads at 6 slots (4 inner letters + 2 at each end): 8 patterns, 2 starts each
+    w = random_word(5, 3)
+    result = fit(pqr(w), max_arcs=6, hint=w)
+    assert result.status == "attained"
+    assert result.starts_used == 16
+
+
+def test_hint_must_be_a_section_word():
+    target = PqrPoint(0.5, 0.5, 0.5)
+    bad = (
+        Word.of([(1, 0.5), (2, 1.0), (3, 1.0)]),
+        Word.of([(1, 1.0), (2, 1.0)]),
+        ((1, 1.0), (2, 1.0), (3, 1.0)),
+    )
+    for hint in bad:
+        with pytest.raises(InvariantViolation) as exc:
+            fit(target, hint=hint)
+        assert exc.value.name == "hint"
+
+
+def test_probe_maps_only_linear_algebra_failures_to_undecided(monkeypatch):
+    center = PqrPoint(0.5, 0.5, 0.5)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(attainability, "fit", singular)
+    assert probe(center, (1, 0, 0)) == UNDECIDED
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(attainability, "fit", broken)
+    with pytest.raises(TypeError):
+        probe(center, (1, 0, 0))

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from carnotreach import attainability
 from carnotreach import boundary_atlas as atlas
 from carnotreach.words import InvariantViolation, PqrPoint, pqr
 
@@ -114,12 +117,58 @@ def test_trim_and_mesh_small():
             assert all(0 <= i < len(mesh.vertices) for i in tri)
 
 
-def test_trim_threads_match_sequential():
-    prober = atlas.make_prober(max_arcs=6, n_starts=4, seed=0)
-    seq = atlas.trim_and_mesh(4, prober, threads=1)
-    par = atlas.trim_and_mesh(4, prober, threads=4)
-    assert seq.vertices == par.vertices
-    assert seq.groups == par.groups
+# sha256 of write_obj(trim_and_mesh(resolution, CLI-default prober)), recorded
+# before probes were seeded with the sample's witness word
+OBJ_SHA256 = {
+    3: "6c098e5ba29081c557af3bbfcff0b09cdc4afab5c211ba35214e2c323dd47fff",
+    5: "e89f217118a7b7d6542e7856a45ef4f0dabc560f6af4a33fb012f078bf1cff7c",
+}
+
+
+@pytest.mark.parametrize("resolution", sorted(OBJ_SHA256))
+def test_trim_obj_matches_unseeded_probes(resolution):
+    prober = atlas.make_prober(max_arcs=6, n_starts=6, seed=0)
+    text = atlas.write_obj(atlas.trim_and_mesh(resolution, prober, eps=1e-3))
+    assert hashlib.sha256(text.encode()).hexdigest() == OBJ_SHA256[resolution]
+
+
+def test_hinted_probes_match_unhinted():
+    kwargs = dict(max_arcs=6, n_starts=6, seed=0)
+    eps = 1e-3
+    for patch in atlas.quadric_patches() + atlas.flat_triangles():
+        for _, w, point in patch.sample_grid(4):
+            x = point.as_array()
+            for side in (eps, -eps):
+                y = x + side * patch.outward(x)
+                if (y < -1e-12).any() or (y > 1.0 + 1e-12).any():
+                    continue
+                target = PqrPoint(*np.clip(y, 0.0, 1.0))
+                plain = attainability.fit(target, **kwargs)
+                hinted = attainability.fit(target, hint=w, **kwargs)
+                assert hinted.status == plain.status, (patch.id, x, side)
+                if hinted.status == "attained":
+                    assert len(hinted.witness.arcs) <= kwargs["max_arcs"]
+                    got = pqr(hinted.witness).as_array()
+                    assert np.linalg.norm(got - target.as_array()) <= attainability.DEFAULT_TOL
+
+
+def test_trim_propagates_prober_bugs():
+    def prober(point, hint=None):
+        raise TypeError("bug in the prober")
+
+    with pytest.raises(TypeError):
+        atlas.trim_and_mesh(2, prober)
+
+
+def test_trim_records_linear_algebra_failures():
+    def prober(point, hint=None):
+        raise np.linalg.LinAlgError("singular")
+
+    mesh = atlas.trim_and_mesh(2, prober)
+    # samples whose probes both leave the cube never reach the prober
+    assert 0 < len(mesh.failures) < len(mesh.samples)
+    assert all(rec.error == "LinAlgError: singular" for rec in mesh.failures)
+    assert not mesh.groups
 
 
 def test_trim_validates_resolution():

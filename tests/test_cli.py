@@ -196,3 +196,27 @@ def test_invalid_word_json_exit_code(tmp_path, capsys):
     code, out, err = run(capsys, "pqr", str(path))
     assert code == 1
     assert json.loads(err)["error"] == "word-json"
+
+
+def test_endpoint_rejects_infinite_duration(tmp_path, capsys):
+    path = tmp_path / "word.json"
+    path.write_text('{"letters": [1, 2, 3], "durations": [Infinity, 1, 1]}')
+    code, out, err = run(capsys, "endpoint", str(path))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "word-duration"
+
+
+def test_dice_rejects_nan_value(tmp_path, capsys):
+    path = tmp_path / "dice.json"
+    path.write_text("[[[NaN, 1.0]], [[1.0, 1.0]], [[2.0, 1.0]]]")
+    code, out, err = run(capsys, "dice", str(path))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "dice-finite"
+
+
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "pqr", "-"])
+    assert exc.value.code == 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from carnotreach import attainability
 from carnotreach.probability import (
     DiscreteDistribution,
     dice_pqr,
@@ -20,6 +21,10 @@ def test_distribution_validation():
     with pytest.raises(InvariantViolation):
         DiscreteDistribution.of([(1.0, 0.5), (0.0, 0.5)])
     assert DiscreteDistribution.constant(3.0).atoms == ((3.0, 1.0),)
+    for atoms in ([(np.nan, 1.0)], [(np.inf, 1.0)], [(0.0, np.nan)], [(0.0, 0.5), (1.0, np.inf)]):
+        with pytest.raises(InvariantViolation) as exc:
+            DiscreteDistribution.of(atoms)
+        assert exc.value.name == "dice-finite"
 
 
 def test_dice_pqr_constants():
@@ -87,3 +92,20 @@ def test_random_dice_check_all_attained():
 def test_random_dice_check_validates_n():
     with pytest.raises(InvariantViolation):
         random_dice_check(0)
+
+
+def test_random_dice_check_records_only_linear_algebra_failures(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(attainability, "fit", singular)
+    report = random_dice_check(3, seed=0)
+    assert report.failures == [0, 1, 2]
+    assert [row[3] for row in report.rows] == ["error"] * 3
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(attainability, "fit", broken)
+    with pytest.raises(TypeError):
+        random_dice_check(3, seed=0)

@@ -182,6 +182,13 @@ def test_json_round_trip():
         word_from_dict({"letters": [1, 2]})
 
 
+def test_word_rejects_non_finite_durations():
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(InvariantViolation) as exc:
+            Word.of([(1, bad), (2, 1.0), (3, 1.0)])
+        assert exc.value.name == "word-duration"
+
+
 def test_pqr_point_rejects_non_finite():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(InvariantViolation) as exc:
