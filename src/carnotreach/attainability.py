@@ -385,8 +385,8 @@ def probe(
     verdict comes from `fit`.  A linear-algebra failure in the solver maps
     to undecided; any other error propagates.
     """
-    if eps <= 0:
-        raise InvariantViolation("eps", f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise InvariantViolation("eps", f"eps must be finite and positive, got {eps}")
     d = np.asarray(direction, dtype=float)
     if not np.isfinite(d).all():
         raise InvariantViolation("direction-finite", f"direction must be finite, got {d}")

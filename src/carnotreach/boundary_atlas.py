@@ -8,9 +8,10 @@ words.  Every stratum carries an explicit witness-word map, so each
 sampled point is attained by construction.
 
 The quadric patches, generated in full, overlap the interior of the
-attainable body; `trim_and_mesh` keeps only samples certified as
-boundary by an attainability prober (outside unattainable, inside
-attainable) and assembles a triangle mesh exported as OBJ.
+attainable body; `trim_and_mesh` probes both sides of each sample with
+`attainability.probe` (seeded with the sample's witness word), keeps the
+samples whose outward side is unattainable and inward side attainable,
+and assembles a triangle mesh exported as OBJ.
 """
 from __future__ import annotations
 
@@ -33,8 +34,6 @@ __all__ = [
     "flat_triangles",
     "triangle_word",
     "quadric_patches",
-    "quadric_crossing_residual",
-    "make_prober",
     "trim_and_mesh",
     "write_obj",
     "strata_csv",
@@ -265,28 +264,12 @@ def quadric_patches() -> list[FacePatch]:
     return out
 
 
-def quadric_crossing_residual(x: np.ndarray) -> float:
-    """Distance-like indicator of the mutual crossing curves of adjacent
-    quadrics (two coordinates coincide there, e.g. p = r with p(1+q) = 1)."""
-    return float(min(abs(x[0] - x[1]), abs(x[1] - x[2]), abs(x[2] - x[0])))
-
-
-def make_prober(**fit_kwargs) -> Callable[..., bool]:
-    """Attainability handle for trimming: (point, hint word) -> attained?"""
-
-    def prober(point: PqrPoint, hint: Word | None = None) -> bool:
-        return attainability.fit(point, hint=hint, **fit_kwargs).status == "attained"
-
-    return prober
-
-
 @dataclass
 class SampleRecord:
     patch_id: str
     params: tuple[float, ...]
     point: tuple[float, float, float]
     boundary: bool
-    crossing: float
     error: str | None = None
 
 
@@ -297,30 +280,21 @@ class AtlasMesh:
     vertices: list[tuple[float, float, float]] = field(default_factory=list)
     groups: dict[str, list[tuple[int, int, int]]] = field(default_factory=dict)
     samples: list[SampleRecord] = field(default_factory=list)
-    failures: list[SampleRecord] = field(default_factory=list)
+
+    @property
+    def failures(self) -> list[SampleRecord]:
+        return [rec for rec in self.samples if rec.error is not None]
 
 
-def _probe_side(prober, x: np.ndarray, hint: Word) -> bool:
-    if (x < -1e-12).any() or (x > 1.0 + 1e-12).any():
-        return False  # the body lives inside the unit cube
-    return prober(PqrPoint(*np.clip(x, 0.0, 1.0)), hint=hint)
+def trim_and_mesh(resolution: int, eps: float = 1e-3, **fit_kwargs) -> AtlasMesh:
+    """Sample the surface patches, keep certified boundary samples, and
+    triangulate them.
 
-
-def trim_and_mesh(
-    resolution: int,
-    prober: Callable[..., bool],
-    eps: float = 1e-3,
-) -> AtlasMesh:
-    """Sample the surface patches, keep oracle-certified boundary samples,
-    and triangulate them.
-
-    A sample is boundary iff the point eps outward is unattainable and the
-    point eps inward is attainable.  Both probes pass the sample's witness
-    word to the prober as a hint.  Linear-algebra failures of the prober
-    are recorded, never dropped; any other error propagates.
+    A sample is boundary iff `attainability.probe` finds the point eps
+    outward unattainable and the point eps inward attainable.  Both probes
+    pass the sample's witness word as the hint and `fit_kwargs` to `fit`.
+    A sample with an undecided probe is recorded with error "undecided".
     """
-    if resolution < 2:
-        raise InvariantViolation("resolution", f"resolution must be >= 2, got {resolution}")
     mesh = AtlasMesh()
     vertex_index: dict[tuple[float, float, float], int] = {}
 
@@ -331,36 +305,25 @@ def trim_and_mesh(
             mesh.vertices.append(tuple(float(v) for v in x))
         return vertex_index[key]
 
-    def probe_sample(x, n, w):
-        try:
-            outside_free = not _probe_side(prober, x + eps * n, w)
-            inside_full = _probe_side(prober, x - eps * n, w)
-            return outside_free and inside_full, None
-        except np.linalg.LinAlgError as exc:
-            return False, f"{type(exc).__name__}: {exc}"
-
     for patch in quadric_patches() + flat_triangles():
-        grid = np.empty((resolution, resolution), dtype=object)
-        kept = np.zeros((resolution, resolution), dtype=bool)
-        axes = [np.linspace(lo, hi, resolution) for lo, hi in patch.param_box]
-        for ia in range(resolution):
-            for ib in range(resolution):
-                w = patch.word(axes[0][ia], axes[1][ib])
-                x = pqr(w).as_array()
-                grid[ia, ib] = x
-                boundary, error = probe_sample(x, patch.outward(x), w)
-                rec = SampleRecord(
-                    patch.id,
-                    (float(axes[0][ia]), float(axes[1][ib])),
-                    tuple(x),
-                    boundary,
-                    quadric_crossing_residual(x),
-                    error,
-                )
-                if error is not None:
-                    mesh.failures.append(rec)
-                mesh.samples.append(rec)
-                kept[ia, ib] = boundary
+        points, kept = [], []
+        for params, w, point in patch.sample_grid(resolution):
+            x = point.as_array()
+            n = patch.outward(x)
+            outward = attainability.probe(point, n, eps, hint=w, **fit_kwargs)
+            inward = attainability.probe(point, -n, eps, hint=w, **fit_kwargs)
+            boundary = (
+                outward == attainability.UNATTAINABLE_BEYOND
+                and inward == attainability.ATTAINABLE_BEYOND
+            )
+            error = "undecided" if attainability.UNDECIDED in (outward, inward) else None
+            mesh.samples.append(
+                SampleRecord(patch.id, tuple(float(v) for v in params), tuple(x), boundary, error)
+            )
+            points.append(x)
+            kept.append(boundary)
+        grid = np.reshape(points, (resolution, resolution, 3))
+        kept = np.reshape(kept, (resolution, resolution))
 
         faces: list[tuple[int, int, int]] = []
         for ia in range(resolution - 1):

@@ -63,10 +63,13 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
-    prober = boundary_atlas.make_prober(
-        max_arcs=args.probe_max_arcs, n_starts=args.probe_starts, seed=args.seed
+    mesh = boundary_atlas.trim_and_mesh(
+        args.resolution,
+        eps=args.eps,
+        max_arcs=args.probe_max_arcs,
+        n_starts=args.probe_starts,
+        seed=args.seed,
     )
-    mesh = boundary_atlas.trim_and_mesh(args.resolution, prober, eps=args.eps)
     with open(args.out_obj, "w") as fh:
         fh.write(boundary_atlas.write_obj(mesh))
     with open(args.out_csv, "w") as fh:

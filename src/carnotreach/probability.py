@@ -130,6 +130,8 @@ def random_dice_check(
     """Sample dice triples, compute their (p, q, r), and run the solver on each."""
     if n_trials < 1:
         raise InvariantViolation("n-trials", f"n_trials must be >= 1, got {n_trials}")
+    if atoms_max < 1:
+        raise InvariantViolation("atoms-max", f"atoms_max must be >= 1, got {atoms_max}")
     rng = np.random.default_rng(seed)
     report = DiceCheckReport(n_trials, 0, 0.0)
     for trial in range(n_trials):

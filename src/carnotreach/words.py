@@ -16,6 +16,7 @@ conversion (the cyclic index r = p31 is the only sign flip).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,16 @@ class InvariantViolation(ValueError):
         self.name = name
 
 
+def _letter(value) -> int:
+    """An integer letter; floats, bools and strings are rejected, numpy ints pass."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvariantViolation("word-letter", f"letter must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Word:
     """Ordered arcs (letter, duration) of a bang-bang control."""
@@ -70,7 +81,7 @@ class Word:
 
     @staticmethod
     def of(arcs) -> "Word":
-        return Word(tuple((int(l), float(t)) for l, t in arcs))
+        return Word(tuple((_letter(l), float(t)) for l, t in arcs))
 
     @property
     def total_duration(self) -> float:

@@ -95,14 +95,8 @@ def test_quadric_even_patch_values():
     assert (pt.p, pt.q, pt.r) == (0.75, 0.5, 0.5)
 
 
-def test_quadric_crossing_residual():
-    assert atlas.quadric_crossing_residual(np.array([0.4, 0.4, 0.9])) == 0.0
-    assert abs(atlas.quadric_crossing_residual(np.array([0.1, 0.4, 0.9])) - 0.3) <= 1e-15
-
-
 def test_trim_and_mesh_small():
-    prober = atlas.make_prober(max_arcs=6, n_starts=6, seed=0)
-    mesh = atlas.trim_and_mesh(5, prober, eps=1e-3)
+    mesh = atlas.trim_and_mesh(5, eps=1e-3, max_arcs=6, n_starts=6, seed=0)
     assert mesh.failures == []
     assert len(mesh.samples) == 12 * 25
     assert mesh.vertices
@@ -117,8 +111,8 @@ def test_trim_and_mesh_small():
             assert all(0 <= i < len(mesh.vertices) for i in tri)
 
 
-# sha256 of write_obj(trim_and_mesh(resolution, CLI-default prober)), recorded
-# before probes were seeded with the sample's witness word
+# sha256 of write_obj(trim_and_mesh(resolution)) at the CLI probe defaults,
+# recorded before probes were seeded with the sample's witness word
 OBJ_SHA256 = {
     3: "6c098e5ba29081c557af3bbfcff0b09cdc4afab5c211ba35214e2c323dd47fff",
     5: "e89f217118a7b7d6542e7856a45ef4f0dabc560f6af4a33fb012f078bf1cff7c",
@@ -127,8 +121,7 @@ OBJ_SHA256 = {
 
 @pytest.mark.parametrize("resolution", sorted(OBJ_SHA256))
 def test_trim_obj_matches_unseeded_probes(resolution):
-    prober = atlas.make_prober(max_arcs=6, n_starts=6, seed=0)
-    text = atlas.write_obj(atlas.trim_and_mesh(resolution, prober, eps=1e-3))
+    text = atlas.write_obj(atlas.trim_and_mesh(resolution, eps=1e-3, max_arcs=6, n_starts=6, seed=0))
     assert hashlib.sha256(text.encode()).hexdigest() == OBJ_SHA256[resolution]
 
 
@@ -152,33 +145,34 @@ def test_hinted_probes_match_unhinted():
                     assert np.linalg.norm(got - target.as_array()) <= attainability.DEFAULT_TOL
 
 
-def test_trim_propagates_prober_bugs():
-    def prober(point, hint=None):
-        raise TypeError("bug in the prober")
+def test_trim_propagates_prober_bugs(monkeypatch):
+    def buggy(*args, **kwargs):
+        raise TypeError("bug in the solver")
 
+    monkeypatch.setattr(attainability, "fit", buggy)
     with pytest.raises(TypeError):
-        atlas.trim_and_mesh(2, prober)
+        atlas.trim_and_mesh(2)
 
 
-def test_trim_records_linear_algebra_failures():
-    def prober(point, hint=None):
+def test_trim_records_linear_algebra_failures(monkeypatch):
+    def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("singular")
 
-    mesh = atlas.trim_and_mesh(2, prober)
-    # samples whose probes both leave the cube never reach the prober
+    monkeypatch.setattr(attainability, "fit", singular)
+    mesh = atlas.trim_and_mesh(2)
+    # samples whose probes both leave the cube never reach the solver
     assert 0 < len(mesh.failures) < len(mesh.samples)
-    assert all(rec.error == "LinAlgError: singular" for rec in mesh.failures)
+    assert all(rec.error == "undecided" and not rec.boundary for rec in mesh.failures)
     assert not mesh.groups
 
 
 def test_trim_validates_resolution():
     with pytest.raises(InvariantViolation):
-        atlas.trim_and_mesh(1, lambda p: True)
+        atlas.trim_and_mesh(1)
 
 
 def test_write_obj_format():
-    prober = atlas.make_prober(max_arcs=6, n_starts=4, seed=0)
-    mesh = atlas.trim_and_mesh(4, prober)
+    mesh = atlas.trim_and_mesh(4, max_arcs=6, n_starts=4, seed=0)
     text = atlas.write_obj(mesh)
     lines = text.strip().splitlines()
     n_v = sum(line.startswith("v ") for line in lines)
@@ -200,3 +194,11 @@ def test_strata_csv_header_and_rows():
     assert any(l.startswith("flat-") for l in labels)
     # 6 vertices + 12 edge families * 3 + 12 surface patches * 9
     assert len(lines) - 1 == 6 + 12 * 3 + 12 * 9
+
+
+def test_strata_csv_bytes_are_pinned():
+    # sha256 recorded before the atlas trimmed through attainability.probe
+    text = atlas.strata_csv(3)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e5c9b6d9f572529699983f558765a2e5d47f618a5634a048830ae7608bd51013"
+    )

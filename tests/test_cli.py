@@ -184,6 +184,36 @@ def test_atlas_subcommand(tmp_path, capsys):
     assert open(csv_path).readline().strip() == "label,params,p,q,r,witness"
 
 
+@pytest.mark.parametrize("eps", ["0", "-0.001", "inf", "nan"])
+def test_atlas_rejects_non_positive_or_non_finite_eps(tmp_path, capsys, eps):
+    code, out, err = run(
+        capsys,
+        "atlas",
+        "--resolution", "2",
+        "--out-obj", str(tmp_path / "mesh.obj"),
+        "--out-csv", str(tmp_path / "strata.csv"),
+        f"--eps={eps}",
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "eps"
+
+
+@pytest.mark.parametrize("letters", [[1.5, 2, 3], [True, 2, 3]])
+def test_pqr_rejects_non_integer_letters(tmp_path, capsys, letters):
+    code, out, err = run(capsys, "pqr", write_word(tmp_path, letters, [1, 1, 1]))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "word-letter"
+
+
+def test_mc_verify_rejects_zero_atoms_max(capsys):
+    code, out, err = run(capsys, "mc-verify", "--n", "2", "--atoms-max", "0")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "atoms-max"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

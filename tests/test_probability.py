@@ -94,6 +94,12 @@ def test_random_dice_check_validates_n():
         random_dice_check(0)
 
 
+def test_random_dice_check_validates_atoms_max():
+    with pytest.raises(InvariantViolation) as exc:
+        random_dice_check(2, atoms_max=0)
+    assert exc.value.name == "atoms-max"
+
+
 def test_random_dice_check_records_only_linear_algebra_failures(monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("singular")

@@ -189,6 +189,17 @@ def test_word_rejects_non_finite_durations():
         assert exc.value.name == "word-duration"
 
 
+def test_word_rejects_non_integer_letters():
+    for bad in (1.5, 1.0, True, np.True_, "1", None):
+        with pytest.raises(InvariantViolation) as exc:
+            Word.of([(bad, 1.0), (2, 1.0), (3, 1.0)])
+        assert exc.value.name == "word-letter"
+    # numpy integer letters, as the solver builds them, still pass
+    w = Word.of(zip(np.array([1, 2, 3]), [1.0, 1.0, 1.0]))
+    assert w.arcs == ((1, 1.0), (2, 1.0), (3, 1.0))
+    assert all(type(letter) is int for letter, _ in w.arcs)
+
+
 def test_pqr_point_rejects_non_finite():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(InvariantViolation) as exc:
