@@ -8,6 +8,15 @@ quadratic form in the durations, so residuals and Jacobians are exact;
 the optimizer is a projected, damped Gauss-Newton run from multiple
 deterministic starts, batched over patterns with numpy.
 
+The batch is an active set.  A start whose trial step is rejected keeps
+its durations, so its normal equations are reused rather than rebuilt,
+and a start rejected with its damping already at the cap would repeat the
+same rejected step forever, so it retires from the batch.  Both rules skip
+only arithmetic whose outcome is already known: the results are
+bit-identical to iterating every start for the full iteration count.  The
+size of the largest batch is bounded before anything is allocated
+(`solver-size`).
+
 Before any search, `fit` checks two proven bounds on the attainable
 set: the cyclic identity 1 <= p + q + r <= 2 (exactly one or two of the
 events x1 < x2, x2 < x3, x3 < x1 hold for independent variables) and the
@@ -55,6 +64,13 @@ DEFAULT_MAX_ARCS = 8
 DEFAULT_TOL = 1e-7
 DEFAULT_STARTS = 20
 GN_ITERS = 70
+# Levenberg-Marquardt damping range; a start rejected at LAM_MAX is frozen
+LAM_MIN, LAM_MAX = 1e-14, 1e10
+# starts per gather of the (3, n, n) pair masks, which bounds the copies
+GN_CHUNK = 512
+# cap on P * S * n^2 of the longest batch: 32 MiB per (P, S, n, n) float64
+# array; admits max_arcs 10 with 20 starts
+MAX_BATCH_ENTRIES = 2**22
 
 # golden bound: min(p, q, r) <= PHI and max(p, q, r) >= 1 - PHI on the attainable set
 PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -143,7 +159,7 @@ def _renormalize(t: np.ndarray, onehot: np.ndarray) -> np.ndarray:
 def _tangent_project(d: np.ndarray, onehot: np.ndarray) -> np.ndarray:
     """Remove per-letter means so steps preserve the letter totals."""
     counts = onehot.sum(axis=2)  # (P, 3)
-    # d may be (P, S, n) or (P, S, k, n); flatten the middle axes
+    # d is (P, ..., n) with onehot[i] the letters of d[i]; flatten the middle axes
     orig_shape = d.shape
     flat = d.reshape(orig_shape[0], -1, orig_shape[-1])  # (P, B, n)
     sums = np.einsum("pcn,pbn->pbc", onehot, flat)
@@ -160,44 +176,82 @@ def _gauss_newton(
 ):
     """Damped Gauss-Newton over patterns `pat` (P, n) from starts `t`
     (P, S, n) on the per-letter simplices; returns (durations, squared
-    residuals (P, S)).  Stops once any start meets the tolerance."""
+    residuals (P, S)).  Stops once any start meets the tolerance.
+
+    Each start is damped on its own, with lam in [LAM_MIN, LAM_MAX].  A
+    rejected trial leaves the start's durations, and so its normal
+    equations, unchanged: they are recomputed only for starts whose last
+    trial was accepted.  A start rejected with lam already at LAM_MAX
+    keeps its durations, residual and lam, so every later iteration would
+    repeat its solve bit for bit and be rejected again; it retires, and the
+    loop ends when no start is left.  Its matrix JtJ + LAM_MAX I is never
+    singular, so retiring it cannot change whether the solve fails; when the
+    solve does fail, the step -g applies to every start, retired ones too.
+    The result is bit-identical to iterating every start to the end.
+    """
     P, n = pat.shape
+    S = t.shape[1]
     M = _pair_masks(pat)
     Msym = M + M.transpose(0, 1, 3, 2)
     onehot = _letter_onehot(pat)
+    owner = np.repeat(np.arange(P), S)  # pattern of each start
 
-    def residuals(tt):
-        return np.einsum("pklm,psl,psm->psk", M, tt, tt) - target  # (P, S, 3)
+    def chunks(count):
+        return (slice(c, c + GN_CHUNK) for c in range(0, count, GN_CHUNK))
+
+    def residuals(idx, tt):
+        """Residuals of starts `idx` at durations tt (len(idx), n)."""
+        out = np.empty((len(idx), 3))
+        for part in chunks(len(idx)):
+            pc = owner[idx[part]]
+            np.einsum("bklm,bl,bm->bk", M[pc], tt[part], tt[part], out=out[part])
+        return out - target
 
     def sqnorm(r):
-        return np.einsum("psk,psk->ps", r, r)
+        return np.einsum("bk,bk->b", r, r)
 
-    rcur = residuals(t)
+    t = t.reshape(P * S, n).copy()
+    everyone = np.arange(P * S)
+    rcur = residuals(everyone, t)
     fcur = sqnorm(rcur)
-    lam = np.full(fcur.shape, 1e-3)
+    lam = np.full(P * S, 1e-3)
+    JtJ = np.empty((P * S, n, n))
+    g = np.empty((P * S, n))
     eye = np.eye(n)
+    live = moved = everyone
     for _ in range(iters):
-        J = np.einsum("pklm,psm->pskl", Msym, t)  # (P, S, 3, n)
-        J = _tangent_project(J, onehot)
-        JtJ = np.einsum("pskl,pskm->pslm", J, J)
-        g = np.einsum("pskl,psk->psl", J, rcur)
-        A = JtJ + lam[..., None, None] * eye
+        for part in chunks(len(moved)):
+            idx = moved[part]
+            pc = owner[idx]
+            J = np.einsum("bklm,bm->bkl", Msym[pc], t[idx])  # (b, 3, n)
+            J = _tangent_project(J, onehot[pc])
+            JtJ[idx] = np.einsum("bkl,bkm->blm", J, J)
+            g[idx] = np.einsum("bkl,bk->bl", J, rcur[idx])
+        A = JtJ[live]
+        A += lam[live, None, None] * eye
         try:
-            d = -np.linalg.solve(A, g[..., None])[..., 0]
+            d = -np.linalg.solve(A, g[live][..., None])[..., 0]
         except np.linalg.LinAlgError:
+            # the fallback step reaches every start, retired ones too
+            live = everyone
             d = -g
-        d = _tangent_project(d, onehot)
-        t_trial = _renormalize(t + d, onehot)
-        r_trial = residuals(t_trial)
+        oh = onehot[owner[live]]
+        d = _tangent_project(d[:, None], oh)
+        t_trial = _renormalize(t[live, None] + d, oh)[:, 0]
+        r_trial = residuals(live, t_trial)
         f_trial = sqnorm(r_trial)
-        accept = f_trial < fcur
-        t = np.where(accept[..., None], t_trial, t)
-        rcur = np.where(accept[..., None], r_trial, rcur)
-        fcur = np.where(accept, f_trial, fcur)
-        lam = np.clip(np.where(accept, lam * 0.3, lam * 5.0), 1e-14, 1e10)
-        if fcur.min() <= (tol * tol) * 1e-4:
+        accept = f_trial < fcur[live]
+        moved = live[accept]
+        t[moved] = t_trial[accept]
+        rcur[moved] = r_trial[accept]
+        fcur[moved] = f_trial[accept]
+        lam_live = lam[live]
+        frozen = ~accept & (lam_live == LAM_MAX)
+        lam[live] = np.clip(np.where(accept, lam_live * 0.3, lam_live * 5.0), LAM_MIN, LAM_MAX)
+        live = live[~frozen]
+        if fcur.min() <= (tol * tol) * 1e-4 or not live.size:
             break
-    return t, fcur
+    return t.reshape(P, S, n), fcur.reshape(P, S)
 
 
 def _best_start(patterns, t: np.ndarray, fcur: np.ndarray):
@@ -328,6 +382,9 @@ def fit(
     returns attained with `starts_used` counting the refinement starts
     only.  A miss falls back to the sweep, whose result is returned
     unchanged except that `starts_used` also counts the refinement.
+
+    Before anything is allocated, a sweep whose longest batch holds more
+    than MAX_BATCH_ENTRIES entries P * S * n^2 raises "solver-size".
     """
     if max_arcs < 3:
         raise InvariantViolation("max-arcs", f"max_arcs must be >= 3, got {max_arcs}")
@@ -335,6 +392,15 @@ def fit(
         raise InvariantViolation("tol", f"tol must be positive, got {tol}")
     if n_starts < 1:
         raise InvariantViolation("n-starts", f"n_starts must be >= 1, got {n_starts}")
+    # the longest patterns make the largest batch: 3 * 2^(n-1) - 6 patterns
+    n = max_arcs
+    entries = (3 * 2 ** (n - 1) - 6) * (1 if n == 3 else n_starts) * n * n
+    if entries > MAX_BATCH_ENTRIES:
+        raise InvariantViolation(
+            "solver-size",
+            f"max_arcs={max_arcs} with n_starts={n_starts} needs {entries} entries per "
+            f"Gauss-Newton array, above {MAX_BATCH_ENTRIES}",
+        )
     if hint is not None:
         _check_hint(hint)
     bound, certificate = exclusion_bound(target)

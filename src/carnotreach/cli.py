@@ -135,10 +135,19 @@ def _cmd_dice(args) -> int:
 
 
 def _cmd_mc_verify(args) -> int:
-    rng = np.random.default_rng(args.seed)
     fit_kwargs = dict(max_arcs=args.max_arcs, tol=args.tol, n_starts=args.starts)
 
+    # containment check: dice points are attained; it runs first because it
+    # validates --atoms-max before any solve, and it draws from its own rng
+    dice_report = probability.random_dice_check(
+        args.n, atoms_max=args.atoms_max, seed=args.seed, **fit_kwargs
+    )
+    if args.out_csv:
+        with open(args.out_csv, "w") as fh:
+            fh.write(dice_report.to_csv())
+
     # identity check: hidden words are recovered by the solver
+    rng = np.random.default_rng(args.seed)
     n_recovered = 0
     worst_roundtrip = 0.0
     for _ in range(args.n):
@@ -147,14 +156,6 @@ def _cmd_mc_verify(args) -> int:
         if result.status == "attained":
             n_recovered += 1
             worst_roundtrip = max(worst_roundtrip, result.residual)
-
-    # containment check: dice points are attained
-    dice_report = probability.random_dice_check(
-        args.n, atoms_max=args.atoms_max, seed=args.seed, **fit_kwargs
-    )
-    if args.out_csv:
-        with open(args.out_csv, "w") as fh:
-            fh.write(dice_report.to_csv())
     _emit(
         {
             "n": args.n,

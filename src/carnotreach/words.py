@@ -16,6 +16,7 @@ conversion (the cyclic index r = p31 is the only sign flip).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -66,6 +67,13 @@ def _letter(value) -> int:
     raise InvariantViolation("word-letter", f"letter must be an integer, got {value!r}")
 
 
+def _duration(value) -> float:
+    """A real duration; bools and strings are rejected, numpy numbers pass."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise InvariantViolation("word-duration", f"duration must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Word:
     """Ordered arcs (letter, duration) of a bang-bang control."""
@@ -81,7 +89,7 @@ class Word:
 
     @staticmethod
     def of(arcs) -> "Word":
-        return Word(tuple((_letter(l), float(t)) for l, t in arcs))
+        return Word(tuple((_letter(l), _duration(t)) for l, t in arcs))
 
     @property
     def total_duration(self) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -88,6 +89,21 @@ def test_fit_validates_arguments():
         fit(t, tol=0.0)
     with pytest.raises(InvariantViolation):
         fit(t, n_starts=0)
+
+
+def test_fit_bounds_the_solver_size():
+    t = PqrPoint(0.5, 0.5, 0.5)
+    # 24570 patterns of 14 arcs with 20 starts: about 0.8 GB per (P, S, n, n) array
+    for kwargs in ({"max_arcs": 14}, {"max_arcs": 11}, {"max_arcs": 8, "n_starts": 200}):
+        with pytest.raises(InvariantViolation) as exc:
+            fit(t, **kwargs)
+        assert exc.value.name == "solver-size"
+    # the certificate does not come before the size check
+    with pytest.raises(InvariantViolation):
+        fit(PqrPoint(0.7, 0.7, 0.7), max_arcs=14)
+    # max_arcs 10 with the default 20 starts is admitted; so is a 3-arc sweep at any start count
+    assert fit(t, max_arcs=10, tol=0.5).status == "attained"
+    assert fit(t, max_arcs=3, n_starts=10**9).starts_used == 6
 
 
 def test_probe_directions():
@@ -265,3 +281,135 @@ def test_probe_maps_only_linear_algebra_failures_to_undecided(monkeypatch):
     monkeypatch.setattr(attainability, "fit", broken)
     with pytest.raises(TypeError):
         probe(center, (1, 0, 0))
+
+
+def _digest(results) -> str:
+    return hashlib.sha256(json.dumps([r.to_dict() for r in results]).encode()).hexdigest()
+
+
+def _pool_points(attained: bool, count: int) -> list[PqrPoint]:
+    """The first `count` attained, or unscreened not-found, reference pool points."""
+    points = []
+    for r in json.loads(CUBE_SCAN_REFERENCE.read_text())["points"]:
+        x = PqrPoint(r["p"], r["q"], r["r"])
+        if (r["status"] == "attained") == attained and exclusion_bound(x)[1] is None:
+            points.append(x)
+    return points[:count]
+
+
+# sha256 of json.dumps([fit(...).to_dict(), ...]), recorded before the
+# Gauss-Newton loop retired frozen starts and reused rejected normal equations
+def test_fit_bytes_on_attained_pool_points():
+    results = [fit(x) for x in _pool_points(True, 12)]
+    assert _digest(results) == "663f0c2fc438341a4eac1835db51d2e7f38bb031553761626e2111ab90a3b5b5"
+
+
+def test_fit_bytes_on_unscreened_not_found_pool_points():
+    results = [fit(x) for x in _pool_points(False, 2)]
+    assert [r.status for r in results] == ["not-found", "not-found"]
+    assert _digest(results) == "fcd06a6c9e7a1499460e1dfefe50bf4ddfefdccc5a9897d88f0e0ca4e608494d"
+
+
+def test_fit_bytes_with_eight_starts():
+    rng = np.random.default_rng(17)
+    results = []
+    for _ in range(24):
+        w = random_word(int(rng.integers(3, 9)), int(rng.integers(2**31)))
+        results.append(fit(pqr(w), n_starts=8, seed=int(rng.integers(2**31))))
+    assert _digest(results) == "84ac50a18ff9db39cc85780ab04d34b8e898bee0c6e769f2185e823c8a88ad17"
+
+
+def test_fit_bytes_on_hinted_probes():
+    results = []
+    for patch in boundary_atlas.quadric_patches() + boundary_atlas.flat_triangles():
+        for _, w, point in patch.sample_grid(4):
+            x = point.as_array()
+            for side in (1.0, -1.0):
+                y = x + side * 1e-3 * patch.outward(x)
+                if (y >= 0.0).all() and (y <= 1.0).all():
+                    results.append(fit(PqrPoint(*y), max_arcs=6, n_starts=6, hint=w))
+    assert len(results) == 174
+    assert _digest(results) == "325ee25b51b725e87ea837fe3c2d293f83118e8549abbe98e40e2eaff1689c22"
+
+
+def _dense_gauss_newton(pat, t, target, tol, iters=attainability.GN_ITERS):
+    """Reference: every start iterates to the end, normal equations rebuilt each time."""
+    M = attainability._pair_masks(pat)
+    Msym = M + M.transpose(0, 1, 3, 2)
+    onehot = attainability._letter_onehot(pat)
+    rcur = np.einsum("pklm,psl,psm->psk", M, t, t) - target
+    fcur = np.einsum("psk,psk->ps", rcur, rcur)
+    lam = np.full(fcur.shape, 1e-3)
+    for _ in range(iters):
+        J = attainability._tangent_project(np.einsum("pklm,psm->pskl", Msym, t), onehot)
+        A = np.einsum("pskl,pskm->pslm", J, J) + lam[..., None, None] * np.eye(pat.shape[1])
+        d = -np.linalg.solve(A, np.einsum("pskl,psk->psl", J, rcur)[..., None])[..., 0]
+        t_trial = attainability._renormalize(t + attainability._tangent_project(d, onehot), onehot)
+        r_trial = np.einsum("pklm,psl,psm->psk", M, t_trial, t_trial) - target
+        f_trial = np.einsum("psk,psk->ps", r_trial, r_trial)
+        accept = f_trial < fcur
+        t = np.where(accept[..., None], t_trial, t)
+        rcur = np.where(accept[..., None], r_trial, rcur)
+        fcur = np.where(accept, f_trial, fcur)
+        lam = np.clip(np.where(accept, lam * 0.3, lam * 5.0), 1e-14, 1e10)
+        if fcur.min() <= (tol * tol) * 1e-4:
+            break
+    return t, fcur
+
+
+@pytest.mark.parametrize("target", [(0.36, 0.24, 0.45), (0.6, 0.5, 0.4)])
+def test_gauss_newton_matches_the_dense_reference(target):
+    rng = np.random.default_rng(8)
+    for n in (4, 5, 6):
+        pat = np.array(attainability._patterns_of_length(n))
+        t0 = attainability._renormalize(rng.gamma(1.0, size=(len(pat), 6, n)), attainability._letter_onehot(pat))
+        for tol in (1e-7, 1e-300):
+            got = attainability._gauss_newton(pat, t0, np.array(target), tol)
+            want = _dense_gauss_newton(pat, t0, np.array(target), tol)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_gauss_newton_ends_once_every_start_is_frozen(monkeypatch):
+    # at length 4 every start of this not-found target reaches the damping cap
+    pat = np.array(attainability._patterns_of_length(4))
+    rng = np.random.default_rng(3)
+    t0 = attainability._renormalize(rng.gamma(1.0, size=(len(pat), 20, 4)), attainability._letter_onehot(pat))
+    target = np.array([0.36, 0.24, 0.45])
+    solves = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        solves.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    t, f = attainability._gauss_newton(pat, t0, target, 1e-7)
+    assert len(solves) < attainability.GN_ITERS
+    assert np.sqrt(f.min()) > 1e-3
+    t_more, f_more = attainability._gauss_newton(pat, t0, target, 1e-7, iters=attainability.GN_ITERS + 20)
+    assert np.array_equal(t, t_more) and np.array_equal(f, f_more)
+
+
+def test_gauss_newton_fallback_step_reaches_retired_starts(monkeypatch):
+    # a failed solve gives every start the step -g, retired starts too; two
+    # failures forced after starts begin to retire (from the 26th solve on)
+    # must leave the arrays that iterating every start gives (digest recorded
+    # with the loop that iterated every start)
+    pat = np.array(attainability._patterns_of_length(5))
+    rng = np.random.default_rng(3)
+    t0 = attainability._renormalize(rng.gamma(1.0, size=(len(pat), 20, 5)), attainability._letter_onehot(pat))
+    calls = []
+    solve = np.linalg.solve
+
+    def failing_solve(a, b):
+        calls.append(len(a))
+        if len(calls) in (30, 45):
+            raise np.linalg.LinAlgError("forced")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    target = np.array([0.36, 0.24, 0.45])
+    t, f = attainability._gauss_newton(pat, t0, target, 1e-7, iters=attainability.GN_ITERS + 20)
+    assert len(calls) < attainability.GN_ITERS + 20
+    digest = hashlib.sha256(t.tobytes() + f.tobytes()).hexdigest()
+    assert digest == "ce154e377ec0ee58b2276382d201ccae77f7cbabef525f000ee2acbe865e927d"

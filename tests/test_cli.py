@@ -207,8 +207,36 @@ def test_pqr_rejects_non_integer_letters(tmp_path, capsys, letters):
     assert json.loads(err)["error"] == "word-letter"
 
 
+@pytest.mark.parametrize("durations", [[True, "1", 1], [1, 1, "1"], [1, False, 1]])
+def test_pqr_rejects_non_real_durations(tmp_path, capsys, durations):
+    code, out, err = run(capsys, "pqr", write_word(tmp_path, [1, 2, 3], durations))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "word-duration"
+
+
+def test_member_rejects_an_oversized_solver(capsys):
+    code, out, err = run(capsys, "member", "--p", "0.5", "--q", "0.5", "--r", "0.5", "--max-arcs", "14")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "solver-size"
+
+
 def test_mc_verify_rejects_zero_atoms_max(capsys):
     code, out, err = run(capsys, "mc-verify", "--n", "2", "--atoms-max", "0")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "atoms-max"
+
+
+def test_mc_verify_checks_atoms_max_before_any_solve(capsys, monkeypatch):
+    from carnotreach import attainability
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("fit called before --atoms-max was checked")
+
+    monkeypatch.setattr(attainability, "fit", no_solve)
+    code, out, err = run(capsys, "mc-verify", "--n", "30", "--atoms-max", "0")
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "atoms-max"

@@ -189,6 +189,17 @@ def test_word_rejects_non_finite_durations():
         assert exc.value.name == "word-duration"
 
 
+def test_word_rejects_non_real_durations():
+    for bad in (True, False, np.True_, "1", "0.5", None, np.array([1.0])):
+        with pytest.raises(InvariantViolation) as exc:
+            Word.of([(1, bad), (2, 1.0), (3, 1.0)])
+        assert exc.value.name == "word-duration"
+    # numpy numbers, as the solver and the samplers produce them, still pass
+    w = Word.of(zip([1, 2, 3], [np.float64(0.5), np.float32(1.0), np.int64(1)]))
+    assert w.arcs == ((1, 0.5), (2, 1.0), (3, 1.0))
+    assert all(type(t) is float for _, t in w.arcs)
+
+
 def test_word_rejects_non_integer_letters():
     for bad in (1.5, 1.0, True, np.True_, "1", None):
         with pytest.raises(InvariantViolation) as exc:
