@@ -11,6 +11,7 @@ portraits.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,9 @@ class AdjointCovector:
         h = tuple(float(v) for v in h)
         skew = tuple(float(v) for v in skew)
         if len(h) != 3 or len(skew) != 3:
-            raise ValueError("AdjointCovector needs 3-vectors h and skew")
+            raise InvariantViolation("covector", f"h and skew must be 3-vectors, got {h} and {skew}")
+        if not all(math.isfinite(v) for v in h + skew):
+            raise InvariantViolation("covector", f"h and skew must be finite, got {h} and {skew}")
         return AdjointCovector(h, skew)
 
     @property
@@ -153,8 +156,9 @@ def synthesize(
     or the quadrant vertex, synthesis of the bang part stops and the regime
     is reported as singular (or mixed, if some bang arcs were generated).
     """
-    if horizon < 0:
-        raise InvariantViolation("horizon", f"horizon must be nonnegative, got {horizon}")
+    # an infinite horizon never runs down, so the loop below would not end
+    if not 0 <= horizon < math.inf:
+        raise InvariantViolation("horizon", f"horizon must be finite and nonnegative, got {horizon}")
     if abs(max(a.h) - 1.0) > tol:
         raise InvariantViolation("normalized", f"covector must satisfy max h_i = 1, got {a.h}")
 

@@ -27,6 +27,10 @@ with a certificate naming the bound.
 
 "attained" comes with a reproducing witness word; "not-found" is
 evidence, not proof, of non-attainability, unless it carries a certificate.
+
+The largest min(p, q, r), `max_min_coordinate`, needs no search: it is 0,
+1/2 and PHI for words of at most 3, 4 and 5 or more arcs, each value
+reached by an explicit word (proof in its docstring).
 """
 from __future__ import annotations
 
@@ -76,6 +80,12 @@ MAX_BATCH_ENTRIES = 2**22
 PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # absorbs float rounding of targets on a bound, e.g. a vertex whose sum is 1 - 2^-52
 SCREEN_SLACK = 1e-12
+# words reaching the largest min(p, q, r) with at most 3, 4 and 5 arcs
+_MAX_MIN_WORDS = {
+    3: Word.of([(1, 1.0), (2, 1.0), (3, 1.0)]),
+    4: Word.of([(1, 0.5), (2, 1.0), (3, 1.0), (1, 0.5)]),
+    5: Word.of([(1, PHI * PHI), (2, PHI), (3, 1.0), (1, PHI), (2, PHI * PHI)]),
+}
 
 ATTAINABLE_BEYOND = "attainable-beyond"
 UNATTAINABLE_BEYOND = "unattainable-beyond"
@@ -388,8 +398,8 @@ def fit(
     """
     if max_arcs < 3:
         raise InvariantViolation("max-arcs", f"max_arcs must be >= 3, got {max_arcs}")
-    if tol <= 0:
-        raise InvariantViolation("tol", f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise InvariantViolation("tol", f"tol must be finite and positive, got {tol}")
     if n_starts < 1:
         raise InvariantViolation("n-starts", f"n_starts must be >= 1, got {n_starts}")
     # the longest patterns make the largest batch: 3 * 2^(n-1) - 6 patterns
@@ -466,69 +476,26 @@ def probe(
     return ATTAINABLE_BEYOND if result.status == "attained" else UNATTAINABLE_BEYOND
 
 
-def max_min_coordinate(
-    max_arcs: int = DEFAULT_MAX_ARCS,
-    seed: int = 0,
-    n_starts: int = 2,
-) -> tuple[float, Word]:
-    """Maximize min(p, q, r) over all patterns up to the cap.
+def max_min_coordinate(max_arcs: int = DEFAULT_MAX_ARCS) -> tuple[float, Word]:
+    """Exact maximum of min(p, q, r) over section words of at most max_arcs
+    arcs, with a word attaining it; the value is min(pqr(word)).
 
-    Solved per pattern as max s subject to p, q, r >= s on the product of
-    per-letter simplices (SLSQP with exact gradients).
+    Each letter of a section word has total duration 1, and the coordinate
+    of a cyclic pair (i, j) sums t_l t_m over arcs l < m carrying i and j.
+    - 3 arcs: the word is a permutation of the letters, so its point is a
+      cube vertex with p + q + r <= 2 and some coordinate is 0.
+    - 4 arcs: exactly one letter k repeats.  If k is not at both ends, the
+      single letter at the start (or end) precedes (or follows) everything,
+      so one of its two pairs is 0.  The word k i j k with durations
+      (a, 1, 1, 1 - a) gives a and 1 - a on the pairs holding k, so the
+      minimum is at most 1/2; (1, 1/2), (2, 1), (3, 1), (1, 1/2) reaches it.
+    - 5 or more arcs: the golden bound min(p, q, r) <= PHI holds on the
+      whole attainable set (Steinhaus-Trybula, Usiskin), and the 5-arc
+      word (1, PHI^2), (2, PHI), (3, 1), (1, PHI), (2, PHI^2) reaches
+      (PHI, PHI, PHI).
     """
-    from scipy.optimize import minimize
-
-    best_val = -np.inf
-    best_word = None
-    for pattern in enumerate_patterns(max_arcs):
-        n = len(pattern)
-        pat = np.array([pattern])
-        M = _pair_masks(pat)[0]  # (3, n, n)
-        Msym = M + M.transpose(0, 2, 1)
-        onehot = _letter_onehot(pat)[0]  # (3, n)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=pattern))
-
-        def p_of(t, M=M):
-            return np.einsum("klm,l,m->k", M, t, t)
-
-        cons = [
-            {
-                "type": "eq",
-                "fun": lambda v, c=c: float(onehot[c] @ v[:n] - 1.0),
-                "jac": lambda v, c=c: np.append(onehot[c], 0.0),
-            }
-            for c in range(3)
-        ] + [
-            {
-                "type": "ineq",
-                "fun": lambda v, k=k: float(p_of(v[:n])[k] - v[n]),
-                "jac": lambda v, k=k: np.append(Msym[k] @ v[:n], -1.0),
-            }
-            for k in range(3)
-        ]
-        bounds = [(0.0, 1.0)] * n + [(0.0, 1.0)]
-
-        for _ in range(n_starts):
-            t0 = _renormalize(rng.gamma(1.0, size=(1, 1, n)), onehot[None])[0, 0]
-            v0 = np.append(t0, p_of(t0).min())
-            sol = minimize(
-                lambda v: -v[n],
-                v0,
-                jac=lambda v: np.append(np.zeros(n), -1.0),
-                constraints=cons,
-                bounds=bounds,
-                method="SLSQP",
-                options={"maxiter": 200, "ftol": 1e-12},
-            )
-            if not sol.success:
-                continue
-            t = np.clip(sol.x[:n], 0.0, None)
-            sums = onehot @ t
-            if (sums <= 0).any():
-                continue
-            t = t * (onehot.T @ (1.0 / sums))
-            val = p_of(t).min()
-            if val > best_val:
-                best_val = val
-                best_word = _witness_from(pattern, t)
-    return float(best_val), best_word
+    if max_arcs < 3:
+        raise InvariantViolation("max-arcs", f"max_arcs must be >= 3, got {max_arcs}")
+    word = _MAX_MIN_WORDS[min(max_arcs, 5)]
+    point = pqr(word)
+    return min(point.p, point.q, point.r), word

@@ -137,6 +137,21 @@ def test_synthesize_input_validation():
         synthesize(AdjointCovector.of((0.5, 0.2, 0.1), (1, 1, 1)), 1.0)
     with pytest.raises(InvariantViolation):
         synthesize(AdjointCovector.of((1, 0, 0), (1, 1, 1)), -1.0)
+    # inf - step stays inf, so an infinite horizon would append arcs forever
+    for horizon in (np.inf, np.nan):
+        with pytest.raises(InvariantViolation) as exc:
+            synthesize(AdjointCovector.of((1.0, 0.5, 0.5), (1.0, -1.0, 1.0)), horizon)
+        assert exc.value.name == "horizon"
+
+
+@pytest.mark.parametrize(
+    "h, skew",
+    [((1, 1), (1, 1, 1)), ((1, 1, 1), (1, 1, 1, 1)), ((np.nan, 1, 1), (1, 1, 1)), ((1, 1, 1), (1, np.inf, 1))],
+)
+def test_covector_rejects_wrong_length_or_non_finite(h, skew):
+    with pytest.raises(InvariantViolation) as exc:
+        AdjointCovector.of(h, skew)
+    assert exc.value.name == "covector"
 
 
 def test_switch_events_csv_shape():

@@ -89,6 +89,11 @@ def test_fit_validates_arguments():
         fit(t, tol=0.0)
     with pytest.raises(InvariantViolation):
         fit(t, n_starts=0)
+    # a NaN tol used to fail every `residual <= tol` and sweep to not-found
+    for tol in (np.nan, np.inf):
+        with pytest.raises(InvariantViolation) as exc:
+            fit(t, tol=tol, max_arcs=4)
+        assert exc.value.name == "tol"
 
 
 def test_fit_bounds_the_solver_size():
@@ -127,11 +132,19 @@ def test_interior_point_both_sides_attainable():
     assert probe(x, -n, eps=1e-3, **kwargs) == ATTAINABLE_BEYOND
 
 
-def test_max_min_coordinate_golden():
-    val, word = max_min_coordinate(max_arcs=5)
-    assert abs(val - PHI) <= 1e-6
-    pt = pqr(word)
-    assert min(pt.p, pt.q, pt.r) >= val - 1e-9
+@pytest.mark.parametrize("max_arcs", [3, 4, 5, 8])
+def test_max_min_coordinate_golden(max_arcs):
+    val, word = max_min_coordinate(max_arcs)
+    assert val == {3: 0.0, 4: 0.5}.get(max_arcs, PHI)
+    pt = pqr(word)  # raises unless word is a section word
+    assert min(pt.p, pt.q, pt.r) == val
+    assert len(word.arcs) <= max_arcs
+
+
+def test_max_min_coordinate_rejects_fewer_than_three_arcs():
+    with pytest.raises(InvariantViolation) as exc:
+        max_min_coordinate(2)
+    assert exc.value.name == "max-arcs"
 
 
 def test_probe_rejects_non_finite_direction():

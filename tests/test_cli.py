@@ -222,6 +222,25 @@ def test_member_rejects_an_oversized_solver(capsys):
     assert json.loads(err)["error"] == "solver-size"
 
 
+def test_member_rejects_a_nan_tol(capsys):
+    code, out, err = run(capsys, "member", "--p", "0.5", "--q", "0.5", "--r", "0.5", "--tol", "nan")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "tol"
+
+
+@pytest.mark.parametrize(
+    "flags, error",
+    [(("--h", "nan,1,1"), "covector"), (("--h", "0.5,0.8,1.0", "--horizon", "inf"), "horizon")],
+    ids=["nan-h", "inf-horizon"],
+)
+def test_simulate_adjoint_rejects_non_finite_input(capsys, flags, error):
+    code, out, err = run(capsys, "simulate-adjoint", "--skew", "1.0,-1.0,1.0", *flags)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == error
+
+
 def test_mc_verify_rejects_zero_atoms_max(capsys):
     code, out, err = run(capsys, "mc-verify", "--n", "2", "--atoms-max", "0")
     assert code == 1

@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +19,20 @@ def test_every_export_resolves(name):
     module = importlib.import_module(name)
     missing = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
     assert missing == []
+
+
+def test_runtime_needs_no_scipy():
+    # a None entry in sys.modules makes every `import scipy...` raise ImportError
+    script = "\n".join([
+        "import importlib, sys",
+        "sys.modules['scipy'] = None",
+        f"for name in {MODULES!r}:",
+        "    importlib.import_module(name)",
+        "from carnotreach.attainability import max_min_coordinate",
+        "print(max_min_coordinate(8)[0])",
+    ])
+    src = str(Path(carnotreach.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0.6180339887498949\n"
