@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 TIE_TOL = 1e-10
+# arcs `synthesize` may generate; a horizon needing more raises "switches"
+MAX_SYNTH_ARCS = 10_000
 
 
 @dataclass(frozen=True)
@@ -119,12 +121,24 @@ def maximizing_controls(a: AdjointCovector, tol: float = TIE_TOL) -> tuple[int, 
 
 
 def normalize(a: AdjointCovector) -> AdjointCovector:
-    """Rescale by a positive scalar so that max h_i = 1."""
+    """Rescale by a positive scalar so that max h_i = 1.
+
+    Raises "normalize-range" when the rescaled covector is not finite, as
+    for a tiny max h_i with a skew part of ordinary size."""
     hmax = max(a.h)
     if hmax <= 0:
         raise InvariantViolation("normalize", f"max h_i must be positive to normalize, got {a.h}")
     s = 1.0 / hmax
-    return AdjointCovector(tuple(s * v for v in a.h), tuple(s * v for v in a.skew))
+    if math.isfinite(s):
+        h, skew = tuple(s * v for v in a.h), tuple(s * v for v in a.skew)
+    else:
+        # 1 / hmax overflows below about 5.6e-309, where dividing still can be finite
+        h, skew = tuple(v / hmax for v in a.h), tuple(v / hmax for v in a.skew)
+    if not all(math.isfinite(v) for v in h + skew):
+        raise InvariantViolation(
+            "normalize-range", f"covector {a.h}, {a.skew} scaled by 1/{hmax} is not finite: {h}, {skew}"
+        )
+    return AdjointCovector(h, skew)
 
 
 def _edge_is_singular(a: AdjointCovector, i: int, j: int, tol: float) -> bool:
@@ -155,6 +169,7 @@ def synthesize(
     computed in closed form.  When the covector reaches an invariant edge
     or the quadrant vertex, synthesis of the bang part stops and the regime
     is reported as singular (or mixed, if some bang arcs were generated).
+    A horizon that needs more than MAX_SYNTH_ARCS arcs raises "switches".
     """
     # an infinite horizon never runs down, so the loop below would not end
     if not 0 <= horizon < math.inf:
@@ -203,6 +218,10 @@ def synthesize(
                 nxt = jdx
         step = min(t_switch, remaining)
         if step > 0:
+            if len(arcs) == MAX_SYNTH_ARCS:
+                raise InvariantViolation(
+                    "switches", f"horizon {horizon} needs more than {MAX_SYNTH_ARCS} arcs"
+                )
             arcs.append((letter, step))
             h = h + step * col
         remaining -= step

@@ -25,6 +25,11 @@ Usiskin, with max(p, q, r) >= (3 - sqrt 5)/2 by reversal.  A target
 farther than tol from every point the bounds allow is not-found at once,
 with a certificate naming the bound.
 
+A target that passes the screen is first refined from a nearby word: the
+caller's hint or, without one, the nearest word of the precomputed
+`witness_table`.  Only when that refinement misses does the per-length
+sweep run.
+
 "attained" comes with a reproducing witness word; "not-found" is
 evidence, not proof, of non-attainability, unless it carries a certificate.
 
@@ -41,6 +46,7 @@ from itertools import product
 
 import numpy as np
 
+from . import witness_table
 from .words import (
     LETTERS,
     PQR_PAIRS,
@@ -70,6 +76,8 @@ DEFAULT_STARTS = 20
 GN_ITERS = 70
 # Levenberg-Marquardt damping range; a start rejected at LAM_MAX is frozen
 LAM_MIN, LAM_MAX = 1e-14, 1e10
+# the table word nearest a target, refined when the caller gives no hint
+_table_word = witness_table.nearest
 # starts per gather of the (3, n, n) pair masks, which bounds the copies
 GN_CHUNK = 512
 # cap on P * S * n^2 of the longest batch: 32 MiB per (P, S, n, n) float64
@@ -154,10 +162,10 @@ def _renormalize(t: np.ndarray, onehot: np.ndarray) -> np.ndarray:
     """Clip to >= 0 and rescale so each letter's durations sum to 1."""
     t = np.clip(t, 0.0, None)
     sums = np.einsum("pcn,psn->psc", onehot, t)
-    counts = onehot.sum(axis=2)  # (P, 3)
     # a letter whose durations all collapsed to 0 restarts from uniform
     dead = sums <= 0.0
     if dead.any():
+        counts = onehot.sum(axis=2)  # (P, 3)
         uniform = np.einsum("pcn,pc->pn", onehot, 1.0 / counts)
         mask = np.einsum("pcn,psc->psn", onehot, dead.astype(float)) > 0
         t = np.where(mask, np.broadcast_to(uniform[:, None, :], t.shape), t)
@@ -166,9 +174,9 @@ def _renormalize(t: np.ndarray, onehot: np.ndarray) -> np.ndarray:
     return t * scale
 
 
-def _tangent_project(d: np.ndarray, onehot: np.ndarray) -> np.ndarray:
-    """Remove per-letter means so steps preserve the letter totals."""
-    counts = onehot.sum(axis=2)  # (P, 3)
+def _tangent_project(d: np.ndarray, onehot: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Remove per-letter means so steps preserve the letter totals;
+    counts = onehot.sum(axis=2) (P, 3) is the number of arcs per letter."""
     # d is (P, ..., n) with onehot[i] the letters of d[i]; flatten the middle axes
     orig_shape = d.shape
     flat = d.reshape(orig_shape[0], -1, orig_shape[-1])  # (P, B, n)
@@ -204,6 +212,7 @@ def _gauss_newton(
     M = _pair_masks(pat)
     Msym = M + M.transpose(0, 1, 3, 2)
     onehot = _letter_onehot(pat)
+    counts = onehot.sum(axis=2)
     owner = np.repeat(np.arange(P), S)  # pattern of each start
 
     def chunks(count):
@@ -234,7 +243,7 @@ def _gauss_newton(
             idx = moved[part]
             pc = owner[idx]
             J = np.einsum("bklm,bm->bkl", Msym[pc], t[idx])  # (b, 3, n)
-            J = _tangent_project(J, onehot[pc])
+            J = _tangent_project(J, onehot[pc], counts[pc])
             JtJ[idx] = np.einsum("bkl,bkm->blm", J, J)
             g[idx] = np.einsum("bkl,bk->bl", J, rcur[idx])
         A = JtJ[live]
@@ -246,7 +255,7 @@ def _gauss_newton(
             live = everyone
             d = -g
         oh = onehot[owner[live]]
-        d = _tangent_project(d[:, None], oh)
+        d = _tangent_project(d[:, None], oh, counts[owner[live]])
         t_trial = _renormalize(t[live, None] + d, oh)[:, 0]
         r_trial = residuals(live, t_trial)
         f_trial = sqnorm(r_trial)
@@ -378,20 +387,23 @@ def fit(
 ) -> FitResult:
     """Search for a section word whose (p, q, r) hits the target.
 
-    Patterns are swept by increasing length with per-length deterministic
-    seeds, so enlarging max_arcs with the same seed never worsens the
-    best residual.  Stops early once the tolerance is met.  A target that
-    `exclusion_bound` puts farther than tol from the attainable set is
-    not-found without a search: its residual is that lower bound and its
-    certificate names the bound.
+    A target that `exclusion_bound` puts farther than tol from the
+    attainable set is not-found without a search: its residual is that
+    lower bound and its certificate names the bound.
 
-    `hint`, a section word whose point lies near the target, is refined
-    before the sweep: Gauss-Newton runs from its durations with one
-    zero-duration arc inserted at every slot, then, if that misses tol,
-    with two; padded patterns longer than max_arcs are skipped.  A hit
-    returns attained with `starts_used` counting the refinement starts
-    only.  A miss falls back to the sweep, whose result is returned
-    unchanged except that `starts_used` also counts the refinement.
+    Otherwise a word whose point lies near the target is refined first:
+    `hint` when the caller passes one (a section word), else the nearest
+    word of `witness_table`, if any lies in the 27 grid cells around the
+    target.  Gauss-Newton runs from its durations with one zero-duration
+    arc inserted at every slot, then, if that misses tol, with two; padded
+    patterns longer than max_arcs are skipped.  A hit returns attained
+    with `starts_used` counting the refinement starts only.
+
+    A miss falls back to the sweep, whose result is returned unchanged
+    except that `starts_used` also counts the refinement.  The sweep runs
+    patterns by increasing length with per-length deterministic seeds, so
+    for the same seed its best residual never worsens as max_arcs grows;
+    it stops early once the tolerance is met.
 
     Before anything is allocated, a sweep whose longest batch holds more
     than MAX_BATCH_ENTRIES entries P * S * n^2 raises "solver-size".
@@ -419,6 +431,8 @@ def fit(
     tvec = target.as_array()
 
     starts_used = 0
+    if hint is None:
+        hint = _table_word(tvec)
     if hint is not None:
         residual, pattern, durs, starts_used = _refine(hint, tvec, max_arcs, tol, seed)
         if residual <= tol:

@@ -168,3 +168,33 @@ def test_switch_events_csv_shape():
     for line in lines[2:-1]:
         _, h1, h2, h3 = (float(v) for v in line.split(","))
         assert abs(max(h1, h2, h3) - 1.0) <= 1e-9
+
+
+def test_normalize_scales_ordinary_covectors_by_the_reciprocal():
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        a = AdjointCovector.of(rng.uniform(0.01, 5.0, 3), rng.uniform(-5.0, 5.0, 3))
+        s = 1.0 / max(a.h)
+        assert normalize(a) == AdjointCovector(tuple(s * v for v in a.h), tuple(s * v for v in a.skew))
+
+
+def test_normalize_divides_when_the_reciprocal_overflows():
+    # 1 / 2^-1030 is inf, so scaling by it used to give (inf, inf, nan)
+    b = normalize(AdjointCovector.of((2.0**-1030, 2.0**-1031, 0.0), (2.0**-1000, 0.0, -(2.0**-1030))))
+    assert b == AdjointCovector((1.0, 0.5, 0.0), (2.0**30, 0.0, -1.0))
+    for h, skew in (((5e-324, 0.0, 0.0), (1.0, 1.0, 1.0)), ((1e-310, 0.0, 0.0), (1e300, 1.0, 1.0))):
+        with pytest.raises(InvariantViolation) as exc:
+            normalize(AdjointCovector.of(h, skew))
+        assert exc.value.name == "normalize-range"
+
+
+def test_synthesize_bounds_the_number_of_arcs():
+    a = AdjointCovector.of((0.5, 0.8, 1.0), (1.0, -1.0, 1.0))
+    # a horizon that never runs down: each step is absorbed by 1e300
+    with pytest.raises(InvariantViolation) as exc:
+        synthesize(a, 1e300)
+    assert exc.value.name == "switches"
+    # horizons of 20 in the triangle regime stay far below the cap
+    rng = np.random.default_rng(2)
+    lengths = [len(synthesize(random_triangle_covector(rng), 20.0)[0].arcs) for _ in range(50)]
+    assert 10 < max(lengths) <= 40

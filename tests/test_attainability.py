@@ -310,26 +310,89 @@ def _pool_points(attained: bool, count: int) -> list[PqrPoint]:
     return points[:count]
 
 
-# sha256 of json.dumps([fit(...).to_dict(), ...]), recorded before the
-# Gauss-Newton loop retired frozen starts and reused rejected normal equations
-def test_fit_bytes_on_attained_pool_points():
-    results = [fit(x) for x in _pool_points(True, 12)]
-    assert _digest(results) == "663f0c2fc438341a4eac1835db51d2e7f38bb031553761626e2111ab90a3b5b5"
-
-
-def test_fit_bytes_on_unscreened_not_found_pool_points():
-    results = [fit(x) for x in _pool_points(False, 2)]
-    assert [r.status for r in results] == ["not-found", "not-found"]
-    assert _digest(results) == "fcd06a6c9e7a1499460e1dfefe50bf4ddfefdccc5a9897d88f0e0ca4e608494d"
-
-
-def test_fit_bytes_with_eight_starts():
+def _eight_start_round_trips() -> list:
     rng = np.random.default_rng(17)
     results = []
     for _ in range(24):
         w = random_word(int(rng.integers(3, 9)), int(rng.integers(2**31)))
         results.append(fit(pqr(w), n_starts=8, seed=int(rng.integers(2**31))))
-    assert _digest(results) == "84ac50a18ff9db39cc85780ab04d34b8e898bee0c6e769f2185e823c8a88ad17"
+    return results
+
+
+@pytest.fixture
+def no_table(monkeypatch):
+    """A hint-less `fit` goes straight to the sweep, as before the witness table."""
+    monkeypatch.setattr(attainability, "_table_word", lambda x: None)
+
+
+# sha256 of json.dumps([fit(...).to_dict(), ...]) with the table lookup off,
+# recorded before the Gauss-Newton loop retired frozen starts and reused
+# rejected normal equations: the sweep's bytes
+def test_fit_bytes_on_attained_pool_points(no_table):
+    results = [fit(x) for x in _pool_points(True, 12)]
+    assert _digest(results) == "663f0c2fc438341a4eac1835db51d2e7f38bb031553761626e2111ab90a3b5b5"
+
+
+def test_fit_bytes_on_unscreened_not_found_pool_points(no_table):
+    results = [fit(x) for x in _pool_points(False, 2)]
+    assert [r.status for r in results] == ["not-found", "not-found"]
+    assert _digest(results) == "fcd06a6c9e7a1499460e1dfefe50bf4ddfefdccc5a9897d88f0e0ca4e608494d"
+
+
+def test_fit_bytes_with_eight_starts(no_table):
+    assert _digest(_eight_start_round_trips()) == "84ac50a18ff9db39cc85780ab04d34b8e898bee0c6e769f2185e823c8a88ad17"
+
+
+# the same calls at defaults, which refine the nearest witness-table word first;
+# recorded when the table was added
+def test_table_fit_bytes_on_attained_pool_points():
+    results = [fit(x) for x in _pool_points(True, 12)]
+    assert _digest(results) == "03b126b62a80044ff70eb50321a57a2d66a51b0bd2da8404015af2d3496ba5f1"
+
+
+def test_table_fit_bytes_on_unscreened_not_found_pool_points():
+    results = [fit(x) for x in _pool_points(False, 2)]
+    assert [r.status for r in results] == ["not-found", "not-found"]
+    assert _digest(results) == "b7dff607b8bc3e23f500424cf0cf3e6add2bd44cf2dd3570d17d358fc0a39a94"
+
+
+def test_table_fit_bytes_with_eight_starts():
+    assert _digest(_eight_start_round_trips()) == "590334967edda2f618ad51889ed83cfadf741a9af50f674c4475f86216040cbd"
+
+
+def test_table_settles_the_attained_pool_points(monkeypatch):
+    # every attained reference point stays attained, nearly all by refining the table word
+    hits = []
+    refine = attainability._refine
+
+    def recording_refine(hint, target, max_arcs, tol, seed):
+        out = refine(hint, target, max_arcs, tol, seed)
+        hits.append(out[0] <= tol)
+        return out
+
+    monkeypatch.setattr(attainability, "_refine", recording_refine)
+    points = [r for r in json.loads(CUBE_SCAN_REFERENCE.read_text())["points"] if r["status"] == "attained"]
+    assert len(points) == 258
+    for r in points:
+        result = fit(PqrPoint(r["p"], r["q"], r["r"]))
+        assert result.status == "attained" and result.residual <= attainability.DEFAULT_TOL
+    assert len(hits) == 258
+    assert sum(hits) >= 250
+
+
+def test_table_refines_only_without_a_hint(monkeypatch):
+    looked_up = []
+    lookup = attainability._table_word
+    monkeypatch.setattr(attainability, "_table_word", lambda x: looked_up.append(x) or lookup(x))
+    target = PqrPoint(0.6, 0.5, 0.4)
+    hinted = fit(target, hint=random_word(5, 3))
+    assert looked_up == []
+    plain = fit(target)
+    assert len(looked_up) == 1
+    assert hinted.status == plain.status == "attained"
+    # a certified target is settled before any lookup
+    fit(PqrPoint(0.7, 0.7, 0.7))
+    assert len(looked_up) == 1
 
 
 def test_fit_bytes_on_hinted_probes():
@@ -350,14 +413,15 @@ def _dense_gauss_newton(pat, t, target, tol, iters=attainability.GN_ITERS):
     M = attainability._pair_masks(pat)
     Msym = M + M.transpose(0, 1, 3, 2)
     onehot = attainability._letter_onehot(pat)
+    counts = onehot.sum(axis=2)
     rcur = np.einsum("pklm,psl,psm->psk", M, t, t) - target
     fcur = np.einsum("psk,psk->ps", rcur, rcur)
     lam = np.full(fcur.shape, 1e-3)
     for _ in range(iters):
-        J = attainability._tangent_project(np.einsum("pklm,psm->pskl", Msym, t), onehot)
+        J = attainability._tangent_project(np.einsum("pklm,psm->pskl", Msym, t), onehot, counts)
         A = np.einsum("pskl,pskm->pslm", J, J) + lam[..., None, None] * np.eye(pat.shape[1])
         d = -np.linalg.solve(A, np.einsum("pskl,psk->psl", J, rcur)[..., None])[..., 0]
-        t_trial = attainability._renormalize(t + attainability._tangent_project(d, onehot), onehot)
+        t_trial = attainability._renormalize(t + attainability._tangent_project(d, onehot, counts), onehot)
         r_trial = np.einsum("pklm,psl,psm->psk", M, t_trial, t_trial) - target
         f_trial = np.einsum("psk,psk->ps", r_trial, r_trial)
         accept = f_trial < fcur

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -64,8 +65,9 @@ def test_member_non_finite_is_a_domain_error(capsys):
     assert json.loads(err)["error"] == "pqr-finite"
 
 
-# exact bytes of `member --max-arcs 5 --seed 3`, recorded before the exclusion
-# screen and the Gauss-Newton residual reuse; neither may change them
+# exact bytes of `member --max-arcs 5 --seed 3` with the witness-table lookup
+# off, recorded before the exclusion screen and the Gauss-Newton residual
+# reuse; neither may change them
 GOLDEN_MEMBER = {
     ("0.6", "0.5", "0.4"): (
         '{\n  "status": "attained",\n  "residual": 1.2483976575904067e-11,\n'
@@ -82,12 +84,45 @@ GOLDEN_MEMBER = {
 }
 
 
+# exact bytes of `member --seed 3 <flags>` with the table word refined first,
+# recorded when the witness table was added: (0.6, 0.5, 0.4) is settled by
+# refinement, (0.36, 0.24, 0.45) refines its 5-arc table word, misses, and
+# sweeps to the residual above, counting both in starts_used
+GOLDEN_TABLE_MEMBER = {
+    ("0.6", "0.5", "0.4"): ((), (
+        '{\n  "status": "attained",\n  "residual": 2.752874410519543e-10,\n'
+        '  "starts_used": 18,\n  "witness": {\n    "letters": [\n      3,\n'
+        '      1,\n      2,\n      3,\n      2,\n      1,\n      3\n    ],\n'
+        '    "durations": [\n      0.03958500777502229,\n      0.5999999998092115,\n'
+        '      0.4890168248298985,\n      0.9010374797146375,\n'
+        '      0.5109831751701015,\n      0.40000000019078846,\n'
+        '      0.05937751251034007\n    ]\n  },\n  "max_arcs": 8\n}\n'
+    )),
+    ("0.36", "0.24", "0.45"): (("--max-arcs", "6"), (
+        '{\n  "status": "not-found",\n  "residual": 0.02593712749248486,\n'
+        '  "starts_used": 3022,\n  "max_arcs": 6\n}\n'
+    )),
+}
+
+
 @pytest.mark.parametrize("point", sorted(GOLDEN_MEMBER))
-def test_member_golden_output(capsys, point):
+def test_member_golden_output(capsys, monkeypatch, point):
+    from carnotreach import attainability
+
+    monkeypatch.setattr(attainability, "_table_word", lambda x: None)
     p, q, r = point
     code, out, _ = run(capsys, "member", "--p", p, "--q", q, "--r", r, "--max-arcs", "5", "--seed", "3")
     assert code == 0
     assert out == GOLDEN_MEMBER[point]
+
+
+@pytest.mark.parametrize("point", sorted(GOLDEN_TABLE_MEMBER))
+def test_member_golden_output_from_the_table(capsys, point):
+    p, q, r = point
+    flags, golden = GOLDEN_TABLE_MEMBER[point]
+    code, out, _ = run(capsys, "member", "--p", p, "--q", q, "--r", r, "--seed", "3", *flags)
+    assert code == 0
+    assert out == golden
 
 
 def test_member_byte_identical_reruns(capsys):
@@ -239,6 +274,25 @@ def test_simulate_adjoint_rejects_non_finite_input(capsys, flags, error):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == error
+
+
+def test_simulate_adjoint_bounds_the_switches(capsys):
+    # each step is absorbed by the remaining 1e300, so the horizon never runs down
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "simulate-adjoint", "--h", "0.5,0.8,1.0", "--skew", "1.0,-1.0,1.0", "--horizon", "1e300"
+    )
+    assert time.perf_counter() - start < 10.0
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "switches"
+
+
+def test_simulate_adjoint_names_an_overflowing_normalization(capsys):
+    code, out, err = run(capsys, "simulate-adjoint", "--h", "5e-324,0,0", "--skew", "1,1,1")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "normalize-range"
 
 
 def test_mc_verify_rejects_zero_atoms_max(capsys):

@@ -28,11 +28,14 @@ def test_runtime_needs_no_scipy():
         "sys.modules['scipy'] = None",
         f"for name in {MODULES!r}:",
         "    importlib.import_module(name)",
-        "from carnotreach.attainability import max_min_coordinate",
+        "from carnotreach.attainability import fit, max_min_coordinate",
+        "from carnotreach.words import PqrPoint",
         "print(max_min_coordinate(8)[0])",
+        # a hint-less fit loads the witness table
+        "print(fit(PqrPoint(0.6, 0.5, 0.4)).starts_used)",
     ])
     src = str(Path(carnotreach.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "0.6180339887498949\n"
+    assert done.stdout == "0.6180339887498949\n18\n"
