@@ -17,6 +17,15 @@ bit-identical to iterating every start for the full iteration count.  The
 size of the largest batch is bounded before anything is allocated
 (`solver-size`).
 
+Memory: the stored normal equations JtJ, one (n, n) matrix per start, are
+the only array the size of the batch times n^2.  Everything else a
+Gauss-Newton iteration builds (the damped copies of JtJ, the gathered pair
+masks, the trial durations and residuals) is made for at most GN_CHUNK
+starts at a time, and the rest is per-start state of n numbers or fewer.
+On the largest batch of a default sweep, 378 patterns of 8 arcs with 20
+starts each, the traced peak of an iteration is about 2.2 times the bytes
+of JtJ.
+
 Before any search, `fit` checks two proven bounds on the attainable
 set: the cyclic identity 1 <= p + q + r <= 2 (exactly one or two of the
 events x1 < x2, x2 < x3, x3 < x1 hold for independent variables) and the
@@ -40,6 +49,7 @@ reached by an explicit word (proof in its docstring).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -56,6 +66,7 @@ from .words import (
     Word,
     canonicalize,
     pqr,
+    require_int,
 )
 
 __all__ = [
@@ -78,10 +89,11 @@ GN_ITERS = 70
 LAM_MIN, LAM_MAX = 1e-14, 1e10
 # the table word nearest a target, refined when the caller gives no hint
 _table_word = witness_table.nearest
-# starts per gather of the (3, n, n) pair masks, which bounds the copies
+# starts per slice of a Gauss-Newton iteration, which bounds its temporaries
 GN_CHUNK = 512
-# cap on P * S * n^2 of the longest batch: 32 MiB per (P, S, n, n) float64
-# array; admits max_arcs 10 with 20 starts
+# cap on P * S * n^2 of the longest batch: 32 MiB for its stored normal
+# equations JtJ, the only (P * S, n, n) float64 array; admits max_arcs 10
+# with 20 starts
 MAX_BATCH_ENTRIES = 2**22
 
 # golden bound: min(p, q, r) <= PHI and max(p, q, r) >= 1 - PHI on the attainable set
@@ -135,8 +147,7 @@ def _patterns_of_length(n: int) -> tuple[tuple[int, ...], ...]:
 
 def enumerate_patterns(max_arcs: int) -> list[tuple[int, ...]]:
     """All canonical patterns with 3..max_arcs arcs, ordered by length."""
-    if max_arcs < 3:
-        raise InvariantViolation("max-arcs", f"max_arcs must be >= 3, got {max_arcs}")
+    require_int("max-arcs", max_arcs, 3)
     pats: list[tuple[int, ...]] = []
     for n in range(3, max_arcs + 1):
         pats.extend(_patterns_of_length(n))
@@ -206,6 +217,16 @@ def _gauss_newton(
     singular, so retiring it cannot change whether the solve fails; when the
     solve does fail, the step -g applies to every start, retired ones too.
     The result is bit-identical to iterating every start to the end.
+
+    An iteration first rebuilds the normal equations of the starts accepted
+    last time, GN_CHUNK at a time.  It then walks the live starts in slices
+    of GN_CHUNK twice: the first pass solves a damped copy of each slice's
+    JtJ and stores the step; the second, once every slice has solved,
+    projects, renormalizes, evaluates and accepts the trial of each slice.
+    A failed solve in any slice gives every start the step -g, as one solve
+    over all live starts would.  Each start's arithmetic does not depend on
+    the slicing, so neither does the result; only JtJ, the per-start state
+    and one slice's temporaries are held at once.
     """
     P, n = pat.shape
     S = t.shape[1]
@@ -218,20 +239,17 @@ def _gauss_newton(
     def chunks(count):
         return (slice(c, c + GN_CHUNK) for c in range(0, count, GN_CHUNK))
 
-    def residuals(idx, tt):
-        """Residuals of starts `idx` at durations tt (len(idx), n)."""
-        out = np.empty((len(idx), 3))
-        for part in chunks(len(idx)):
-            pc = owner[idx[part]]
-            np.einsum("bklm,bl,bm->bk", M[pc], tt[part], tt[part], out=out[part])
-        return out - target
+    def residuals(rows, tt):
+        """Residuals at durations tt (b, n) of at most GN_CHUNK starts whose
+        patterns are `rows`."""
+        return np.einsum("bklm,bl,bm->bk", M[rows], tt, tt) - target
 
     def sqnorm(r):
         return np.einsum("bk,bk->b", r, r)
 
     t = t.reshape(P * S, n).copy()
     everyone = np.arange(P * S)
-    rcur = residuals(everyone, t)
+    rcur = np.concatenate([residuals(owner[part], t[part]) for part in chunks(P * S)])
     fcur = sqnorm(rcur)
     lam = np.full(P * S, 1e-3)
     JtJ = np.empty((P * S, n, n))
@@ -246,28 +264,39 @@ def _gauss_newton(
             J = _tangent_project(J, onehot[pc], counts[pc])
             JtJ[idx] = np.einsum("bkl,bkm->blm", J, J)
             g[idx] = np.einsum("bkl,bk->bl", J, rcur[idx])
-        A = JtJ[live]
-        A += lam[live, None, None] * eye
-        try:
-            d = -np.linalg.solve(A, g[live][..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # the fallback step reaches every start, retired ones too
-            live = everyone
-            d = -g
-        oh = onehot[owner[live]]
-        d = _tangent_project(d[:, None], oh, counts[owner[live]])
-        t_trial = _renormalize(t[live, None] + d, oh)[:, 0]
-        r_trial = residuals(live, t_trial)
-        f_trial = sqnorm(r_trial)
-        accept = f_trial < fcur[live]
-        moved = live[accept]
-        t[moved] = t_trial[accept]
-        rcur[moved] = r_trial[accept]
-        fcur[moved] = f_trial[accept]
-        lam_live = lam[live]
-        frozen = ~accept & (lam_live == LAM_MAX)
-        lam[live] = np.clip(np.where(accept, lam_live * 0.3, lam_live * 5.0), LAM_MIN, LAM_MAX)
-        live = live[~frozen]
+        # every live start's step, one slice at a time
+        steps = []
+        for part in chunks(len(live)):
+            idx = live[part]
+            A = JtJ[idx]
+            A += lam[idx, None, None] * eye
+            try:
+                steps.append(-np.linalg.solve(A, g[idx][..., None])[..., 0])
+            except np.linalg.LinAlgError:
+                # the fallback step reaches every start, retired ones too
+                live = everyone
+                steps = [-g[part] for part in chunks(P * S)]
+                break
+        # trial, acceptance and damping, one slice at a time
+        accepted = np.empty(len(live), dtype=bool)
+        frozen = np.empty(len(live), dtype=bool)
+        for part, d in zip(chunks(len(live)), steps):
+            idx = live[part]
+            pc = owner[idx]
+            oh = onehot[pc]
+            step = _tangent_project(d[:, None], oh, counts[pc])
+            t_trial = _renormalize(t[idx, None] + step, oh)[:, 0]
+            r_trial = residuals(pc, t_trial)
+            f_trial = sqnorm(r_trial)
+            accept = accepted[part] = f_trial < fcur[idx]
+            stepped = idx[accept]
+            t[stepped] = t_trial[accept]
+            rcur[stepped] = r_trial[accept]
+            fcur[stepped] = f_trial[accept]
+            lam_live = lam[idx]
+            frozen[part] = ~accept & (lam_live == LAM_MAX)
+            lam[idx] = np.clip(np.where(accept, lam_live * 0.3, lam_live * 5.0), LAM_MIN, LAM_MAX)
+        moved, live = live[accepted], live[~frozen]
         if fcur.min() <= (tol * tol) * 1e-4 or not live.size:
             break
     return t.reshape(P, S, n), fcur.reshape(P, S)
@@ -408,12 +437,11 @@ def fit(
     Before anything is allocated, a sweep whose longest batch holds more
     than MAX_BATCH_ENTRIES entries P * S * n^2 raises "solver-size".
     """
-    if max_arcs < 3:
-        raise InvariantViolation("max-arcs", f"max_arcs must be >= 3, got {max_arcs}")
-    if not 0 < tol < math.inf:
-        raise InvariantViolation("tol", f"tol must be finite and positive, got {tol}")
-    if n_starts < 1:
-        raise InvariantViolation("n-starts", f"n_starts must be >= 1, got {n_starts}")
+    require_int("max-arcs", max_arcs, 3)
+    require_int("seed", seed, 0)
+    require_int("n-starts", n_starts, 1)
+    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool) and 0 < tol < math.inf):
+        raise InvariantViolation("tol", f"tol must be a finite positive number, got {tol!r}")
     # the longest patterns make the largest batch: 3 * 2^(n-1) - 6 patterns
     n = max_arcs
     entries = (3 * 2 ** (n - 1) - 6) * (1 if n == 3 else n_starts) * n * n
@@ -432,7 +460,7 @@ def fit(
 
     starts_used = 0
     if hint is None:
-        hint = _table_word(tvec)
+        hint = _table_word(tvec, max_arcs)
     if hint is not None:
         residual, pattern, durs, starts_used = _refine(hint, tvec, max_arcs, tol, seed)
         if residual <= tol:
@@ -478,6 +506,8 @@ def probe(
     if not 0 < eps < math.inf:
         raise InvariantViolation("eps", f"eps must be finite and positive, got {eps}")
     d = np.asarray(direction, dtype=float)
+    if d.shape != (3,):
+        raise InvariantViolation("direction-shape", f"direction must be 3 numbers, got shape {d.shape}")
     if not np.isfinite(d).all():
         raise InvariantViolation("direction-finite", f"direction must be finite, got {d}")
     x = point.as_array() + eps * d
@@ -508,8 +538,7 @@ def max_min_coordinate(max_arcs: int = DEFAULT_MAX_ARCS) -> tuple[float, Word]:
       word (1, PHI^2), (2, PHI), (3, 1), (1, PHI), (2, PHI^2) reaches
       (PHI, PHI, PHI).
     """
-    if max_arcs < 3:
-        raise InvariantViolation("max-arcs", f"max_arcs must be >= 3, got {max_arcs}")
+    require_int("max-arcs", max_arcs, 3)
     word = _MAX_MIN_WORDS[min(max_arcs, 5)]
     point = pqr(word)
     return min(point.p, point.q, point.r), word

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import attainability
-from .words import InvariantViolation, PqrPoint, Word, canonicalize, pqr, word_to_dict
+from .words import InvariantViolation, PqrPoint, Word, canonicalize, pqr, require_int, word_to_dict
 
 __all__ = [
     "FacePatch",
@@ -79,8 +79,7 @@ class FacePatch:
 
     def sample_grid(self, resolution: int):
         """Yield (params, word, point) over a regular grid of the box."""
-        if resolution < 2:
-            raise InvariantViolation("resolution", f"resolution must be >= 2, got {resolution}")
+        require_int("resolution", resolution, 2)
         axes = [np.linspace(lo, hi, resolution) for lo, hi in self.param_box]
         for idx in np.ndindex(*(resolution,) * len(axes)):
             params = tuple(axes[d][i] for d, i in enumerate(idx))

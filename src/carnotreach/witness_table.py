@@ -2,7 +2,8 @@
 over the unit cube.
 
 `fit` refines the table word nearest its target before any sweep when the
-caller passes no hint.  The table is exact code only: a fixed seeded batch
+caller passes no hint, among the words short enough to pad within its
+`max_arcs`.  The table is exact code only: a fixed seeded batch
 of random canonical section words of 3 to MAX_ARCS arcs, each mapped to
 its (p, q, r), and in every cell of a GRID^3 grid the word whose point
 lies nearest the cell centre.  MAX_ARCS is 6 so that both zero-arc
@@ -121,14 +122,17 @@ def load() -> WitnessTable:
     return WitnessTable(letters, durations, points, cells, index)
 
 
-def nearest(x: np.ndarray) -> Word | None:
+def nearest(x: np.ndarray, max_arcs: int) -> Word | None:
     """The table word whose point lies nearest x among the 27 cells around
-    x's cell; None when those cells are all empty."""
+    x's cell, of those with at most max_arcs - 1 arcs, so that padding it
+    with one zero-duration arc stays within max_arcs; None when there is no
+    such word."""
     table = load()
     around = cell_of(x) + _NEIGHBOURS
     around = around[((around >= 0) & (around < GRID)).all(axis=1)]
     rows = table.index[_flat(around)]
     rows = rows[rows >= 0]
+    rows = rows[(table.letters[rows] > 0).sum(axis=1) < max_arcs]
     if not rows.size:
         return None
     return table.word(int(rows[np.argmin(((table.points[rows] - x) ** 2).sum(axis=1))]))

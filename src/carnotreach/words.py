@@ -74,6 +74,21 @@ def _duration(value) -> float:
     raise InvariantViolation("word-duration", f"duration must be a real number, got {value!r}")
 
 
+def require_int(name: str, value, minimum: int) -> int:
+    """An integer argument of at least `minimum`, else InvariantViolation
+    `name`; floats, bools and strings are rejected, numpy ints pass."""
+    if not isinstance(value, bool):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if value < minimum:
+                raise InvariantViolation(name, f"{name} must be >= {minimum}, got {value}")
+            return value
+    raise InvariantViolation(name, f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Word:
     """Ordered arcs (letter, duration) of a bang-bang control."""

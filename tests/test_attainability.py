@@ -1,12 +1,13 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from carnotreach import attainability, boundary_atlas
+from carnotreach import attainability, boundary_atlas, witness_table
 from carnotreach.attainability import (
     ATTAINABLE_BEYOND,
     UNATTAINABLE_BEYOND,
@@ -17,6 +18,7 @@ from carnotreach.attainability import (
     max_min_coordinate,
     probe,
 )
+from carnotreach.probability import dice_pqr, random_dice_triple
 from carnotreach.words import InvariantViolation, PqrPoint, Word, pqr, random_word
 
 PHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -96,6 +98,33 @@ def test_fit_validates_arguments():
         assert exc.value.name == "tol"
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"max_arcs": 6.0}, "max-arcs"),
+        ({"max_arcs": True}, "max-arcs"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"n_starts": 2.5}, "n-starts"),
+        ({"n_starts": True}, "n-starts"),
+        ({"tol": "1e-7"}, "tol"),
+        ({"tol": True}, "tol"),
+    ],
+)
+def test_fit_rejects_mistyped_arguments(kwargs, name):
+    # checked before the screen, so a certified target does not hide them
+    for target in (PqrPoint(0.5, 0.5, 0.5), PqrPoint(0.7, 0.7, 0.7)):
+        with pytest.raises(InvariantViolation) as exc:
+            fit(target, **kwargs)
+        assert exc.value.name == name
+
+
+def test_fit_accepts_numpy_integers():
+    result = fit(PqrPoint(1, 1, 0), max_arcs=np.int64(3), seed=np.int64(2), n_starts=np.int32(2), tol=np.float64(1e-9))
+    assert result == fit(PqrPoint(1, 1, 0), max_arcs=3, seed=2, n_starts=2, tol=1e-9)
+
+
 def test_fit_bounds_the_solver_size():
     t = PqrPoint(0.5, 0.5, 0.5)
     # 24570 patterns of 14 arcs with 20 starts: about 0.8 GB per (P, S, n, n) array
@@ -145,6 +174,14 @@ def test_max_min_coordinate_rejects_fewer_than_three_arcs():
     with pytest.raises(InvariantViolation) as exc:
         max_min_coordinate(2)
     assert exc.value.name == "max-arcs"
+
+
+def test_probe_rejects_a_direction_of_the_wrong_shape():
+    center = PqrPoint(0.5, 0.5, 0.5)
+    for direction in ((1, 0), (1, 0, 0, 0), ((1, 0, 0),), 1.0):
+        with pytest.raises(InvariantViolation) as exc:
+            probe(center, direction)
+        assert exc.value.name == "direction-shape"
 
 
 def test_probe_rejects_non_finite_direction():
@@ -322,7 +359,7 @@ def _eight_start_round_trips() -> list:
 @pytest.fixture
 def no_table(monkeypatch):
     """A hint-less `fit` goes straight to the sweep, as before the witness table."""
-    monkeypatch.setattr(attainability, "_table_word", lambda x: None)
+    monkeypatch.setattr(attainability, "_table_word", lambda x, max_arcs: None)
 
 
 # sha256 of json.dumps([fit(...).to_dict(), ...]) with the table lookup off,
@@ -380,10 +417,30 @@ def test_table_settles_the_attained_pool_points(monkeypatch):
     assert sum(hits) >= 250
 
 
+def test_table_word_fits_under_max_arcs(monkeypatch):
+    # a target on a six-arc table word: at max_arcs 6 its first padding would
+    # have 7 arcs, so the lookup passes over it and a five-arc word is refined
+    table = witness_table.load()
+    arcs = (table.letters > 0).sum(axis=1)
+    row = next(
+        row
+        for row in np.flatnonzero(arcs == 6)
+        if len(witness_table.nearest(table.points[row], 6).arcs) == 5
+    )
+    target = PqrPoint(*table.points[row])
+    assert witness_table.nearest(target.as_array(), 8) == table.word(row)
+    refined = []
+    refine = attainability._refine
+    monkeypatch.setattr(attainability, "_refine", lambda hint, *args: refined.append(hint) or refine(hint, *args))
+    result = fit(target, max_arcs=6)
+    assert [len(w.arcs) for w in refined] == [5]
+    assert result.status == "attained" and len(result.witness.arcs) <= 6
+
+
 def test_table_refines_only_without_a_hint(monkeypatch):
     looked_up = []
     lookup = attainability._table_word
-    monkeypatch.setattr(attainability, "_table_word", lambda x: looked_up.append(x) or lookup(x))
+    monkeypatch.setattr(attainability, "_table_word", lambda x, max_arcs: looked_up.append(x) or lookup(x, max_arcs))
     target = PqrPoint(0.6, 0.5, 0.4)
     hinted = fit(target, hint=random_word(5, 3))
     assert looked_up == []
@@ -434,8 +491,7 @@ def _dense_gauss_newton(pat, t, target, tol, iters=attainability.GN_ITERS):
     return t, fcur
 
 
-@pytest.mark.parametrize("target", [(0.36, 0.24, 0.45), (0.6, 0.5, 0.4)])
-def test_gauss_newton_matches_the_dense_reference(target):
+def _assert_matches_the_dense_reference(target):
     rng = np.random.default_rng(8)
     for n in (4, 5, 6):
         pat = np.array(attainability._patterns_of_length(n))
@@ -444,6 +500,19 @@ def test_gauss_newton_matches_the_dense_reference(target):
             got = attainability._gauss_newton(pat, t0, np.array(target), tol)
             want = _dense_gauss_newton(pat, t0, np.array(target), tol)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("target", [(0.36, 0.24, 0.45), (0.6, 0.5, 0.4)])
+def test_gauss_newton_matches_the_dense_reference(target):
+    _assert_matches_the_dense_reference(target)
+
+
+@pytest.mark.parametrize("target", [(0.36, 0.24, 0.45), (0.6, 0.5, 0.4)])
+def test_sliced_gauss_newton_matches_the_dense_reference(monkeypatch, target):
+    # 37 starts per slice splits every batch (108 to 540 starts) into several
+    # slices, the last one short
+    monkeypatch.setattr(attainability, "GN_CHUNK", 37)
+    _assert_matches_the_dense_reference(target)
 
 
 def test_gauss_newton_ends_once_every_start_is_frozen(monkeypatch):
@@ -471,7 +540,8 @@ def test_gauss_newton_fallback_step_reaches_retired_starts(monkeypatch):
     # a failed solve gives every start the step -g, retired starts too; two
     # failures forced after starts begin to retire (from the 26th solve on)
     # must leave the arrays that iterating every start gives (digest recorded
-    # with the loop that iterated every start)
+    # with the loop that iterated every start, as one slice)
+    monkeypatch.setattr(attainability, "GN_CHUNK", 1024)
     pat = np.array(attainability._patterns_of_length(5))
     rng = np.random.default_rng(3)
     t0 = attainability._renormalize(rng.gamma(1.0, size=(len(pat), 20, 5)), attainability._letter_onehot(pat))
@@ -490,3 +560,121 @@ def test_gauss_newton_fallback_step_reaches_retired_starts(monkeypatch):
     assert len(calls) < attainability.GN_ITERS + 20
     digest = hashlib.sha256(t.tobytes() + f.tobytes()).hexdigest()
     assert digest == "ce154e377ec0ee58b2276382d201ccae77f7cbabef525f000ee2acbe865e927d"
+
+
+def _gauss_newton_failing_at(monkeypatch, chunk, failures, pat, t0, target, iters):
+    """`_gauss_newton` with GN_CHUNK = chunk, raising LinAlgError in the solve
+    of each (iteration, slice) in `failures`; returns the arrays and the
+    failures hit.  An iteration's solves all come before its trials, which
+    call `_renormalize`, so a solve after a trial starts the next iteration."""
+    monkeypatch.setattr(attainability, "GN_CHUNK", chunk)
+    solve, renormalize = np.linalg.solve, attainability._renormalize
+    at = {"iteration": -1, "slice": 0, "trials": True}
+    hit = []
+
+    def failing_solve(a, b):
+        if at["trials"]:
+            at.update(iteration=at["iteration"] + 1, slice=0, trials=False)
+        else:
+            at["slice"] += 1
+        if (at["iteration"], at["slice"]) in failures:
+            hit.append((at["iteration"], at["slice"]))
+            raise np.linalg.LinAlgError("forced")
+        return solve(a, b)
+
+    def tracking_renormalize(*args):
+        at["trials"] = True
+        return renormalize(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    monkeypatch.setattr(attainability, "_renormalize", tracking_renormalize)
+    try:
+        t, f = attainability._gauss_newton(pat, t0, target, 1e-7, iters=iters)
+    finally:
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        monkeypatch.setattr(attainability, "_renormalize", renormalize)
+    return t, f, hit
+
+
+def test_gauss_newton_failure_in_a_later_slice_matches_one_slice(monkeypatch):
+    # 840 starts in slices of 100: failures in the second slice of iteration 30,
+    # once starts have begun to retire, and in the third slice of iteration 45
+    # give the arrays of one slice failing in the same iterations
+    pat = np.array(attainability._patterns_of_length(5))
+    rng = np.random.default_rng(3)
+    t0 = attainability._renormalize(rng.gamma(1.0, size=(len(pat), 20, 5)), attainability._letter_onehot(pat))
+    target = np.array([0.36, 0.24, 0.45])
+    iters = attainability.GN_ITERS + 20
+    sliced = _gauss_newton_failing_at(monkeypatch, 100, {(30, 1), (45, 2)}, pat, t0, target, iters)
+    whole = _gauss_newton_failing_at(monkeypatch, 1024, {(30, 0), (45, 0)}, pat, t0, target, iters)
+    assert sliced[2] == [(30, 1), (45, 2)]
+    assert whole[2] == [(30, 0), (45, 0)]
+    assert np.array_equal(sliced[0], whole[0]) and np.array_equal(sliced[1], whole[1])
+    unfailed = attainability._gauss_newton(pat, t0, target, 1e-7, iters=iters)
+    assert not np.array_equal(sliced[0], unfailed[0])
+
+
+def test_gauss_newton_memory_is_bounded_by_the_normal_equations():
+    # every eight-arc pattern with 20 starts, the largest batch of a default sweep:
+    # the stored normal equations JtJ dominate the traced peak
+    pat = np.array(attainability._patterns_of_length(8))
+    S, n = 20, 8
+    rng = np.random.default_rng(4)
+    t0 = attainability._renormalize(rng.gamma(1.0, size=(len(pat), S, n)), attainability._letter_onehot(pat))
+    jtj_bytes = len(pat) * S * n * n * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        attainability._gauss_newton(pat, t0, np.array([0.36, 0.24, 0.45]), 1e-7, iters=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 2.5 * jtj_bytes
+
+
+# Conjecture Q: a point of the cube is attainable iff neither all three even
+# quadrics nor all three odd ones are positive.  Evidence only: nothing in
+# the library certifies with it.
+Q_MARGIN = 1e-9
+
+
+def _quadrics(x) -> tuple[np.ndarray, np.ndarray]:
+    """The even quadrics (p + qr - 1, q + rp - 1, r + pq - 1) at x, and the
+    odd ones, the same expressions at 1 - x."""
+    x = np.asarray(x, dtype=float)
+    even = x + np.roll(x, -1) * np.roll(x, -2) - 1.0
+    y = 1.0 - x
+    odd = y + np.roll(y, -1) * np.roll(y, -2) - 1.0
+    return even, odd
+
+
+def _q_excludes(x) -> bool:
+    even, odd = _quadrics(x)
+    return bool(even.min() > Q_MARGIN or odd.min() > Q_MARGIN)
+
+
+def test_quadrics_are_the_atlas_patch_equations():
+    rng = np.random.default_rng(12)
+    for x in rng.uniform(0.0, 1.0, size=(50, 3)):
+        even, odd = _quadrics(x)
+        assert np.allclose(even, [eq(x) for eq, _ in boundary_atlas._EVEN_QUADRICS.values()], rtol=0, atol=1e-15)
+        assert np.allclose(odd, [eq(x) for eq, _ in boundary_atlas._ODD_QUADRICS.values()], rtol=0, atol=1e-15)
+
+
+def test_conjecture_q_separates_the_reference_pool():
+    points = json.loads(CUBE_SCAN_REFERENCE.read_text())["points"]
+    verdicts = [(r["status"], _q_excludes((r["p"], r["q"], r["r"]))) for r in points]
+    assert sorted(set(verdicts)) == [("attained", False), ("not-found", True)]
+    assert sum(status == "attained" for status, _ in verdicts) == 258
+    assert sum(status == "not-found" for status, _ in verdicts) == 142
+
+
+@given(st.integers(3, 10), st.integers(0, 2**31 - 1))
+def test_conjecture_q_admits_every_word(n_arcs, seed):
+    assert not _q_excludes(pqr(random_word(n_arcs, seed)).as_array())
+
+
+@given(st.integers(1, 6), st.integers(0, 2**31 - 1))
+def test_conjecture_q_admits_every_dice_triple(atoms_max, seed):
+    dice = random_dice_triple(atoms_max, np.random.default_rng(seed))
+    assert not _q_excludes(dice_pqr(*dice).as_array())

@@ -171,6 +171,15 @@ def test_trim_validates_resolution():
         atlas.trim_and_mesh(1)
 
 
+def test_sample_grid_rejects_a_non_integer_resolution():
+    patch = atlas.quadric_patches()[0]
+    for resolution in (2.5, True, "3", 1):
+        with pytest.raises(InvariantViolation) as exc:
+            list(patch.sample_grid(resolution))
+        assert exc.value.name == "resolution"
+    assert len(list(patch.sample_grid(np.int64(2)))) == 4
+
+
 def test_write_obj_format():
     mesh = atlas.trim_and_mesh(4, max_arcs=6, n_starts=4, seed=0)
     text = atlas.write_obj(mesh)

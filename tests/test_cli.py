@@ -109,7 +109,7 @@ GOLDEN_TABLE_MEMBER = {
 def test_member_golden_output(capsys, monkeypatch, point):
     from carnotreach import attainability
 
-    monkeypatch.setattr(attainability, "_table_word", lambda x: None)
+    monkeypatch.setattr(attainability, "_table_word", lambda x, max_arcs: None)
     p, q, r = point
     code, out, _ = run(capsys, "member", "--p", p, "--q", q, "--r", r, "--max-arcs", "5", "--seed", "3")
     assert code == 0
@@ -262,6 +262,13 @@ def test_member_rejects_a_nan_tol(capsys):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "tol"
+
+
+def test_member_rejects_a_negative_seed(capsys):
+    code, out, err = run(capsys, "member", "--p", "0.5", "--q", "0.5", "--r", "0.5", "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "seed"
 
 
 @pytest.mark.parametrize(

@@ -39,7 +39,7 @@ def test_nearest_searches_the_27_cells_around_the_target():
     rng = np.random.default_rng(4)
     found = 0
     for x in rng.uniform(0.0, 1.0, size=(300, 3)):
-        w = witness_table.nearest(x)
+        w = witness_table.nearest(x, 8)
         around = np.abs(grid_cells - witness_table.cell_of(x)).max(axis=1) <= 1
         if not around.any():
             assert w is None
@@ -49,7 +49,33 @@ def test_nearest_searches_the_27_cells_around_the_target():
         assert np.linalg.norm(pqr(w).as_array() - x) <= best + 1e-12
     assert found > 150
     # no word lies near the excluded corner (1, 1, 1)
-    assert witness_table.nearest(np.ones(3)) is None
+    assert witness_table.nearest(np.ones(3), 8) is None
+
+
+def test_nearest_skips_words_too_long_to_pad():
+    table = witness_table.load()
+    arcs = (table.letters > 0).sum(axis=1)
+    rng = np.random.default_rng(6)
+    found = 0
+    for x in rng.uniform(0.0, 1.0, size=(200, 3)):
+        around = np.abs(witness_table.cell_of(table.points) - witness_table.cell_of(x)).max(axis=1) <= 1
+        for max_arcs in (4, 5, 6, 7):
+            w = witness_table.nearest(x, max_arcs)
+            eligible = around & (arcs < max_arcs)
+            if not eligible.any():
+                assert w is None
+                continue
+            found += 1
+            assert len(w.arcs) <= max_arcs - 1
+            best = np.sqrt(((table.points[eligible] - x) ** 2).sum(axis=1)).min()
+            assert np.linalg.norm(pqr(w).as_array() - x) <= best + 1e-12
+    assert found > 300
+    # every table word has at most MAX_ARCS arcs, so from MAX_ARCS + 1 on nothing is skipped
+    x = table.points[0]
+    for max_arcs in (witness_table.MAX_ARCS + 1, 8, 10):
+        assert witness_table.nearest(x, max_arcs) == table.word(0)
+    # three arcs cannot be padded within max_arcs 3
+    assert witness_table.nearest(x, 3) is None
 
 
 def test_load_arrays_are_read_only():
