@@ -302,28 +302,14 @@ def _gauss_newton(
     return t.reshape(P, S, n), fcur.reshape(P, S)
 
 
-def _best_start(patterns, t: np.ndarray, fcur: np.ndarray):
-    """(residual, pattern, durations) of the best start."""
-    bp, bs = divmod(int(np.argmin(fcur)), fcur.shape[1])
-    return float(np.sqrt(fcur[bp, bs])), patterns[bp], t[bp, bs]
-
-
-def _fit_length_batch(
-    patterns: list[tuple[int, ...]],
-    target: np.ndarray,
-    n_starts: int,
-    rng: np.random.Generator,
-    tol: float,
-):
-    """Multi-start Gauss-Newton over all patterns of one length; returns
-    (best_residual, best_pattern, best_durations, starts)."""
+def _search(patterns, starts: np.ndarray, target: np.ndarray, tol: float, iters: int = GN_ITERS):
+    """Gauss-Newton over `patterns` from raw `starts` (P, S, n), put on the
+    per-letter simplices first; returns (residual, pattern, durations,
+    starts used) of the best start."""
     pat = np.array(patterns)  # (P, n)
-    P, n = pat.shape
-    # three arcs fix the durations: evaluate the single start, no iterations
-    S = 1 if n == 3 else n_starts
-    t = _renormalize(rng.gamma(1.0, size=(P, S, n)), _letter_onehot(pat))
-    t, fcur = _gauss_newton(pat, t, target, tol, iters=0 if n == 3 else GN_ITERS)
-    return (*_best_start(patterns, t, fcur), P * S)
+    t, fcur = _gauss_newton(pat, _renormalize(starts, _letter_onehot(pat)), target, tol, iters)
+    bp, bs = divmod(int(np.argmin(fcur)), fcur.shape[1])
+    return float(np.sqrt(fcur[bp, bs])), patterns[bp], t[bp, bs], fcur.size
 
 
 def _pad_once(candidates):
@@ -355,27 +341,19 @@ def _refine(
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     canon = canonicalize(hint)
     candidates = [(tuple(l for l, _ in canon.arcs), tuple(t for _, t in canon.arcs))]
-    best = (np.inf, None, None)
-    starts = 0
+    residual, pattern, durs, starts = np.inf, None, None, 0
     for _ in range(2):
         candidates = _pad_once(candidates)
         if len(candidates[0][0]) > max_arcs:
             break
-        patterns = [c[0] for c in candidates]
-        pat = np.array(patterns)
         seeded = np.array([c[1] for c in candidates])
         blend = 0.97 * seeded + 0.03 * rng.gamma(1.0, size=seeded.shape)
-        t = _renormalize(np.stack([seeded, blend], axis=1), _letter_onehot(pat))
-        t, fcur = _gauss_newton(pat, t, target, tol)
-        starts += t.shape[0] * t.shape[1]
-        best = _best_start(patterns, t, fcur)
-        if best[0] <= tol:
+        patterns = [c[0] for c in candidates]
+        residual, pattern, durs, used = _search(patterns, np.stack([seeded, blend], axis=1), target, tol)
+        starts += used
+        if residual <= tol:
             break
-    return (*best, starts)
-
-
-def _witness_from(pattern, durations) -> Word:
-    return canonicalize(Word.of(zip(pattern, durations)))
+    return residual, pattern, durs, starts
 
 
 def exclusion_bound(point: PqrPoint) -> tuple[float, str | None]:
@@ -469,9 +447,11 @@ def fit(
     best = (np.inf, None, None)
     for n in range(3, max_arcs + 1):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
-        res, pattern, durs, used = _fit_length_batch(
-            list(_patterns_of_length(n)), tvec, n_starts, rng, tol
-        )
+        patterns = _patterns_of_length(n)
+        # three arcs fix the durations: evaluate the single start, no iterations
+        S = 1 if n == 3 else n_starts
+        starts = rng.gamma(1.0, size=(len(patterns), S, n))
+        res, pattern, durs, used = _search(patterns, starts, tvec, tol, 0 if n == 3 else GN_ITERS)
         starts_used += used
         if res < best[0]:
             best = (res, pattern, durs)
@@ -485,7 +465,7 @@ def fit(
 
 
 def _attained(pattern, durs, tvec: np.ndarray, starts_used: int) -> FitResult:
-    witness = _witness_from(pattern, durs)
+    witness = canonicalize(Word.of(zip(pattern, durs)))
     # report the residual of the actual witness word
     residual = float(np.linalg.norm(pqr(witness).as_array() - tvec))
     return FitResult("attained", witness, residual, starts_used)
@@ -500,8 +480,9 @@ def probe(
     """Classify the point eps further along the direction.
 
     Points leaving the unit cube are unattainable outright; otherwise the
-    verdict comes from `fit`.  A linear-algebra failure in the solver maps
-    to undecided; any other error propagates.
+    verdict comes from `fit`.  A LinAlgError from `fit` maps to undecided
+    and any other error propagates.  `fit` raises none, because
+    `_gauss_newton` steps along -g when a solve fails; the handler is a guard.
     """
     if not 0 < eps < math.inf:
         raise InvariantViolation("eps", f"eps must be finite and positive, got {eps}")

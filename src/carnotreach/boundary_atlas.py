@@ -292,7 +292,8 @@ def trim_and_mesh(resolution: int, eps: float = 1e-3, **fit_kwargs) -> AtlasMesh
     A sample is boundary iff `attainability.probe` finds the point eps
     outward unattainable and the point eps inward attainable.  Both probes
     pass the sample's witness word as the hint and `fit_kwargs` to `fit`.
-    A sample with an undecided probe is recorded with error "undecided".
+    A sample with an undecided probe (a LinAlgError from `fit`, which the
+    solver never raises) is recorded with error "undecided".
     """
     mesh = AtlasMesh()
     vertex_index: dict[tuple[float, float, float], int] = {}

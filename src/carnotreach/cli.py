@@ -12,8 +12,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import adjoint, attainability, boundary_atlas, probability, second_order, words
 from .words import InvariantViolation, PqrPoint
 
@@ -136,34 +134,21 @@ def _cmd_dice(args) -> int:
 
 def _cmd_mc_verify(args) -> int:
     fit_kwargs = dict(max_arcs=args.max_arcs, tol=args.tol, n_starts=args.starts)
-
-    # containment check: dice points are attained; it runs first because it
-    # validates --atoms-max before any solve, and it draws from its own rng
-    dice_report = probability.random_dice_check(
-        args.n, atoms_max=args.atoms_max, seed=args.seed, **fit_kwargs
-    )
+    # containment check first: it validates --atoms-max before any solve
+    dice = probability.random_dice_check(args.n, atoms_max=args.atoms_max, seed=args.seed, **fit_kwargs)
     if args.out_csv:
         with open(args.out_csv, "w") as fh:
-            fh.write(dice_report.to_csv())
-
+            fh.write(dice.to_csv())
     # identity check: hidden words are recovered by the solver
-    rng = np.random.default_rng(args.seed)
-    n_recovered = 0
-    worst_roundtrip = 0.0
-    for _ in range(args.n):
-        w = words.random_word(int(rng.integers(3, args.max_arcs + 1)), int(rng.integers(2**31)))
-        result = attainability.fit(words.pqr(w), seed=int(rng.integers(2**31)), **fit_kwargs)
-        if result.status == "attained":
-            n_recovered += 1
-            worst_roundtrip = max(worst_roundtrip, result.residual)
+    roundtrip = probability.random_word_check(args.n, seed=args.seed, **fit_kwargs)
     _emit(
         {
             "n": args.n,
-            "roundtrip_recovered": n_recovered,
-            "roundtrip_worst_residual": worst_roundtrip,
-            "dice_attained": dice_report.n_attained,
-            "dice_worst_residual": dice_report.worst_residual,
-            "dice_failures": dice_report.failures,
+            "roundtrip_recovered": roundtrip.n_attained,
+            "roundtrip_worst_residual": roundtrip.worst_residual,
+            "dice_attained": dice.n_attained,
+            "dice_worst_residual": dice.worst_residual,
+            "dice_failures": dice.failures,
         }
     )
     return 0

@@ -2,8 +2,9 @@
 
 For independent dice with pairwise tie-free supports, the point
 (P(x1 < x2), P(x2 < x3), P(x3 < x1)) is computed by exact double sums,
-and the Monte Carlo harness confronts such points with the witness-word
-solver: every dice triple should be reported attained.
+and the Monte Carlo checks confront such points, and the points of random
+section words, with the witness-word solver: every one should be reported
+attained.
 """
 from __future__ import annotations
 
@@ -14,14 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attainability
-from .words import InvariantViolation, PqrPoint
+from .words import InvariantViolation, PqrPoint, pqr, random_word, require_int
 
 __all__ = [
     "DiscreteDistribution",
-    "DiceCheckReport",
+    "CheckReport",
     "dice_pqr",
     "random_dice_triple",
     "random_dice_check",
+    "random_word_check",
 ]
 
 TIE_TOL = 1e-12
@@ -104,8 +106,8 @@ def random_dice_triple(
 
 
 @dataclass
-class DiceCheckReport:
-    """Outcome of the dice-vs-solver confrontation."""
+class CheckReport:
+    """Solver verdicts on sampled points, each of which should be attained."""
 
     n_trials: int
     n_attained: int
@@ -121,24 +123,12 @@ class DiceCheckReport:
         return buf.getvalue()
 
 
-def random_dice_check(
-    n_trials: int,
-    atoms_max: int = 4,
-    seed: int = 0,
-    **fit_kwargs,
-) -> DiceCheckReport:
-    """Sample dice triples, compute their (p, q, r), and run the solver on each."""
-    if n_trials < 1:
-        raise InvariantViolation("n-trials", f"n_trials must be >= 1, got {n_trials}")
-    if atoms_max < 1:
-        raise InvariantViolation("atoms-max", f"atoms_max must be >= 1, got {atoms_max}")
-    rng = np.random.default_rng(seed)
-    report = DiceCheckReport(n_trials, 0, 0.0)
-    for trial in range(n_trials):
-        d1, d2, d3 = random_dice_triple(atoms_max, rng)
-        point = dice_pqr(d1, d2, d3)
+def _check(n_trials: int, trials, fit_kwargs: dict) -> CheckReport:
+    """Run the solver on each (point, fit seed) of `trials` and tally it."""
+    report = CheckReport(n_trials, 0, 0.0)
+    for trial, (point, seed) in enumerate(trials):
         try:
-            result = attainability.fit(point, **fit_kwargs)
+            result = attainability.fit(point, seed=seed, **fit_kwargs)
         except np.linalg.LinAlgError:
             report.failures.append(trial)
             report.rows.append((point.p, point.q, point.r, "error", float("nan")))
@@ -148,3 +138,38 @@ def random_dice_check(
             report.worst_residual = max(report.worst_residual, result.residual)
         report.rows.append((point.p, point.q, point.r, result.status, result.residual))
     return report
+
+
+def random_dice_check(
+    n_trials: int,
+    atoms_max: int = 4,
+    seed: int = 0,
+    **fit_kwargs,
+) -> CheckReport:
+    """Sample dice triples, compute their (p, q, r), and run the solver on
+    each with its default seed."""
+    require_int("n-trials", n_trials, 1)
+    require_int("atoms-max", atoms_max, 1)
+    rng = np.random.default_rng(seed)
+    trials = ((dice_pqr(*random_dice_triple(atoms_max, rng)), 0) for _ in range(n_trials))
+    return _check(n_trials, trials, fit_kwargs)
+
+
+def random_word_check(
+    n_trials: int,
+    max_arcs: int = attainability.DEFAULT_MAX_ARCS,
+    seed: int = 0,
+    **fit_kwargs,
+) -> CheckReport:
+    """Hide random section words of 3 to max_arcs arcs and run the solver,
+    with a drawn seed, on the (p, q, r) of each."""
+    require_int("n-trials", n_trials, 1)
+    require_int("max-arcs", max_arcs, 3)
+    rng = np.random.default_rng(seed)
+
+    def trials():
+        for _ in range(n_trials):
+            w = random_word(int(rng.integers(3, max_arcs + 1)), int(rng.integers(2**31)))
+            yield pqr(w), int(rng.integers(2**31))
+
+    return _check(n_trials, trials(), dict(fit_kwargs, max_arcs=max_arcs))

@@ -116,10 +116,6 @@ class Word:
             totals[letter] += t
         return totals
 
-    @property
-    def switch_count(self) -> int:
-        return max(len(canonicalize(self).arcs) - 1, 0)
-
 
 @dataclass(frozen=True)
 class PqrPoint:
@@ -248,8 +244,7 @@ def random_word(n_arcs: int, seed: int) -> Word:
     Per-letter durations are drawn from a flat Dirichlet over that letter's
     arcs, so each letter total is exactly 1.  Deterministic in the seed.
     """
-    if n_arcs < 3:
-        raise InvariantViolation("n-arcs", f"need at least 3 arcs, got {n_arcs}")
+    require_int("n-arcs", n_arcs, 3)
     rng = np.random.default_rng(seed)
     pattern = random_pattern(n_arcs, rng)
     durations = np.empty(n_arcs)

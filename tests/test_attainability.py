@@ -678,3 +678,59 @@ def test_conjecture_q_admits_every_word(n_arcs, seed):
 def test_conjecture_q_admits_every_dice_triple(atoms_max, seed):
     dice = random_dice_triple(atoms_max, np.random.default_rng(seed))
     assert not _q_excludes(dice_pqr(*dice).as_array())
+
+
+def test_conjecture_q_admits_every_strata_sample():
+    patches = boundary_atlas.edge_families() + boundary_atlas.flat_triangles() + boundary_atlas.quadric_patches()
+    points = [v.point for v in boundary_atlas.vertices()]
+    points += [point for patch in patches for _, _, point in patch.sample_grid(5)]
+    assert len(points) == 366
+    assert not any(_q_excludes(point.as_array()) for point in points)
+
+
+@pytest.mark.parametrize("resolution", [3, 5])
+def test_conjecture_q_trims_the_atlas_like_the_solver(resolution):
+    mesh = boundary_atlas.trim_and_mesh(resolution, eps=1e-3, max_arcs=6, n_starts=6, seed=0)
+
+    def attainable_beyond(x, direction):
+        # the probe's cube rule, then Q in place of fit
+        y = x + 1e-3 * direction
+        if (y < -1e-12).any() or (y > 1.0 + 1e-12).any():
+            return False
+        return not _q_excludes(np.clip(y, 0.0, 1.0))
+
+    patches = {patch.id: patch for patch in boundary_atlas.quadric_patches() + boundary_atlas.flat_triangles()}
+    for sample in mesh.samples:
+        x = np.array(sample.point)
+        n = patches[sample.patch_id].outward(x)
+        assert sample.boundary == (not attainable_beyond(x, n) and attainable_beyond(x, -n))
+    assert len(mesh.samples) == 12 * resolution**2
+
+
+# the 3-cycle 1 -> 2 -> 3 -> 1 and the transposition (1 2) of the letters,
+# with their action on (p, q, r)
+CYCLE = ({1: 2, 2: 3, 3: 1}, lambda x: np.roll(x, 1))
+SWAP = ({1: 2, 2: 1, 3: 3}, lambda x: 1.0 - x[[0, 2, 1]])
+
+
+def test_letter_permutations_preserve_conjecture_q():
+    (_, cycle), (_, swap) = CYCLE, SWAP
+    rng = np.random.default_rng(13)
+    for x in rng.uniform(0.0, 1.0, size=(200, 3)):
+        even, odd = _quadrics(x)
+        cycled_even, cycled_odd = _quadrics(cycle(x))
+        assert np.allclose(np.sort(cycled_even), np.sort(even), rtol=0, atol=1e-15)
+        assert np.allclose(np.sort(cycled_odd), np.sort(odd), rtol=0, atol=1e-15)
+        # the transposition swaps the even triple with the odd one
+        swapped_even, swapped_odd = _quadrics(swap(x))
+        assert np.allclose(np.sort(swapped_even), np.sort(odd), rtol=0, atol=1e-15)
+        assert np.allclose(np.sort(swapped_odd), np.sort(even), rtol=0, atol=1e-15)
+
+
+def test_fit_status_is_invariant_under_letter_permutations():
+    for seed in range(4):
+        w = random_word(5, seed)
+        for perm, act in (CYCLE, SWAP):
+            image = Word.of((perm[l], t) for l, t in w.arcs)
+            assert np.abs(pqr(image).as_array() - act(pqr(w).as_array())).max() <= 1e-12
+            assert fit(pqr(w)).status == fit(pqr(image)).status == "attained"

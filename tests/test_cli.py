@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -198,6 +199,17 @@ def test_mc_verify(tmp_path, capsys):
     assert data["dice_attained"] == 5
     assert data["dice_failures"] == []
     assert len(open(csv_path).read().strip().splitlines()) == 6
+
+
+def test_mc_verify_golden_output(tmp_path, capsys):
+    # sha256 of stdout followed by the CSV, recorded with the round-trip loop in cli.py
+    csv_path = str(tmp_path / "mc.csv")
+    code, out, _ = run(capsys, "mc-verify", "--n", "6", "--seed", "1", "--out-csv", csv_path)
+    assert code == 0
+    text = out + open(csv_path).read()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "21a09ccad1fa09e666aa68a7441e8a70071e05efc70c5a3233b9597fa09af670"
+    )
 
 
 def test_atlas_subcommand(tmp_path, capsys):

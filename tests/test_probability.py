@@ -7,6 +7,7 @@ from carnotreach.probability import (
     dice_pqr,
     random_dice_check,
     random_dice_triple,
+    random_word_check,
 )
 from carnotreach.words import InvariantViolation
 
@@ -92,12 +93,30 @@ def test_random_dice_check_all_attained():
 def test_random_dice_check_validates_n():
     with pytest.raises(InvariantViolation):
         random_dice_check(0)
+    with pytest.raises(InvariantViolation) as exc:
+        random_dice_check(2.5)
+    assert exc.value.name == "n-trials"
 
 
 def test_random_dice_check_validates_atoms_max():
-    with pytest.raises(InvariantViolation) as exc:
-        random_dice_check(2, atoms_max=0)
-    assert exc.value.name == "atoms-max"
+    for atoms_max in (0, True):
+        with pytest.raises(InvariantViolation) as exc:
+            random_dice_check(2, atoms_max=atoms_max)
+        assert exc.value.name == "atoms-max"
+
+
+def test_random_word_check_recovers_every_word():
+    report = random_word_check(6, max_arcs=6, seed=2, n_starts=8)
+    assert (report.n_trials, report.n_attained, report.failures) == (6, 6, [])
+    assert report.worst_residual <= 1e-7
+    assert len(report.rows) == 6
+
+
+def test_random_word_check_validates_its_sizes():
+    for kwargs, name in (({"n_trials": 0}, "n-trials"), ({"n_trials": 2, "max_arcs": 2}, "max-arcs")):
+        with pytest.raises(InvariantViolation) as exc:
+            random_word_check(**kwargs)
+        assert exc.value.name == name
 
 
 def test_random_dice_check_records_only_linear_algebra_failures(monkeypatch):

@@ -84,6 +84,23 @@ def test_reverse_complement_law():
         assert np.abs(total - 1.0).max() <= 1e-12
 
 
+def _relabel(w: Word, perm: dict[int, int]) -> Word:
+    return Word.of((perm[l], t) for l, t in w.arcs)
+
+
+def test_letter_permutations_act_on_pqr():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        w = random_word(int(rng.integers(3, 9)), int(rng.integers(2**31)))
+        p, q, r = pqr(w).as_array()
+        # the 3-cycle 1 -> 2 -> 3 -> 1 rotates the coordinates
+        cycled = pqr(_relabel(w, {1: 2, 2: 3, 3: 1})).as_array()
+        assert np.abs(cycled - [r, p, q]).max() <= 1e-12
+        # the transposition (1 2) flips every pair and swaps q with r
+        swapped = pqr(_relabel(w, {1: 2, 2: 1, 3: 3})).as_array()
+        assert np.abs(swapped - [1.0 - p, 1.0 - r, 1.0 - q]).max() <= 1e-12
+
+
 def test_concat_homomorphism():
     rng = np.random.default_rng(5)
     for _ in range(200):
@@ -125,6 +142,9 @@ def test_random_word_determinism_and_section():
         assert canonicalize(w) == w
     with pytest.raises(InvariantViolation):
         random_word(2, 0)
+    with pytest.raises(InvariantViolation) as exc:
+        random_word(3.5, 0)
+    assert exc.value.name == "n-arcs"
 
 
 def test_three_arc_words_hit_vertices():
