@@ -251,9 +251,9 @@ def switching_times(a: AdjointCovector) -> tuple[float, float, float]:
     return (K / (h31 * h12), K / (h12 * h23), K / (h23 * h31))
 
 
-def switch_events_csv(a: AdjointCovector, horizon: float) -> str:
-    """CSV of (t, h1, h2, h3) at the start, each switch, and the horizon."""
-    word, _ = synthesize(a, horizon)
+def switch_events_csv(a: AdjointCovector, word: Word) -> str:
+    """CSV of (t, h1, h2, h3) along the word synthesized from a: at the
+    start, each switch, and the horizon."""
     h = np.array(a.h)
     R = a.skew_matrix()
     buf = io.StringIO()

@@ -5,10 +5,11 @@ one-parameter edge families (cube edges from mixed singular+bang words,
 facet diagonals from 3-switch words), six flat facet triangles from
 products of two two-letter blocks, and six quadric patches from 4-switch
 words.  Every stratum carries an explicit witness-word map, so each
-sampled point is attained by construction.
+sampled point is attained by construction; facets and quadric equations
+follow from the letter-pair rule `words.pair_axis`.
 
 The quadric patches, generated in full, overlap the interior of the
-attainable body; `trim_and_mesh` probes both sides of each sample with
+attainable body; `trim_and_mesh` probes each sample with
 `attainability.probe` (seeded with the sample's witness word), keeps the
 samples whose outward side is unattainable and inward side attainable,
 and assembles a triangle mesh exported as OBJ.
@@ -23,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import attainability
-from .words import InvariantViolation, PqrPoint, Word, canonicalize, pqr, require_int, word_to_dict
+from .words import PQR_PAIRS, PqrPoint, Word, canonicalize, pair_axis, pqr, precedence, require_int, word_to_dict
 
 __all__ = [
     "FacePatch",
@@ -39,18 +40,9 @@ __all__ = [
     "strata_csv",
 ]
 
-_THIRD = {frozenset({1, 2}): 3, frozenset({1, 3}): 2, frozenset({2, 3}): 1}
-
-# facet of the cube swept when letter u always precedes letter v:
-# (coordinate index into (p, q, r), facet value)
-_FACET = {
-    (1, 2): (0, 1.0),
-    (2, 1): (0, 0.0),
-    (2, 3): (1, 1.0),
-    (3, 2): (1, 0.0),
-    (3, 1): (2, 1.0),
-    (1, 3): (2, 0.0),
-}
+# the `fit` settings of every `trim_and_mesh` probe
+PROBE_MAX_ARCS = 6
+PROBE_STARTS = 6
 
 
 @dataclass(frozen=True)
@@ -112,7 +104,7 @@ def vertices() -> list[VertexWitness]:
 
 
 def _cube_edge_patch(i: int, j: int, after: bool) -> FacePatch:
-    k = _THIRD[frozenset({i, j})]
+    k = 6 - i - j
 
     def word_map(s):
         block = [(i, s), (j, 1.0), (i, 1.0 - s)]
@@ -130,7 +122,7 @@ def _cube_edge_patch(i: int, j: int, after: bool) -> FacePatch:
 
 
 def _diagonal_patch(i: int, j: int) -> FacePatch:
-    k = _THIRD[frozenset({i, j})]
+    k = 6 - i - j
 
     def word_map(a):
         return Word.of([(k, a), (i, 1.0), (j, 1.0), (k, 1.0 - a)])
@@ -155,23 +147,18 @@ def edge_families() -> list[FacePatch]:
     return patches
 
 
-def triangle_word(u: int, w: int, v: int, a: float, b: float, c: float) -> Word:
+def triangle_word(u: int, w: int, v: int, a: float, b: float) -> Word:
     """Product of a {u, w} block and a {w, v} block; sweeps the facet
     triangle where u always precedes v."""
-    if b + c > 1.0 + 1e-12:
-        raise InvariantViolation("triangle-domain", f"need b + c <= 1, got b={b}, c={c}")
-    return canonicalize(
-        Word.of([(u, a), (w, b), (u, 1.0 - a), (w, c), (v, 1.0), (w, 1.0 - b - c)])
-    )
+    return canonicalize(Word.of([(u, a), (w, b), (u, 1.0 - a), (v, 1.0), (w, 1.0 - b)]))
 
 
 def _flat_triangle_patch(u: int, w: int, v: int) -> FacePatch:
-    axis, value = _FACET[(u, v)]
-    sign = 1.0 if value == 1.0 else -1.0
+    axis, sign = pair_axis(u, v)  # the patch lies on the facet P(u before v) = 1
+    value = 1.0 if sign > 0 else 0.0
 
     def word_map(a, b):
-        # the c = 0 slice of triangle_word already covers the full facet triangle
-        return triangle_word(u, w, v, a, b, 0.0)
+        return triangle_word(u, w, v, a, b)
 
     def equation(x):
         return sign * (x[axis] - value)
@@ -198,38 +185,28 @@ def flat_triangles() -> list[FacePatch]:
     return [_flat_triangle_patch(u, w, v) for u, w, v in perms]
 
 
-_EVEN_QUADRICS = {
-    (1, 2, 3, 1, 2): (
-        lambda x: x[0] + x[1] * x[2] - 1.0,
-        lambda x: np.array([1.0, x[2], x[1]]),
-    ),
-    (2, 3, 1, 2, 3): (
-        lambda x: x[1] + x[2] * x[0] - 1.0,
-        lambda x: np.array([x[2], 1.0, x[0]]),
-    ),
-    (3, 1, 2, 3, 1): (
-        lambda x: x[2] + x[0] * x[1] - 1.0,
-        lambda x: np.array([x[1], x[0], 1.0]),
-    ),
-}
+def _quadric(pattern):
+    """Equation and gradient of the quadric of pattern (i, j, k, i, j):
+    P(i before j) + P(j before k) P(k before i) - 1."""
+    i, j, k = pattern[:3]
+    (a_ij, s_ij), (a_jk, s_jk), (a_ki, s_ki) = pair_axis(i, j), pair_axis(j, k), pair_axis(k, i)
 
-_ODD_QUADRICS = {
-    (2, 1, 3, 2, 1): (
-        lambda x: (1.0 - x[0]) + (1.0 - x[1]) * (1.0 - x[2]) - 1.0,
-        lambda x: np.array([-1.0, -(1.0 - x[2]), -(1.0 - x[1])]),
-    ),
-    (3, 2, 1, 3, 2): (
-        lambda x: (1.0 - x[1]) + (1.0 - x[2]) * (1.0 - x[0]) - 1.0,
-        lambda x: np.array([-(1.0 - x[2]), -1.0, -(1.0 - x[0])]),
-    ),
-    (1, 3, 2, 1, 3): (
-        lambda x: (1.0 - x[2]) + (1.0 - x[0]) * (1.0 - x[1]) - 1.0,
-        lambda x: np.array([-(1.0 - x[1]), -(1.0 - x[0]), -1.0]),
-    ),
-}
+    def equation(x):
+        return precedence(x, i, j) + precedence(x, j, k) * precedence(x, k, i) - 1.0
+
+    def gradient(x):
+        g = np.empty(3)
+        g[a_ij] = s_ij
+        g[a_jk] = s_jk * precedence(x, k, i)
+        g[a_ki] = s_ki * precedence(x, j, k)
+        return g
+
+    return equation, gradient
 
 
-def _quadric_patch(pattern, equation, gradient) -> FacePatch:
+def _quadric_patch(pattern) -> FacePatch:
+    equation, gradient = _quadric(pattern)
+
     def word_map(a, b):
         l0, l1, l2, l3, l4 = pattern
         return Word.of([(l0, a), (l1, b), (l2, 1.0), (l3, 1.0 - a), (l4, 1.0 - b)])
@@ -252,15 +229,13 @@ def _quadric_patch(pattern, equation, gradient) -> FacePatch:
 def quadric_patches() -> list[FacePatch]:
     """Six quadric patches from 4-switch patterns.
 
-    Cyclic letter patterns give the surfaces p + qr = 1 (and cyclic
-    images); the reversed-orientation patterns give
-    (1-p) + (1-q)(1-r) = 1 and its cyclic images.  Every sampled witness
-    satisfies its equation exactly.
+    The cyclic patterns i j k i j give p + qr = 1 and its cyclic images;
+    their reversals, which map x to 1 - x, give (1-p) + (1-q)(1-r) = 1 and
+    its cyclic images.  Every sampled witness satisfies its equation
+    exactly.
     """
-    out = []
-    for pattern, (eq, grad) in {**_EVEN_QUADRICS, **_ODD_QUADRICS}.items():
-        out.append(_quadric_patch(pattern, eq, grad))
-    return out
+    cyclic = [(i, j, 6 - i - j, i, j) for i, j in PQR_PAIRS]
+    return [_quadric_patch(pattern) for pattern in cyclic + [p[::-1] for p in cyclic]]
 
 
 @dataclass
@@ -285,16 +260,20 @@ class AtlasMesh:
         return [rec for rec in self.samples if rec.error is not None]
 
 
-def trim_and_mesh(resolution: int, eps: float = 1e-3, **fit_kwargs) -> AtlasMesh:
+def trim_and_mesh(resolution: int, eps: float = 1e-3) -> AtlasMesh:
     """Sample the surface patches, keep certified boundary samples, and
     triangulate them.
 
     A sample is boundary iff `attainability.probe` finds the point eps
-    outward unattainable and the point eps inward attainable.  Both probes
-    pass the sample's witness word as the hint and `fit_kwargs` to `fit`.
-    A sample with an undecided probe (a LinAlgError from `fit`, which the
-    solver never raises) is recorded with error "undecided".
+    outward unattainable and the point eps inward attainable.  The inward
+    probe runs only when the outward verdict is unattainable, since no
+    other sample can be boundary.  Every probe passes the sample's witness
+    word as the hint and fits with PROBE_MAX_ARCS arcs, PROBE_STARTS
+    starts per pattern and seed 0.  A sample with an undecided probe (a
+    LinAlgError from `fit`, which the solver never raises) is recorded
+    with error "undecided".
     """
+    probe_kwargs = dict(max_arcs=PROBE_MAX_ARCS, n_starts=PROBE_STARTS, seed=0)
     mesh = AtlasMesh()
     vertex_index: dict[tuple[float, float, float], int] = {}
 
@@ -310,12 +289,11 @@ def trim_and_mesh(resolution: int, eps: float = 1e-3, **fit_kwargs) -> AtlasMesh
         for params, w, point in patch.sample_grid(resolution):
             x = point.as_array()
             n = patch.outward(x)
-            outward = attainability.probe(point, n, eps, hint=w, **fit_kwargs)
-            inward = attainability.probe(point, -n, eps, hint=w, **fit_kwargs)
-            boundary = (
-                outward == attainability.UNATTAINABLE_BEYOND
-                and inward == attainability.ATTAINABLE_BEYOND
-            )
+            outward = attainability.probe(point, n, eps, hint=w, **probe_kwargs)
+            inward = None
+            if outward == attainability.UNATTAINABLE_BEYOND:
+                inward = attainability.probe(point, -n, eps, hint=w, **probe_kwargs)
+            boundary = inward == attainability.ATTAINABLE_BEYOND
             error = "undecided" if attainability.UNDECIDED in (outward, inward) else None
             mesh.samples.append(
                 SampleRecord(patch.id, tuple(float(v) for v in params), tuple(x), boundary, error)

@@ -61,13 +61,7 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
-    mesh = boundary_atlas.trim_and_mesh(
-        args.resolution,
-        eps=args.eps,
-        max_arcs=args.probe_max_arcs,
-        n_starts=args.probe_starts,
-        seed=args.seed,
-    )
+    mesh = boundary_atlas.trim_and_mesh(args.resolution, eps=args.eps)
     with open(args.out_obj, "w") as fh:
         fh.write(boundary_atlas.write_obj(mesh))
     with open(args.out_csv, "w") as fh:
@@ -91,7 +85,7 @@ def _cmd_simulate_adjoint(args) -> int:
     word, report = adjoint.synthesize(a, args.horizon)
     if args.out_csv:
         with open(args.out_csv, "w") as fh:
-            fh.write(adjoint.switch_events_csv(a, args.horizon))
+            fh.write(adjoint.switch_events_csv(a, word))
     _emit(
         {
             "word": words.word_to_dict(word),
@@ -120,14 +114,7 @@ def _cmd_second_order(args) -> int:
 
 
 def _cmd_dice(args) -> int:
-    payload = _read_json(args.dice)
-    try:
-        dice = [probability.DiscreteDistribution.of(d) for d in payload]
-    except TypeError as exc:
-        raise InvariantViolation("dice-json", f"expected a list of three [value, mass] lists: {exc}")
-    if len(dice) != 3:
-        raise InvariantViolation("dice-json", f"expected exactly 3 distributions, got {len(dice)}")
-    point = probability.dice_pqr(*dice)
+    point = probability.dice_pqr(*probability.dice_from_json(_read_json(args.dice)))
     _emit({"p": point.p, "q": point.q, "r": point.r})
     return 0
 
@@ -184,9 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-obj", required=True)
     p.add_argument("--out-csv", required=True)
     p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--probe-max-arcs", type=int, default=6)
-    p.add_argument("--probe-starts", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_atlas)
 
     p = sub.add_parser("simulate-adjoint", help="covector -> synthesized word + switch CSV")

@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attainability
-from .words import InvariantViolation, PqrPoint, pqr, random_word, require_int
+from .words import InvariantViolation, PqrPoint, pqr, random_word, require_int, require_real
 
 __all__ = [
     "DiscreteDistribution",
     "CheckReport",
+    "dice_from_json",
     "dice_pqr",
     "random_dice_triple",
     "random_dice_check",
@@ -51,11 +52,24 @@ class DiscreteDistribution:
 
     @staticmethod
     def of(pairs) -> "DiscreteDistribution":
-        return DiscreteDistribution(tuple((float(v), float(m)) for v, m in pairs))
+        """Atoms from (value, mass) pairs of reals; anything else is `dice-json`."""
+        try:
+            pairs = [(v, m) for v, m in pairs]
+        except (TypeError, ValueError) as exc:
+            raise InvariantViolation("dice-json", f"expected [value, mass] pairs: {exc}")
+        atoms = tuple((require_real("dice-json", v), require_real("dice-json", m)) for v, m in pairs)
+        return DiscreteDistribution(atoms)
 
     @staticmethod
     def constant(value: float) -> "DiscreteDistribution":
         return DiscreteDistribution(((float(value), 1.0),))
+
+
+def dice_from_json(payload) -> tuple[DiscreteDistribution, DiscreteDistribution, DiscreteDistribution]:
+    """The three distributions of the JSON form [[[value, mass], ...] x 3]."""
+    if not (isinstance(payload, list) and len(payload) == 3):
+        raise InvariantViolation("dice-json", "expected a list of three lists of [value, mass] pairs")
+    return tuple(DiscreteDistribution.of(d) for d in payload)
 
 
 def _precedence(d1: DiscreteDistribution, d2: DiscreteDistribution) -> float:

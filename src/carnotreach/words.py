@@ -49,6 +49,20 @@ LETTERS = (1, 2, 3)
 PQR_PAIRS = ((1, 2), (2, 3), (3, 1))
 
 
+def pair_axis(i: int, j: int) -> tuple[int, float]:
+    """The axis of {i, j} in (p, q, r), and +1.0 when P(i before j) is that
+    coordinate ((i, j) in PQR_PAIRS) or -1.0 when it is its complement."""
+    if (i, j) in PQR_PAIRS:
+        return PQR_PAIRS.index((i, j)), 1.0
+    return PQR_PAIRS.index((j, i)), -1.0
+
+
+def precedence(x, i: int, j: int):
+    """P(i before j) at the section point x = (p, q, r)."""
+    axis, sign = pair_axis(i, j)
+    return x[axis] if sign > 0 else 1.0 - x[axis]
+
+
 class InvariantViolation(ValueError):
     """A named domain invariant failed; `name` is machine-readable."""
 
@@ -67,13 +81,6 @@ def _letter(value) -> int:
     raise InvariantViolation("word-letter", f"letter must be an integer, got {value!r}")
 
 
-def _duration(value) -> float:
-    """A real duration; bools and strings are rejected, numpy numbers pass."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise InvariantViolation("word-duration", f"duration must be a real number, got {value!r}")
-
-
 def require_int(name: str, value, minimum: int) -> int:
     """An integer argument of at least `minimum`, else InvariantViolation
     `name`; floats, bools and strings are rejected, numpy ints pass."""
@@ -87,6 +94,17 @@ def require_int(name: str, value, minimum: int) -> int:
                 raise InvariantViolation(name, f"{name} must be >= {minimum}, got {value}")
             return value
     raise InvariantViolation(name, f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value) -> float:
+    """A real number as a float, else InvariantViolation `name`; bools,
+    strings and integers too large for a float are rejected, numpy numbers pass."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise InvariantViolation(name, f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +122,7 @@ class Word:
 
     @staticmethod
     def of(arcs) -> "Word":
-        return Word(tuple((_letter(l), _duration(t)) for l, t in arcs))
+        return Word(tuple((_letter(l), require_real("word-duration", t)) for l, t in arcs))
 
     @property
     def total_duration(self) -> float:
@@ -268,6 +286,8 @@ def word_from_dict(d: dict) -> Word:
         durations = d["durations"]
     except (KeyError, TypeError) as exc:
         raise InvariantViolation("word-json", f"word JSON needs 'letters' and 'durations': {exc}")
+    if not (isinstance(letters, list) and isinstance(durations, list)):
+        raise InvariantViolation("word-json", "'letters' and 'durations' must be lists")
     if len(letters) != len(durations):
         raise InvariantViolation(
             "word-json",

@@ -16,7 +16,7 @@ from carnotreach import (
     second_order,
     words,
 )
-from carnotreach.words import PqrPoint, Word
+from carnotreach.words import PqrPoint, Word, pair_axis
 
 from test_adjoint import random_triangle_covector
 from test_second_order import six_arc_extremal
@@ -92,7 +92,8 @@ def test_criterion_03_vertices_and_diagonals():
     ]
     for patch in diagonals:
         i, j = (int(c) for c in patch.id.split("-")[1])
-        axis, value = boundary_atlas._FACET[(i, j)]
+        axis, sign = pair_axis(i, j)  # the family lies on the facet P(i before j) = 1
+        value = 1.0 if sign > 0 else 0.0
         for a in np.linspace(0.0, 1.0, 1000 // len(diagonals) + 1):
             x = patch.point(a).as_array()
             others = [x[d] for d in range(3) if d != axis]

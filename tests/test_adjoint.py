@@ -158,7 +158,7 @@ def test_switch_events_csv_shape():
     rng = np.random.default_rng(3)
     a = random_triangle_covector(rng)
     word, _ = synthesize(a, 10.0)
-    csv = switch_events_csv(a, 10.0)
+    csv = switch_events_csv(a, word)
     lines = csv.strip().splitlines()
     assert lines[0] == "t,h1,h2,h3"
     assert len(lines) == len(word.arcs) + 2

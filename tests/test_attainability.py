@@ -657,8 +657,9 @@ def test_quadrics_are_the_atlas_patch_equations():
     rng = np.random.default_rng(12)
     for x in rng.uniform(0.0, 1.0, size=(50, 3)):
         even, odd = _quadrics(x)
-        assert np.allclose(even, [eq(x) for eq, _ in boundary_atlas._EVEN_QUADRICS.values()], rtol=0, atol=1e-15)
-        assert np.allclose(odd, [eq(x) for eq, _ in boundary_atlas._ODD_QUADRICS.values()], rtol=0, atol=1e-15)
+        equations = [patch.equation(x) for patch in boundary_atlas.quadric_patches()]
+        assert np.allclose(even, equations[:3], rtol=0, atol=1e-15)
+        assert np.allclose(odd, equations[3:], rtol=0, atol=1e-15)
 
 
 def test_conjecture_q_separates_the_reference_pool():
@@ -690,7 +691,7 @@ def test_conjecture_q_admits_every_strata_sample():
 
 @pytest.mark.parametrize("resolution", [3, 5])
 def test_conjecture_q_trims_the_atlas_like_the_solver(resolution):
-    mesh = boundary_atlas.trim_and_mesh(resolution, eps=1e-3, max_arcs=6, n_starts=6, seed=0)
+    mesh = boundary_atlas.trim_and_mesh(resolution, eps=1e-3)
 
     def attainable_beyond(x, direction):
         # the probe's cube rule, then Q in place of fit

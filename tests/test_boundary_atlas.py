@@ -5,7 +5,7 @@ import pytest
 
 from carnotreach import attainability
 from carnotreach import boundary_atlas as atlas
-from carnotreach.words import InvariantViolation, PqrPoint, pqr
+from carnotreach.words import InvariantViolation, PqrPoint, pair_axis, pqr, reverse
 
 
 def test_vertices_table():
@@ -47,7 +47,8 @@ def test_diagonals_sweep_facet_diagonals():
         if patch.kind != "diagonal-edge":
             continue
         i, j = (int(c) for c in patch.id.split("-")[1])
-        axis, value = atlas._FACET[(i, j)]
+        axis, sign = pair_axis(i, j)  # the family lies on the facet P(i before j) = 1
+        value = 1.0 if sign > 0 else 0.0
         for _, _, point in patch.sample_grid(33):
             x = point.as_array()
             assert abs(x[axis] - value) <= 1e-12
@@ -70,10 +71,8 @@ def test_flat_triangles_lie_on_facets():
             assert abs(patch.equation(point.as_array())) <= 1e-12
 
 
-def test_triangle_word_domain():
-    with pytest.raises(InvariantViolation):
-        atlas.triangle_word(1, 2, 3, 0.5, 0.8, 0.4)
-    w = atlas.triangle_word(1, 2, 3, 0.3, 0.4, 0.2)
+def test_triangle_word_lies_on_its_facet():
+    w = atlas.triangle_word(1, 2, 3, 0.3, 0.4)
     pt = pqr(w)
     # letter 1 always precedes letter 3, so p31 vanishes
     assert abs(pt.r) <= 1e-12
@@ -95,8 +94,84 @@ def test_quadric_even_patch_values():
     assert (pt.p, pt.q, pt.r) == (0.75, 0.5, 0.5)
 
 
+# the facet and quadric tables the atlas was first written with; the
+# letter-pair rule of `words.pair_axis` reproduces them bit for bit
+REFERENCE_FACET = {
+    (1, 2): (0, 1.0),
+    (2, 1): (0, 0.0),
+    (2, 3): (1, 1.0),
+    (3, 2): (1, 0.0),
+    (3, 1): (2, 1.0),
+    (1, 3): (2, 0.0),
+}
+
+REFERENCE_QUADRICS = {
+    (1, 2, 3, 1, 2): (
+        lambda x: x[0] + x[1] * x[2] - 1.0,
+        lambda x: np.array([1.0, x[2], x[1]]),
+    ),
+    (2, 3, 1, 2, 3): (
+        lambda x: x[1] + x[2] * x[0] - 1.0,
+        lambda x: np.array([x[2], 1.0, x[0]]),
+    ),
+    (3, 1, 2, 3, 1): (
+        lambda x: x[2] + x[0] * x[1] - 1.0,
+        lambda x: np.array([x[1], x[0], 1.0]),
+    ),
+    (2, 1, 3, 2, 1): (
+        lambda x: (1.0 - x[0]) + (1.0 - x[1]) * (1.0 - x[2]) - 1.0,
+        lambda x: np.array([-1.0, -(1.0 - x[2]), -(1.0 - x[1])]),
+    ),
+    (3, 2, 1, 3, 2): (
+        lambda x: (1.0 - x[1]) + (1.0 - x[2]) * (1.0 - x[0]) - 1.0,
+        lambda x: np.array([-(1.0 - x[2]), -1.0, -(1.0 - x[0])]),
+    ),
+    (1, 3, 2, 1, 3): (
+        lambda x: (1.0 - x[2]) + (1.0 - x[0]) * (1.0 - x[1]) - 1.0,
+        lambda x: np.array([-(1.0 - x[1]), -(1.0 - x[0]), -1.0]),
+    ),
+}
+
+
+def test_facets_match_the_reference_table():
+    for (u, v), (axis, value) in REFERENCE_FACET.items():
+        assert pair_axis(u, v) == (axis, 1.0 if value == 1.0 else -1.0)
+    for patch in atlas.flat_triangles():
+        u, _, _, _, v, _ = patch.pattern
+        axis, value = REFERENCE_FACET[(u, v)]
+        n = np.zeros(3)
+        n[axis] = 1.0 if value == 1.0 else -1.0
+        x = np.full(3, 0.5)
+        x[axis] = value
+        assert patch.equation(x) == 0.0
+        assert np.array_equal(patch.outward(x), n)
+
+
+def test_quadrics_match_the_reference_table_bit_for_bit():
+    patterns = [patch.pattern for patch in atlas.quadric_patches()]
+    assert patterns == list(REFERENCE_QUADRICS)
+    points = np.random.default_rng(7).uniform(0.0, 1.0, size=(2000, 3))
+    for pattern, (ref_equation, ref_gradient) in REFERENCE_QUADRICS.items():
+        equation, gradient = atlas._quadric(pattern)
+        for x in points:
+            assert equation(x).tobytes() == ref_equation(x).tobytes()
+            assert gradient(x).tobytes() == ref_gradient(x).tobytes()
+
+
+def test_reversal_sends_each_cyclic_quadric_to_its_reversed_pattern():
+    patches = {patch.pattern: patch for patch in atlas.quadric_patches()}
+    grid = np.arange(17) / 16.0  # dyadic, so 1 - (1 - b) == b exactly
+    for pattern in list(patches)[:3]:
+        even, odd = patches[pattern], patches[pattern[::-1]]
+        for a in grid:
+            for b in grid:
+                assert reverse(even.word(a, b)) == odd.word(1.0 - b, 1.0 - a)
+                got = odd.point(1.0 - b, 1.0 - a).as_array()
+                assert np.abs(got - (1.0 - even.point(a, b).as_array())).max() <= 1e-12
+
+
 def test_trim_and_mesh_small():
-    mesh = atlas.trim_and_mesh(5, eps=1e-3, max_arcs=6, n_starts=6, seed=0)
+    mesh = atlas.trim_and_mesh(5, eps=1e-3)
     assert mesh.failures == []
     assert len(mesh.samples) == 12 * 25
     assert mesh.vertices
@@ -121,12 +196,12 @@ OBJ_SHA256 = {
 
 @pytest.mark.parametrize("resolution", sorted(OBJ_SHA256))
 def test_trim_obj_matches_unseeded_probes(resolution):
-    text = atlas.write_obj(atlas.trim_and_mesh(resolution, eps=1e-3, max_arcs=6, n_starts=6, seed=0))
+    text = atlas.write_obj(atlas.trim_and_mesh(resolution, eps=1e-3))
     assert hashlib.sha256(text.encode()).hexdigest() == OBJ_SHA256[resolution]
 
 
 def test_hinted_probes_match_unhinted():
-    kwargs = dict(max_arcs=6, n_starts=6, seed=0)
+    kwargs = dict(max_arcs=atlas.PROBE_MAX_ARCS, n_starts=atlas.PROBE_STARTS, seed=0)
     eps = 1e-3
     for patch in atlas.quadric_patches() + atlas.flat_triangles():
         for _, w, point in patch.sample_grid(4):
@@ -166,6 +241,28 @@ def test_trim_records_linear_algebra_failures(monkeypatch):
     assert not mesh.groups
 
 
+def test_trim_probes_inward_only_beyond_an_unattainable_outward_point(monkeypatch):
+    verdicts = iter(
+        [attainability.ATTAINABLE_BEYOND, attainability.UNDECIDED]
+        + [attainability.UNATTAINABLE_BEYOND, attainability.ATTAINABLE_BEYOND] * 200
+    )
+    calls = []
+
+    def scripted(point, direction, eps, **kwargs):
+        calls.append(kwargs)
+        return next(verdicts)
+
+    monkeypatch.setattr(attainability, "probe", scripted)
+    mesh = atlas.trim_and_mesh(2)
+    first, second = mesh.samples[:2]
+    assert not first.boundary and first.error is None
+    assert not second.boundary and second.error == "undecided"
+    assert all(rec.boundary for rec in mesh.samples[2:])
+    # one probe for each of the first two samples, two for every other
+    assert len(calls) == 2 * len(mesh.samples) - 2
+    assert all(kw == dict(hint=kw["hint"], max_arcs=6, n_starts=6, seed=0) for kw in calls)
+
+
 def test_trim_validates_resolution():
     with pytest.raises(InvariantViolation):
         atlas.trim_and_mesh(1)
@@ -181,7 +278,7 @@ def test_sample_grid_rejects_a_non_integer_resolution():
 
 
 def test_write_obj_format():
-    mesh = atlas.trim_and_mesh(4, max_arcs=6, n_starts=4, seed=0)
+    mesh = atlas.trim_and_mesh(4)
     text = atlas.write_obj(mesh)
     lines = text.strip().splitlines()
     n_v = sum(line.startswith("v ") for line in lines)

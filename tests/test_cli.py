@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import time
 
@@ -221,7 +222,6 @@ def test_atlas_subcommand(tmp_path, capsys):
         "--resolution", "4",
         "--out-obj", obj_path,
         "--out-csv", csv_path,
-        "--probe-starts", "4",
     )
     assert code == 0
     data = json.loads(out)
@@ -254,7 +254,7 @@ def test_pqr_rejects_non_integer_letters(tmp_path, capsys, letters):
     assert json.loads(err)["error"] == "word-letter"
 
 
-@pytest.mark.parametrize("durations", [[True, "1", 1], [1, 1, "1"], [1, False, 1]])
+@pytest.mark.parametrize("durations", [[True, "1", 1], [1, 1, "1"], [1, False, 1], [10**400, 1, 1]])
 def test_pqr_rejects_non_real_durations(tmp_path, capsys, durations):
     code, out, err = run(capsys, "pqr", write_word(tmp_path, [1, 2, 3], durations))
     assert code == 1
@@ -370,3 +370,81 @@ def test_threads_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "2", "pqr", "-"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", [["--probe-starts", "4"], ["--probe-max-arcs", "6"], ["--seed", "0"]])
+def test_atlas_probe_flags_are_gone(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["atlas", "--out-obj", str(tmp_path / "m.obj"), "--out-csv", str(tmp_path / "s.csv"), *flag])
+    assert exc.value.code == 2
+
+
+def test_simulate_adjoint_golden_output(tmp_path, capsys):
+    # sha256 of stdout followed by the switch CSV for the README example,
+    # recorded while switch_events_csv synthesized the word a second time
+    csv_path = str(tmp_path / "switches.csv")
+    code, out, _ = run(
+        capsys,
+        "simulate-adjoint",
+        "--h", "0.5,0.8,1.0",
+        "--skew", "1.0,-1.0,1.0",
+        "--horizon", "20",
+        "--out-csv", csv_path,
+    )
+    assert code == 0
+    text = out + open(csv_path).read()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6965f9b1b4ac66f0d822b0cb3a6e4d6e9af392ea51ad4b0967a7a3a20b99d86c"
+    )
+
+
+@pytest.mark.parametrize("command", ["pqr", "endpoint"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"letters": 5, "durations": 5},
+        {"letters": [1, 2, 3], "durations": 1},
+        {"letters": "123", "durations": [1, 1, 1]},
+        {"letters": {"1": 1}, "durations": [1]},
+        [1, 2, 3],
+    ],
+)
+def test_word_commands_name_a_malformed_word(tmp_path, capsys, command, payload):
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "word-json"
+
+
+@pytest.mark.parametrize("command", ["pqr", "endpoint"])
+def test_word_commands_read_stdin(capsys, monkeypatch, command):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"letters": [1, 2, 3], "durations": [1, 1, 1]}'))
+    code, out, _ = run(capsys, command, "-")
+    assert code == 0
+    expected = {"p": 1.0, "q": 1.0, "r": 0.0} if command == "pqr" else {"x": [1.0, 1.0, 1.0], "y": [1.0, 1.0, 1.0]}
+    assert json.loads(out) == expected
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [[["1", True]], [[2, 1]], [[3, 1]]],
+        [[[1, True]], [[2, 1]], [[3, 1]]],
+        [[[1, 1, 1]], [[2, 1]], [[3, 1]]],
+        [[["a", 1]], [[2, 1]], [[3, 1]]],
+        [[1], [[2, 1]], [[3, 1]]],
+        [5, [[2, 1]], [[3, 1]]],
+        [[[1, 1]], [[2, 1]]],
+        {"dice": []},
+        "dice",
+    ],
+)
+def test_dice_names_a_malformed_payload(tmp_path, capsys, payload):
+    path = tmp_path / "dice.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "dice", str(path))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "dice-json"

@@ -4,6 +4,7 @@ import pytest
 from carnotreach import attainability
 from carnotreach.probability import (
     DiscreteDistribution,
+    dice_from_json,
     dice_pqr,
     random_dice_check,
     random_dice_triple,
@@ -26,6 +27,30 @@ def test_distribution_validation():
         with pytest.raises(InvariantViolation) as exc:
             DiscreteDistribution.of(atoms)
         assert exc.value.name == "dice-finite"
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [[("1", 1.0)], [(1.0, True)], [(False, 1.0)], [(1.0, 1.0, 1.0)], [(1.0,)], [1.0], 5, [(10**400, 1.0)]],
+)
+def test_distribution_names_malformed_atoms(atoms):
+    with pytest.raises(InvariantViolation) as exc:
+        DiscreteDistribution.of(atoms)
+    assert exc.value.name == "dice-json"
+
+
+def test_distribution_accepts_integer_and_numpy_atoms():
+    d = DiscreteDistribution.of([(np.int64(1), np.float32(0.5)), (2, 0.5)])
+    assert d.atoms == ((1.0, 0.5), (2.0, 0.5))
+
+
+def test_dice_from_json():
+    dice = dice_from_json([[[1, 1]], [[2, 0.5], [4, 0.5]], [[3, 1]]])
+    assert [d.atoms for d in dice] == [((1.0, 1.0),), ((2.0, 0.5), (4.0, 0.5)), ((3.0, 1.0),)]
+    for payload in ([[[1, 1]], [[2, 1]]], [[[1, 1]]] * 4, {"a": 1}, "abc", None):
+        with pytest.raises(InvariantViolation) as exc:
+            dice_from_json(payload)
+        assert exc.value.name == "dice-json"
 
 
 def test_dice_pqr_constants():
