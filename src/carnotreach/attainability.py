@@ -8,23 +8,26 @@ quadratic form in the durations, so residuals and Jacobians are exact;
 the optimizer is a projected, damped Gauss-Newton run from multiple
 deterministic starts, batched over patterns with numpy.
 
+The Jacobian of the three coordinates has three rows, so each damped
+step solves a 3x3 system in closed form (`_damped_step`) rather than the
+n x n normal equations.
+
 The batch is an active set.  A start whose trial step is rejected keeps
-its durations, so its normal equations are reused rather than rebuilt,
-and a start rejected with its damping already at the cap would repeat the
-same rejected step forever, so it retires from the batch.  Both rules skip
+its durations, so its Jacobian is reused rather than rebuilt, and a start
+rejected with its damping already at the cap would repeat the same
+rejected step forever, so it retires from the batch.  Both rules skip
 only arithmetic whose outcome is already known: the results are
 bit-identical to iterating every start for the full iteration count.  The
 size of the largest batch is bounded before anything is allocated
 (`solver-size`).
 
-Memory: the stored normal equations JtJ, one (n, n) matrix per start, are
-the only array the size of the batch times n^2.  Everything else a
-Gauss-Newton iteration builds (the damped copies of JtJ, the gathered pair
-masks, the trial durations and residuals) is made for at most GN_CHUNK
-starts at a time, and the rest is per-start state of n numbers or fewer.
+Memory: the per-start state is the projected Jacobian J (3, n), its Gram
+matrix J J^T (3, 3) and vectors of n numbers or fewer.  Everything else a
+Gauss-Newton iteration builds (the gathered pair masks, the trial
+durations and residuals) is made for at most GN_CHUNK starts at a time.
 On the largest batch of a default sweep, 378 patterns of 8 arcs with 20
-starts each, the traced peak of an iteration is about 2.2 times the bytes
-of JtJ.
+starts each, the traced peak of an iteration is about 3.7 times the bytes
+of the stored J.
 
 Before any search, `fit` checks two proven bounds on the attainable
 set: the cyclic identity 1 <= p + q + r <= 2 (exactly one or two of the
@@ -91,9 +94,8 @@ LAM_MIN, LAM_MAX = 1e-14, 1e10
 _table_word = witness_table.nearest
 # starts per slice of a Gauss-Newton iteration, which bounds its temporaries
 GN_CHUNK = 512
-# cap on P * S * n^2 of the longest batch: 32 MiB for its stored normal
-# equations JtJ, the only (P * S, n, n) float64 array; admits max_arcs 10
-# with 20 starts
+# cap on P * S * n^2 of the longest batch, which admits max_arcs 10 with
+# 20 starts; the stored Jacobians hold P * S * 3n numbers, below the cap
 MAX_BATCH_ENTRIES = 2**22
 
 # golden bound: min(p, q, r) <= PHI and max(p, q, r) >= 1 - PHI on the attainable set
@@ -196,6 +198,33 @@ def _tangent_project(d: np.ndarray, onehot: np.ndarray, counts: np.ndarray) -> n
     return flat.reshape(orig_shape)
 
 
+def _damped_step(J: np.ndarray, G: np.ndarray, lam: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Levenberg-Marquardt steps -(J^T J + lam I)^-1 J^T r of a batch, for
+    Jacobians J (..., 3, n), their Gram matrices G = J J^T (..., 3, 3),
+    dampings lam (...) and residuals r (..., 3).
+
+    By the push-through identity the step is -J^T y with (G + lam I) y = r,
+    a 3x3 system solved by an elementwise Cholesky factorisation.  G is
+    positive semidefinite, so each Schur complement of G + lam I is at
+    least lam I and every squared pivot is at least lam in exact
+    arithmetic; flooring them at lam keeps rounding from producing a NaN.
+    Each step is a combination of the rows of J, so it lies in the tangent
+    space whenever J does.
+    """
+    l00 = np.sqrt(np.maximum(G[..., 0, 0] + lam, lam))
+    l10 = G[..., 1, 0] / l00
+    l20 = G[..., 2, 0] / l00
+    l11 = np.sqrt(np.maximum(G[..., 1, 1] + lam - l10 * l10, lam))
+    l21 = (G[..., 2, 1] - l20 * l10) / l11
+    l22 = np.sqrt(np.maximum(G[..., 2, 2] + lam - l20 * l20 - l21 * l21, lam))
+    z0 = r[..., 0] / l00
+    z1 = (r[..., 1] - l10 * z0) / l11
+    y2 = (r[..., 2] - l20 * z0 - l21 * z1) / l22 / l22
+    y1 = (z1 - l21 * y2) / l11
+    y0 = (z0 - l10 * y1 - l20 * y2) / l00
+    return -(J[..., 0, :] * y0[..., None] + J[..., 1, :] * y1[..., None] + J[..., 2, :] * y2[..., None])
+
+
 def _gauss_newton(
     pat: np.ndarray,
     t: np.ndarray,
@@ -207,26 +236,24 @@ def _gauss_newton(
     (P, S, n) on the per-letter simplices; returns (durations, squared
     residuals (P, S)).  Stops once any start meets the tolerance.
 
-    Each start is damped on its own, with lam in [LAM_MIN, LAM_MAX].  A
-    rejected trial leaves the start's durations, and so its normal
-    equations, unchanged: they are recomputed only for starts whose last
-    trial was accepted.  A start rejected with lam already at LAM_MAX
-    keeps its durations, residual and lam, so every later iteration would
-    repeat its solve bit for bit and be rejected again; it retires, and the
-    loop ends when no start is left.  Its matrix JtJ + LAM_MAX I is never
-    singular, so retiring it cannot change whether the solve fails; when the
-    solve does fail, the step -g applies to every start, retired ones too.
-    The result is bit-identical to iterating every start to the end.
+    Each start is damped on its own, with lam in [LAM_MIN, LAM_MAX], and
+    steps by `_damped_step` from its projected Jacobian J (3, n) and
+    G = J J^T (3, 3).  G is positive semidefinite, so every squared pivot
+    of the 3x3 system G + lam I is at least lam >= LAM_MIN: no step can
+    fail, and no start needs a fallback.  A rejected trial leaves the
+    start's durations, and so J and G, unchanged: they are recomputed only
+    for starts whose last trial was accepted.  A start rejected with lam
+    already at LAM_MAX keeps its durations, residual and lam, so every
+    later iteration would repeat its step bit for bit and be rejected
+    again; it retires, and the loop ends when no start is left.  The step
+    is elementwise arithmetic on the start's own J, G, lam and r, which no
+    other start changes, so the result is bit-identical to iterating every
+    start to the end.
 
-    An iteration first rebuilds the normal equations of the starts accepted
-    last time, GN_CHUNK at a time.  It then walks the live starts in slices
-    of GN_CHUNK twice: the first pass solves a damped copy of each slice's
-    JtJ and stores the step; the second, once every slice has solved,
-    projects, renormalizes, evaluates and accepts the trial of each slice.
-    A failed solve in any slice gives every start the step -g, as one solve
-    over all live starts would.  Each start's arithmetic does not depend on
-    the slicing, so neither does the result; only JtJ, the per-start state
-    and one slice's temporaries are held at once.
+    An iteration first rebuilds J and G of the starts accepted last time,
+    then steps, evaluates and accepts the live starts, GN_CHUNK at a time.
+    Each start's arithmetic does not depend on the slicing, so neither does
+    the result.
     """
     P, n = pat.shape
     S = t.shape[1]
@@ -248,44 +275,27 @@ def _gauss_newton(
         return np.einsum("bk,bk->b", r, r)
 
     t = t.reshape(P * S, n).copy()
-    everyone = np.arange(P * S)
     rcur = np.concatenate([residuals(owner[part], t[part]) for part in chunks(P * S)])
     fcur = sqnorm(rcur)
     lam = np.full(P * S, 1e-3)
-    JtJ = np.empty((P * S, n, n))
-    g = np.empty((P * S, n))
-    eye = np.eye(n)
-    live = moved = everyone
+    J = np.empty((P * S, 3, n))
+    G = np.empty((P * S, 3, 3))
+    live = moved = np.arange(P * S)
     for _ in range(iters):
         for part in chunks(len(moved)):
             idx = moved[part]
             pc = owner[idx]
-            J = np.einsum("bklm,bm->bkl", Msym[pc], t[idx])  # (b, 3, n)
-            J = _tangent_project(J, onehot[pc], counts[pc])
-            JtJ[idx] = np.einsum("bkl,bkm->blm", J, J)
-            g[idx] = np.einsum("bkl,bk->bl", J, rcur[idx])
-        # every live start's step, one slice at a time
-        steps = []
-        for part in chunks(len(live)):
-            idx = live[part]
-            A = JtJ[idx]
-            A += lam[idx, None, None] * eye
-            try:
-                steps.append(-np.linalg.solve(A, g[idx][..., None])[..., 0])
-            except np.linalg.LinAlgError:
-                # the fallback step reaches every start, retired ones too
-                live = everyone
-                steps = [-g[part] for part in chunks(P * S)]
-                break
-        # trial, acceptance and damping, one slice at a time
+            Jm = _tangent_project(np.einsum("bklm,bm->bkl", Msym[pc], t[idx]), onehot[pc], counts[pc])
+            J[idx] = Jm
+            G[idx] = np.einsum("bkn,bln->bkl", Jm, Jm)
         accepted = np.empty(len(live), dtype=bool)
         frozen = np.empty(len(live), dtype=bool)
-        for part, d in zip(chunks(len(live)), steps):
+        for part in chunks(len(live)):
             idx = live[part]
             pc = owner[idx]
-            oh = onehot[pc]
-            step = _tangent_project(d[:, None], oh, counts[pc])
-            t_trial = _renormalize(t[idx, None] + step, oh)[:, 0]
+            lam_live = lam[idx]
+            step = _damped_step(J[idx], G[idx], lam_live, rcur[idx])
+            t_trial = _renormalize(t[idx, None] + step[:, None], onehot[pc])[:, 0]
             r_trial = residuals(pc, t_trial)
             f_trial = sqnorm(r_trial)
             accept = accepted[part] = f_trial < fcur[idx]
@@ -293,7 +303,6 @@ def _gauss_newton(
             t[stepped] = t_trial[accept]
             rcur[stepped] = r_trial[accept]
             fcur[stepped] = f_trial[accept]
-            lam_live = lam[idx]
             frozen[part] = ~accept & (lam_live == LAM_MAX)
             lam[idx] = np.clip(np.where(accept, lam_live * 0.3, lam_live * 5.0), LAM_MIN, LAM_MAX)
         moved, live = live[accepted], live[~frozen]
@@ -481,8 +490,9 @@ def probe(
 
     Points leaving the unit cube are unattainable outright; otherwise the
     verdict comes from `fit`.  A LinAlgError from `fit` maps to undecided
-    and any other error propagates.  `fit` raises none, because
-    `_gauss_newton` steps along -g when a solve fails; the handler is a guard.
+    and any other error propagates.  `fit` raises none, because its only
+    solves are the closed-form 3x3 ones of `_damped_step`; the handler is a
+    guard.
     """
     if not 0 < eps < math.inf:
         raise InvariantViolation("eps", f"eps must be finite and positive, got {eps}")

@@ -171,7 +171,7 @@ def _flat_triangle_patch(u: int, w: int, v: int) -> FacePatch:
     return FacePatch(
         kind="flat-triangle",
         id=f"flat-{u}{w}{v}",
-        pattern=(u, w, u, w, v, w),
+        pattern=(u, w, u, v, w),
         param_box=((0.0, 1.0), (0.0, 1.0)),
         word_map=word_map,
         equation=equation,
@@ -270,8 +270,8 @@ def trim_and_mesh(resolution: int, eps: float = 1e-3) -> AtlasMesh:
     other sample can be boundary.  Every probe passes the sample's witness
     word as the hint and fits with PROBE_MAX_ARCS arcs, PROBE_STARTS
     starts per pattern and seed 0.  A sample with an undecided probe (a
-    LinAlgError from `fit`, which the solver never raises) is recorded
-    with error "undecided".
+    LinAlgError from `fit`, which the solver never raises: its steps are
+    closed-form 3x3 solves) is recorded with error "undecided".
     """
     probe_kwargs = dict(max_arcs=PROBE_MAX_ARCS, n_starts=PROBE_STARTS, seed=0)
     mesh = AtlasMesh()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from carnotreach.attainability import (
     probe,
 )
 from carnotreach.probability import dice_pqr, random_dice_triple
-from carnotreach.words import InvariantViolation, PqrPoint, Word, pqr, random_word
+from carnotreach.words import InvariantViolation, PqrPoint, Word, pqr, random_word, reverse
 
 PHI = (np.sqrt(5.0) - 1.0) / 2.0
 CUBE_SCAN_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "cube_scan.json"
@@ -362,39 +363,60 @@ def no_table(monkeypatch):
     monkeypatch.setattr(attainability, "_table_word", lambda x, max_arcs: None)
 
 
+def _verdicts(results) -> list[tuple[str, int]]:
+    return [(r.status, r.starts_used) for r in results]
+
+
+# (status, starts_used) of the eight-start round trips, without and with the
+# witness table; recorded before the three-row Gauss-Newton step, which may
+# move the last bits of residuals and durations but no verdict
+EIGHT_START_SWEEP_STARTS = [
+    1206, 6, 486, 150, 1206, 486, 6, 150, 6, 1206, 150, 1206,
+    150, 150, 1206, 1206, 1206, 486, 1206, 486, 150, 486, 150, 486,
+]
+EIGHT_START_TABLE_STARTS = [
+    18, 18, 18, 18, 18, 18, 16, 18, 18, 18, 18, 18,
+    18, 16, 16, 16, 18, 16, 18, 18, 16, 18, 16, 16,
+]
+
+
 # sha256 of json.dumps([fit(...).to_dict(), ...]) with the table lookup off,
-# recorded before the Gauss-Newton loop retired frozen starts and reused
-# rejected normal equations: the sweep's bytes
+# recorded with the three-row Gauss-Newton step: the sweep's bytes
 def test_fit_bytes_on_attained_pool_points(no_table):
     results = [fit(x) for x in _pool_points(True, 12)]
-    assert _digest(results) == "663f0c2fc438341a4eac1835db51d2e7f38bb031553761626e2111ab90a3b5b5"
+    assert _verdicts(results) == [("attained", 3006)] * 12
+    assert _digest(results) == "dcbe582bbdd0b190c0257428477cc29431dd58676bf34da689c38058c2e563cc"
 
 
 def test_fit_bytes_on_unscreened_not_found_pool_points(no_table):
     results = [fit(x) for x in _pool_points(False, 2)]
-    assert [r.status for r in results] == ["not-found", "not-found"]
-    assert _digest(results) == "fcd06a6c9e7a1499460e1dfefe50bf4ddfefdccc5a9897d88f0e0ca4e608494d"
+    assert _verdicts(results) == [("not-found", 14286)] * 2
+    assert _digest(results) == "d7ed730c4cb92d5a3639fda35ce92f019075f57687436281bdfb7830f6696aaf"
 
 
 def test_fit_bytes_with_eight_starts(no_table):
-    assert _digest(_eight_start_round_trips()) == "84ac50a18ff9db39cc85780ab04d34b8e898bee0c6e769f2185e823c8a88ad17"
+    results = _eight_start_round_trips()
+    assert _verdicts(results) == [("attained", n) for n in EIGHT_START_SWEEP_STARTS]
+    assert _digest(results) == "8cfbec29aa619857c837fb530b34ead1d3d19b56907cda3b3e14a10d7265cd57"
 
 
-# the same calls at defaults, which refine the nearest witness-table word first;
-# recorded when the table was added
+# the same calls at defaults, which refine the nearest witness-table word first
 def test_table_fit_bytes_on_attained_pool_points():
     results = [fit(x) for x in _pool_points(True, 12)]
-    assert _digest(results) == "03b126b62a80044ff70eb50321a57a2d66a51b0bd2da8404015af2d3496ba5f1"
+    assert _verdicts(results) == [("attained", n) for n in (16, 16, 18, 16, 18, 16, 18, 16, 16, 18, 16, 18)]
+    assert _digest(results) == "0a534853e91a2e192bb1b3b8dcc3c035ebcead2561582f0ed2d0cf6fbd01b6fe"
 
 
 def test_table_fit_bytes_on_unscreened_not_found_pool_points():
     results = [fit(x) for x in _pool_points(False, 2)]
-    assert [r.status for r in results] == ["not-found", "not-found"]
-    assert _digest(results) == "b7dff607b8bc3e23f500424cf0cf3e6add2bd44cf2dd3570d17d358fc0a39a94"
+    assert _verdicts(results) == [("not-found", 14386)] * 2
+    assert _digest(results) == "5af1b6cd9c6fab12661eaad9603f0a3455ec72deb82d9a9d3e5b22887d46ec61"
 
 
 def test_table_fit_bytes_with_eight_starts():
-    assert _digest(_eight_start_round_trips()) == "590334967edda2f618ad51889ed83cfadf741a9af50f674c4475f86216040cbd"
+    results = _eight_start_round_trips()
+    assert _verdicts(results) == [("attained", n) for n in EIGHT_START_TABLE_STARTS]
+    assert _digest(results) == "abef2cfacf2e044226b07d2e71dad2a70a9902fbb4901854c54fc3b458dd6bfd"
 
 
 def test_table_settles_the_attained_pool_points(monkeypatch):
@@ -462,11 +484,18 @@ def test_fit_bytes_on_hinted_probes():
                 if (y >= 0.0).all() and (y <= 1.0).all():
                     results.append(fit(PqrPoint(*y), max_arcs=6, n_starts=6, hint=w))
     assert len(results) == 174
-    assert _digest(results) == "325ee25b51b725e87ea837fe3c2d293f83118e8549abbe98e40e2eaff1689c22"
+    # each quadric patch, then each flat triangle, gives the same verdicts;
+    # 922 starts are a refinement miss and a 6-start sweep, 0 a sum-bound certificate
+    quadric = [80, 80, 16, 16, 922, 16, 80, 16, 16, 16, 16, 80, 0]
+    flat = [12, 14, 14, 12, 12, 16, 16, 14, 12, 16, 16, 14, 12, 14, 14, 0]
+    assert _verdicts(results) == [
+        ("not-found" if n in (0, 922) else "attained", n) for n in quadric * 6 + flat * 6
+    ]
+    assert _digest(results) == "dc37d3d2b39d03309449e84c5f94113b57325b58adccaa43209364bf77f1cd63"
 
 
 def _dense_gauss_newton(pat, t, target, tol, iters=attainability.GN_ITERS):
-    """Reference: every start iterates to the end, normal equations rebuilt each time."""
+    """Reference: every start iterates to the end, J and G rebuilt each time."""
     M = attainability._pair_masks(pat)
     Msym = M + M.transpose(0, 1, 3, 2)
     onehot = attainability._letter_onehot(pat)
@@ -476,9 +505,8 @@ def _dense_gauss_newton(pat, t, target, tol, iters=attainability.GN_ITERS):
     lam = np.full(fcur.shape, 1e-3)
     for _ in range(iters):
         J = attainability._tangent_project(np.einsum("pklm,psm->pskl", Msym, t), onehot, counts)
-        A = np.einsum("pskl,pskm->pslm", J, J) + lam[..., None, None] * np.eye(pat.shape[1])
-        d = -np.linalg.solve(A, np.einsum("pskl,psk->psl", J, rcur)[..., None])[..., 0]
-        t_trial = attainability._renormalize(t + attainability._tangent_project(d, onehot, counts), onehot)
+        G = np.einsum("pskn,psln->pskl", J, J)
+        t_trial = attainability._renormalize(t + attainability._damped_step(J, G, lam, rcur), onehot)
         r_trial = np.einsum("pklm,psl,psm->psk", M, t_trial, t_trial) - target
         f_trial = np.einsum("psk,psk->ps", r_trial, r_trial)
         accept = f_trial < fcur
@@ -516,107 +544,71 @@ def test_sliced_gauss_newton_matches_the_dense_reference(monkeypatch, target):
 
 
 def test_gauss_newton_ends_once_every_start_is_frozen(monkeypatch):
-    # at length 4 every start of this not-found target reaches the damping cap
+    # at length 4 every start of this not-found target reaches the damping cap;
+    # its 360 starts fit one slice, so each iteration takes one batch of steps
     pat = np.array(attainability._patterns_of_length(4))
     rng = np.random.default_rng(3)
     t0 = attainability._renormalize(rng.gamma(1.0, size=(len(pat), 20, 4)), attainability._letter_onehot(pat))
     target = np.array([0.36, 0.24, 0.45])
-    solves = []
-    solve = np.linalg.solve
+    steps = []
+    damped_step = attainability._damped_step
 
-    def counting_solve(a, b):
-        solves.append(len(a))
-        return solve(a, b)
+    def counting_step(J, G, lam, r):
+        steps.append(len(J))
+        return damped_step(J, G, lam, r)
 
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(attainability, "_damped_step", counting_step)
     t, f = attainability._gauss_newton(pat, t0, target, 1e-7)
-    assert len(solves) < attainability.GN_ITERS
+    assert 0 < len(steps) < attainability.GN_ITERS
     assert np.sqrt(f.min()) > 1e-3
     t_more, f_more = attainability._gauss_newton(pat, t0, target, 1e-7, iters=attainability.GN_ITERS + 20)
     assert np.array_equal(t, t_more) and np.array_equal(f, f_more)
 
 
-def test_gauss_newton_fallback_step_reaches_retired_starts(monkeypatch):
-    # a failed solve gives every start the step -g, retired starts too; two
-    # failures forced after starts begin to retire (from the 26th solve on)
-    # must leave the arrays that iterating every start gives (digest recorded
-    # with the loop that iterated every start, as one slice)
-    monkeypatch.setattr(attainability, "GN_CHUNK", 1024)
-    pat = np.array(attainability._patterns_of_length(5))
-    rng = np.random.default_rng(3)
-    t0 = attainability._renormalize(rng.gamma(1.0, size=(len(pat), 20, 5)), attainability._letter_onehot(pat))
-    calls = []
-    solve = np.linalg.solve
-
-    def failing_solve(a, b):
-        calls.append(len(a))
-        if len(calls) in (30, 45):
-            raise np.linalg.LinAlgError("forced")
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", failing_solve)
-    target = np.array([0.36, 0.24, 0.45])
-    t, f = attainability._gauss_newton(pat, t0, target, 1e-7, iters=attainability.GN_ITERS + 20)
-    assert len(calls) < attainability.GN_ITERS + 20
-    digest = hashlib.sha256(t.tobytes() + f.tobytes()).hexdigest()
-    assert digest == "ce154e377ec0ee58b2276382d201ccae77f7cbabef525f000ee2acbe865e927d"
+def _projected_jacobians(n, starts, seed):
+    """Tangent-projected Jacobians (P * starts, 3, n) of every n-arc pattern
+    at random section durations, as the Gauss-Newton loop builds them."""
+    pat = np.array(attainability._patterns_of_length(n))
+    onehot = attainability._letter_onehot(pat)
+    M = attainability._pair_masks(pat)
+    t = attainability._renormalize(np.random.default_rng(seed).gamma(1.0, size=(len(pat), starts, n)), onehot)
+    J = np.einsum("pklm,psm->pskl", M + M.transpose(0, 1, 3, 2), t)
+    return attainability._tangent_project(J, onehot, onehot.sum(axis=2)).reshape(-1, 3, n)
 
 
-def _gauss_newton_failing_at(monkeypatch, chunk, failures, pat, t0, target, iters):
-    """`_gauss_newton` with GN_CHUNK = chunk, raising LinAlgError in the solve
-    of each (iteration, slice) in `failures`; returns the arrays and the
-    failures hit.  An iteration's solves all come before its trials, which
-    call `_renormalize`, so a solve after a trial starts the next iteration."""
-    monkeypatch.setattr(attainability, "GN_CHUNK", chunk)
-    solve, renormalize = np.linalg.solve, attainability._renormalize
-    at = {"iteration": -1, "slice": 0, "trials": True}
-    hit = []
-
-    def failing_solve(a, b):
-        if at["trials"]:
-            at.update(iteration=at["iteration"] + 1, slice=0, trials=False)
-        else:
-            at["slice"] += 1
-        if (at["iteration"], at["slice"]) in failures:
-            hit.append((at["iteration"], at["slice"]))
-            raise np.linalg.LinAlgError("forced")
-        return solve(a, b)
-
-    def tracking_renormalize(*args):
-        at["trials"] = True
-        return renormalize(*args)
-
-    monkeypatch.setattr(np.linalg, "solve", failing_solve)
-    monkeypatch.setattr(attainability, "_renormalize", tracking_renormalize)
-    try:
-        t, f = attainability._gauss_newton(pat, t0, target, 1e-7, iters=iters)
-    finally:
-        monkeypatch.setattr(np.linalg, "solve", solve)
-        monkeypatch.setattr(attainability, "_renormalize", renormalize)
-    return t, f, hit
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("lam", [1e-3, 1.0])
+def test_damped_step_solves_the_normal_equations(n, lam):
+    # -J^T (J J^T + lam I)^-1 r is -(J^T J + lam I)^-1 J^T r
+    J = _projected_jacobians(n, 2, seed=n)
+    r = np.random.default_rng(n + 1).normal(size=(len(J), 3))
+    G = np.einsum("bkn,bln->bkl", J, J)
+    step = attainability._damped_step(J, G, np.full(len(J), lam), r)
+    A = np.einsum("bkl,bkm->blm", J, J) + lam * np.eye(n)
+    want = -np.linalg.solve(A, np.einsum("bkl,bk->bl", J, r)[..., None])[..., 0]
+    err = np.linalg.norm(step - want, axis=1)
+    assert (err <= 1e-9 * np.linalg.norm(want, axis=1)).all()
 
 
-def test_gauss_newton_failure_in_a_later_slice_matches_one_slice(monkeypatch):
-    # 840 starts in slices of 100: failures in the second slice of iteration 30,
-    # once starts have begun to retire, and in the third slice of iteration 45
-    # give the arrays of one slice failing in the same iterations
-    pat = np.array(attainability._patterns_of_length(5))
-    rng = np.random.default_rng(3)
-    t0 = attainability._renormalize(rng.gamma(1.0, size=(len(pat), 20, 5)), attainability._letter_onehot(pat))
-    target = np.array([0.36, 0.24, 0.45])
-    iters = attainability.GN_ITERS + 20
-    sliced = _gauss_newton_failing_at(monkeypatch, 100, {(30, 1), (45, 2)}, pat, t0, target, iters)
-    whole = _gauss_newton_failing_at(monkeypatch, 1024, {(30, 0), (45, 0)}, pat, t0, target, iters)
-    assert sliced[2] == [(30, 1), (45, 2)]
-    assert whole[2] == [(30, 0), (45, 0)]
-    assert np.array_equal(sliced[0], whole[0]) and np.array_equal(sliced[1], whole[1])
-    unfailed = attainability._gauss_newton(pat, t0, target, 1e-7, iters=iters)
-    assert not np.array_equal(sliced[0], unfailed[0])
+def test_damped_step_stays_finite_on_rank_one_gram_matrices():
+    # four arcs leave one free direction, so every G = J J^T has rank 1 and
+    # the second and third pivots of G + lam I are of the order of lam; scaled
+    # by 1e4, rounding takes some of them below lam, even to 0, and the floor holds
+    r = np.random.default_rng(6).normal(size=(360, 3))
+    for scale in (1.0, 1e4):
+        J = scale * _projected_jacobians(4, 20, seed=5)
+        G = np.einsum("bkn,bln->bkl", J, J)
+        assert (np.linalg.matrix_rank(G) == 1).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step = attainability._damped_step(J, G, np.full(len(J), attainability.LAM_MIN), r)
+        assert np.isfinite(step).all()
 
 
 def test_gauss_newton_memory_is_bounded_by_the_normal_equations():
     # every eight-arc pattern with 20 starts, the largest batch of a default sweep:
-    # the stored normal equations JtJ dominate the traced peak
+    # the loop stores J (3, n) and G (3, 3) per start, so its traced peak stays
+    # below 1.5 times the bytes of one (n, n) matrix per start
     pat = np.array(attainability._patterns_of_length(8))
     S, n = 20, 8
     rng = np.random.default_rng(4)
@@ -629,7 +621,7 @@ def test_gauss_newton_memory_is_bounded_by_the_normal_equations():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - before <= 2.5 * jtj_bytes
+    assert peak - before <= 1.5 * jtj_bytes
 
 
 # Conjecture Q: a point of the cube is attainable iff neither all three even
@@ -735,3 +727,56 @@ def test_fit_status_is_invariant_under_letter_permutations():
             image = Word.of((perm[l], t) for l, t in w.arcs)
             assert np.abs(pqr(image).as_array() - act(pqr(w).as_array())).max() <= 1e-12
             assert fit(pqr(w)).status == fit(pqr(image)).status == "attained"
+
+
+def _symmetries() -> dict:
+    """The 12 symmetries S3 x reversal, generated by the 3-cycle, the
+    transposition (1 2) and reversal: {(letter images, reversed): point map}."""
+    identity = ((1, 2, 3), False, lambda x: x)
+    generators = [
+        (tuple(CYCLE[0][l] for l in (1, 2, 3)), False, CYCLE[1]),
+        (tuple(SWAP[0][l] for l in (1, 2, 3)), False, SWAP[1]),
+        ((1, 2, 3), True, lambda x: 1.0 - x),
+    ]
+    group = {identity[:2]: identity[2]}
+    frontier = [identity]
+    while frontier:
+        perm, reversed_, act = frontier.pop()
+        for g_perm, g_reversed, g_act in generators:
+            key = (tuple(g_perm[perm[l - 1] - 1] for l in (1, 2, 3)), reversed_ != g_reversed)
+            if key not in group:
+                group[key] = (lambda first, then: lambda x: then(first(x)))(act, g_act)
+                frontier.append((*key, group[key]))
+    return group
+
+
+SYMMETRIES = _symmetries()
+
+
+def _image(w: Word, perm, reversed_) -> Word:
+    image = Word.of((perm[l - 1], t) for l, t in w.arcs)
+    return reverse(image) if reversed_ else image
+
+
+def test_the_symmetries_form_a_group_of_twelve():
+    assert len(SYMMETRIES) == 12
+    assert {perm for perm, _ in SYMMETRIES} == {(1, 2, 3), (2, 3, 1), (3, 1, 2), (2, 1, 3), (3, 2, 1), (1, 3, 2)}
+
+
+@given(st.integers(3, 10), st.integers(0, 2**31 - 1))
+def test_symmetries_map_pqr_of_every_word(n_arcs, seed):
+    w = random_word(n_arcs, seed)
+    x = pqr(w).as_array()
+    for (perm, reversed_), act in SYMMETRIES.items():
+        assert np.abs(pqr(_image(w, perm, reversed_)).as_array() - act(x)).max() <= 1e-12
+
+
+def test_fit_stays_not_found_on_the_symmetric_images():
+    # the images of unscreened not-found pool points are unscreened too, so
+    # each of these fits refines a table word and sweeps up to six arcs with
+    # eight starts per pattern
+    for x in _pool_points(False, 2):
+        for act in SYMMETRIES.values():
+            image = PqrPoint(*act(x.as_array()))
+            assert exclusion_bound(image) == (0.0, None)
+            assert fit(image, max_arcs=6, n_starts=8).status == "not-found"

@@ -71,6 +71,22 @@ def test_flat_triangles_lie_on_facets():
             assert abs(patch.equation(point.as_array())) <= 1e-12
 
 
+def _is_subsequence(letters, pattern) -> bool:
+    rest = iter(pattern)
+    return all(letter in rest for letter in letters)
+
+
+def test_patch_words_follow_the_patch_pattern():
+    # every sampled word is the patch pattern with some arcs of zero duration
+    # dropped, and at an interior grid point no arc is dropped
+    patches = atlas.edge_families() + atlas.flat_triangles() + atlas.quadric_patches()
+    for patch in patches:
+        letters = [[letter for letter, _ in w.arcs] for _, w, _ in patch.sample_grid(5)]
+        assert all(_is_subsequence(word, patch.pattern) for word in letters), patch.id
+        assert max(letters, key=len) == list(patch.pattern), patch.id
+    assert not _is_subsequence([1, 3, 2], (1, 2, 3))
+
+
 def test_triangle_word_lies_on_its_facet():
     w = atlas.triangle_word(1, 2, 3, 0.3, 0.4)
     pt = pqr(w)
@@ -137,7 +153,7 @@ def test_facets_match_the_reference_table():
     for (u, v), (axis, value) in REFERENCE_FACET.items():
         assert pair_axis(u, v) == (axis, 1.0 if value == 1.0 else -1.0)
     for patch in atlas.flat_triangles():
-        u, _, _, _, v, _ = patch.pattern
+        u, _, _, v, _ = patch.pattern
         axis, value = REFERENCE_FACET[(u, v)]
         n = np.zeros(3)
         n[axis] = 1.0 if value == 1.0 else -1.0
