@@ -34,6 +34,8 @@ __all__ = [
 TIE_TOL = 1e-10
 # arcs `synthesize` may generate; a horizon needing more raises "switches"
 MAX_SYNTH_ARCS = 10_000
+# index in AdjointCovector.skew of h_ij for each letter pair i < j
+_SKEW_INDEX = {(1, 2): 0, (1, 3): 1, (2, 3): 2}
 
 
 @dataclass(frozen=True)
@@ -143,17 +145,13 @@ def normalize(a: AdjointCovector) -> AdjointCovector:
 
 def _edge_is_singular(a: AdjointCovector, i: int, j: int, tol: float) -> bool:
     # edge {i, j} of the quadrant is invariant iff h_ij = 0
-    pair = (min(i, j), max(i, j))
-    idx = {(1, 2): 0, (1, 3): 1, (2, 3): 2}[pair]
-    return abs(a.skew[idx]) <= tol
+    return abs(a.skew[_SKEW_INDEX[min(i, j), max(i, j)]]) <= tol
 
 
 def _edge_bang_letter(a: AdjointCovector, i: int, j: int) -> int:
     # transversal edge crossing: pick the vertex control that keeps h <= 1
-    pair = (min(i, j), max(i, j))
-    idx = {(1, 2): 0, (1, 3): 1, (2, 3): 2}[pair]
-    hij = a.skew[idx]
-    lo, hi = pair
+    lo, hi = min(i, j), max(i, j)
+    hij = a.skew[_SKEW_INDEX[lo, hi]]
     # control e_lo moves h_hi at rate -h_ij; control e_hi moves h_lo at rate +h_ij
     return lo if hij >= 0 else hi
 

@@ -81,7 +81,6 @@ __all__ = [
     "max_min_coordinate",
     "ATTAINABLE_BEYOND",
     "UNATTAINABLE_BEYOND",
-    "UNDECIDED",
 ]
 
 DEFAULT_MAX_ARCS = 8
@@ -94,8 +93,8 @@ LAM_MIN, LAM_MAX = 1e-14, 1e10
 _table_word = witness_table.nearest
 # starts per slice of a Gauss-Newton iteration, which bounds its temporaries
 GN_CHUNK = 512
-# cap on P * S * n^2 of the longest batch, which admits max_arcs 10 with
-# 20 starts; the stored Jacobians hold P * S * 3n numbers, below the cap
+# cap on the largest array of the longest batch, max(P * S * 3n, P * 3n^2):
+# the stored Jacobians or the pattern masks; admits max_arcs 11 with 20 starts
 MAX_BATCH_ENTRIES = 2**22
 
 # golden bound: min(p, q, r) <= PHI and max(p, q, r) >= 1 - PHI on the attainable set
@@ -111,7 +110,6 @@ _MAX_MIN_WORDS = {
 
 ATTAINABLE_BEYOND = "attainable-beyond"
 UNATTAINABLE_BEYOND = "unattainable-beyond"
-UNDECIDED = "undecided"
 
 
 @dataclass(frozen=True)
@@ -421,8 +419,10 @@ def fit(
     for the same seed its best residual never worsens as max_arcs grows;
     it stops early once the tolerance is met.
 
-    Before anything is allocated, a sweep whose longest batch holds more
-    than MAX_BATCH_ENTRIES entries P * S * n^2 raises "solver-size".
+    Before anything is allocated, a sweep whose longest batch needs an
+    array of more than MAX_BATCH_ENTRIES entries raises "solver-size"; the
+    largest are the stored Jacobians, P * S * 3n entries, and the pattern
+    masks, P * 3n^2.
     """
     require_int("max-arcs", max_arcs, 3)
     require_int("seed", seed, 0)
@@ -431,12 +431,13 @@ def fit(
         raise InvariantViolation("tol", f"tol must be a finite positive number, got {tol!r}")
     # the longest patterns make the largest batch: 3 * 2^(n-1) - 6 patterns
     n = max_arcs
-    entries = (3 * 2 ** (n - 1) - 6) * (1 if n == 3 else n_starts) * n * n
+    P, S = 3 * 2 ** (n - 1) - 6, 1 if n == 3 else n_starts
+    entries = max(P * S * 3 * n, P * 3 * n * n)
     if entries > MAX_BATCH_ENTRIES:
         raise InvariantViolation(
             "solver-size",
-            f"max_arcs={max_arcs} with n_starts={n_starts} needs {entries} entries per "
-            f"Gauss-Newton array, above {MAX_BATCH_ENTRIES}",
+            f"max_arcs={max_arcs} with n_starts={n_starts} needs {entries} entries in its "
+            f"largest Gauss-Newton array (Jacobians or pattern masks), above {MAX_BATCH_ENTRIES}",
         )
     if hint is not None:
         _check_hint(hint)
@@ -489,10 +490,7 @@ def probe(
     """Classify the point eps further along the direction.
 
     Points leaving the unit cube are unattainable outright; otherwise the
-    verdict comes from `fit`.  A LinAlgError from `fit` maps to undecided
-    and any other error propagates.  `fit` raises none, because its only
-    solves are the closed-form 3x3 ones of `_damped_step`; the handler is a
-    guard.
+    verdict comes from `fit`, and any error `fit` raises propagates.
     """
     if not 0 < eps < math.inf:
         raise InvariantViolation("eps", f"eps must be finite and positive, got {eps}")
@@ -504,10 +502,7 @@ def probe(
     x = point.as_array() + eps * d
     if (x < -1e-12).any() or (x > 1.0 + 1e-12).any():
         return UNATTAINABLE_BEYOND
-    try:
-        result = fit(PqrPoint(*np.clip(x, 0.0, 1.0)), **fit_kwargs)
-    except np.linalg.LinAlgError:
-        return UNDECIDED
+    result = fit(PqrPoint(*np.clip(x, 0.0, 1.0)), **fit_kwargs)
     return ATTAINABLE_BEYOND if result.status == "attained" else UNATTAINABLE_BEYOND
 
 

@@ -244,7 +244,6 @@ class SampleRecord:
     params: tuple[float, ...]
     point: tuple[float, float, float]
     boundary: bool
-    error: str | None = None
 
 
 @dataclass
@@ -254,10 +253,6 @@ class AtlasMesh:
     vertices: list[tuple[float, float, float]] = field(default_factory=list)
     groups: dict[str, list[tuple[int, int, int]]] = field(default_factory=dict)
     samples: list[SampleRecord] = field(default_factory=list)
-
-    @property
-    def failures(self) -> list[SampleRecord]:
-        return [rec for rec in self.samples if rec.error is not None]
 
 
 def trim_and_mesh(resolution: int, eps: float = 1e-3) -> AtlasMesh:
@@ -269,9 +264,7 @@ def trim_and_mesh(resolution: int, eps: float = 1e-3) -> AtlasMesh:
     probe runs only when the outward verdict is unattainable, since no
     other sample can be boundary.  Every probe passes the sample's witness
     word as the hint and fits with PROBE_MAX_ARCS arcs, PROBE_STARTS
-    starts per pattern and seed 0.  A sample with an undecided probe (a
-    LinAlgError from `fit`, which the solver never raises: its steps are
-    closed-form 3x3 solves) is recorded with error "undecided".
+    starts per pattern and seed 0.
     """
     probe_kwargs = dict(max_arcs=PROBE_MAX_ARCS, n_starts=PROBE_STARTS, seed=0)
     mesh = AtlasMesh()
@@ -294,9 +287,8 @@ def trim_and_mesh(resolution: int, eps: float = 1e-3) -> AtlasMesh:
             if outward == attainability.UNATTAINABLE_BEYOND:
                 inward = attainability.probe(point, -n, eps, hint=w, **probe_kwargs)
             boundary = inward == attainability.ATTAINABLE_BEYOND
-            error = "undecided" if attainability.UNDECIDED in (outward, inward) else None
             mesh.samples.append(
-                SampleRecord(patch.id, tuple(float(v) for v in params), tuple(x), boundary, error)
+                SampleRecord(patch.id, tuple(float(v) for v in params), tuple(x), boundary)
             )
             points.append(x)
             kept.append(boundary)

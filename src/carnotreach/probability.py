@@ -126,7 +126,6 @@ class CheckReport:
     n_trials: int
     n_attained: int
     worst_residual: float
-    failures: list[int] = field(default_factory=list)
     rows: list[tuple[float, float, float, str, float]] = field(default_factory=list)
 
     def to_csv(self) -> str:
@@ -140,13 +139,8 @@ class CheckReport:
 def _check(n_trials: int, trials, fit_kwargs: dict) -> CheckReport:
     """Run the solver on each (point, fit seed) of `trials` and tally it."""
     report = CheckReport(n_trials, 0, 0.0)
-    for trial, (point, seed) in enumerate(trials):
-        try:
-            result = attainability.fit(point, seed=seed, **fit_kwargs)
-        except np.linalg.LinAlgError:
-            report.failures.append(trial)
-            report.rows.append((point.p, point.q, point.r, "error", float("nan")))
-            continue
+    for point, seed in trials:
+        result = attainability.fit(point, seed=seed, **fit_kwargs)
         if result.status == "attained":
             report.n_attained += 1
             report.worst_residual = max(report.worst_residual, result.residual)

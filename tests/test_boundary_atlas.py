@@ -188,7 +188,6 @@ def test_reversal_sends_each_cyclic_quadric_to_its_reversed_pattern():
 
 def test_trim_and_mesh_small():
     mesh = atlas.trim_and_mesh(5, eps=1e-3)
-    assert mesh.failures == []
     assert len(mesh.samples) == 12 * 25
     assert mesh.vertices
     assert mesh.groups
@@ -245,21 +244,19 @@ def test_trim_propagates_prober_bugs(monkeypatch):
         atlas.trim_and_mesh(2)
 
 
-def test_trim_records_linear_algebra_failures(monkeypatch):
+def test_trim_propagates_linear_algebra_errors(monkeypatch):
+    # a sample is boundary or not: a solver error is not recorded as a third verdict
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("singular")
 
     monkeypatch.setattr(attainability, "fit", singular)
-    mesh = atlas.trim_and_mesh(2)
-    # samples whose probes both leave the cube never reach the solver
-    assert 0 < len(mesh.failures) < len(mesh.samples)
-    assert all(rec.error == "undecided" and not rec.boundary for rec in mesh.failures)
-    assert not mesh.groups
+    with pytest.raises(np.linalg.LinAlgError):
+        atlas.trim_and_mesh(2)
 
 
 def test_trim_probes_inward_only_beyond_an_unattainable_outward_point(monkeypatch):
     verdicts = iter(
-        [attainability.ATTAINABLE_BEYOND, attainability.UNDECIDED]
+        [attainability.ATTAINABLE_BEYOND, attainability.ATTAINABLE_BEYOND]
         + [attainability.UNATTAINABLE_BEYOND, attainability.ATTAINABLE_BEYOND] * 200
     )
     calls = []
@@ -271,8 +268,7 @@ def test_trim_probes_inward_only_beyond_an_unattainable_outward_point(monkeypatc
     monkeypatch.setattr(attainability, "probe", scripted)
     mesh = atlas.trim_and_mesh(2)
     first, second = mesh.samples[:2]
-    assert not first.boundary and first.error is None
-    assert not second.boundary and second.error == "undecided"
+    assert not first.boundary and not second.boundary
     assert all(rec.boundary for rec in mesh.samples[2:])
     # one probe for each of the first two samples, two for every other
     assert len(calls) == 2 * len(mesh.samples) - 2

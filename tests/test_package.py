@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -19,6 +20,27 @@ def test_every_export_resolves(name):
     module = importlib.import_module(name)
     missing = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
     assert missing == []
+
+
+# handlers that would turn a bug, or a solver error, into a verdict
+BROAD_EXCEPTIONS = {"Exception", "BaseException", "LinAlgError"}
+
+
+def _caught_names(handler: ast.ExceptHandler) -> set[str]:
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {t.attr if isinstance(t, ast.Attribute) else getattr(t, "id", None) for t in types}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_handler_catches_broad_or_solver_errors(name):
+    source = Path(importlib.import_module(name).__file__).read_text()
+    bad = [
+        handler.lineno
+        for handler in ast.walk(ast.parse(source))
+        if isinstance(handler, ast.ExceptHandler)
+        and (handler.type is None or _caught_names(handler) & BROAD_EXCEPTIONS)
+    ]
+    assert bad == [], f"{name}: bare, broad or LinAlgError handler at lines {bad}"
 
 
 def test_runtime_needs_no_scipy():
