@@ -70,6 +70,8 @@ from .words import (
     canonicalize,
     pqr,
     require_int,
+    require_real,
+    word_to_dict,
 )
 
 __all__ = [
@@ -79,8 +81,6 @@ __all__ = [
     "fit",
     "probe",
     "max_min_coordinate",
-    "ATTAINABLE_BEYOND",
-    "UNATTAINABLE_BEYOND",
 ]
 
 DEFAULT_MAX_ARCS = 8
@@ -108,9 +108,6 @@ _MAX_MIN_WORDS = {
     5: Word.of([(1, PHI * PHI), (2, PHI), (3, 1.0), (1, PHI), (2, PHI * PHI)]),
 }
 
-ATTAINABLE_BEYOND = "attainable-beyond"
-UNATTAINABLE_BEYOND = "unattainable-beyond"
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -123,8 +120,6 @@ class FitResult:
     certificate: str | None = None  # "sum-bound" | "golden-bound": proven unattainable
 
     def to_dict(self) -> dict:
-        from .words import word_to_dict
-
         d = {"status": self.status, "residual": self.residual, "starts_used": self.starts_used}
         if self.witness is not None:
             d["witness"] = word_to_dict(self.witness)
@@ -486,12 +481,14 @@ def probe(
     direction,
     eps: float = 1e-3,
     **fit_kwargs,
-) -> str:
-    """Classify the point eps further along the direction.
+) -> bool:
+    """Whether the point eps further along the direction is attainable.
 
     Points leaving the unit cube are unattainable outright; otherwise the
-    verdict comes from `fit`, and any error `fit` raises propagates.
+    answer is whether `fit` attains the point, and any error `fit` raises
+    propagates.
     """
+    eps = require_real("eps", eps)
     if not 0 < eps < math.inf:
         raise InvariantViolation("eps", f"eps must be finite and positive, got {eps}")
     d = np.asarray(direction, dtype=float)
@@ -501,9 +498,8 @@ def probe(
         raise InvariantViolation("direction-finite", f"direction must be finite, got {d}")
     x = point.as_array() + eps * d
     if (x < -1e-12).any() or (x > 1.0 + 1e-12).any():
-        return UNATTAINABLE_BEYOND
-    result = fit(PqrPoint(*np.clip(x, 0.0, 1.0)), **fit_kwargs)
-    return ATTAINABLE_BEYOND if result.status == "attained" else UNATTAINABLE_BEYOND
+        return False
+    return fit(PqrPoint(*np.clip(x, 0.0, 1.0)), **fit_kwargs).status == "attained"
 
 
 def max_min_coordinate(max_arcs: int = DEFAULT_MAX_ARCS) -> tuple[float, Word]:

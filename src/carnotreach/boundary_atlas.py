@@ -4,7 +4,8 @@ Generators for every named stratum: the six vertices, twelve
 one-parameter edge families (cube edges from mixed singular+bang words,
 facet diagonals from 3-switch words), six flat facet triangles from
 products of two two-letter blocks, and six quadric patches from 4-switch
-words.  Every stratum carries an explicit witness-word map, so each
+words.  Every stratum is a `FacePatch`: an explicit witness-word map on
+the unit parameter cube [0, 1]^dim, with dim 0 for a vertex, so each
 sampled point is attained by construction; facets and quadric equations
 follow from the letter-pair rule `words.pair_axis`.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -28,7 +30,6 @@ from .words import PQR_PAIRS, PqrPoint, Word, canonicalize, pair_axis, pqr, prec
 
 __all__ = [
     "FacePatch",
-    "VertexWitness",
     "AtlasMesh",
     "vertices",
     "edge_families",
@@ -49,16 +50,16 @@ PROBE_STARTS = 6
 class FacePatch:
     """A parametrized stratum of the boundary atlas.
 
-    `word_map` sends a parameter tuple inside `param_box` to a witness
-    word; `equation`, when present, vanishes on the patch and is
-    nonpositive on the body side; `outward` is the unit normal pointing
-    away from the body.
+    `word_map` sends a parameter tuple of the unit cube [0, 1]^dim to a
+    witness word (a vertex has dim 0 and one word); `equation`, when
+    present, vanishes on the patch and is nonpositive on the body side;
+    `outward` is the unit normal pointing away from the body.
     """
 
     kind: str  # vertex | cube-edge | diagonal-edge | flat-triangle | quadric
     id: str
     pattern: tuple[int, ...]
-    param_box: tuple[tuple[float, float], ...]
+    dim: int
     word_map: Callable[..., Word]
     equation: Callable[[np.ndarray], float] | None = None
     outward: Callable[[np.ndarray], np.ndarray] | None = None
@@ -70,24 +71,24 @@ class FacePatch:
         return pqr(self.word(*params))
 
     def sample_grid(self, resolution: int):
-        """Yield (params, word, point) over a regular grid of the box."""
+        """Yield (params, word, point) over a regular grid of the cube."""
         require_int("resolution", resolution, 2)
-        axes = [np.linspace(lo, hi, resolution) for lo, hi in self.param_box]
-        for idx in np.ndindex(*(resolution,) * len(axes)):
-            params = tuple(axes[d][i] for d, i in enumerate(idx))
+        axis = np.linspace(0.0, 1.0, resolution)
+        for idx in np.ndindex(*(resolution,) * self.dim):
+            params = tuple(axis[i] for i in idx)
             w = self.word(*params)
             yield params, w, pqr(w)
 
 
-@dataclass(frozen=True)
-class VertexWitness:
-    label: str
-    point: PqrPoint
-    word: Word
+def _vertex_patch(pattern: tuple[int, int, int], label: str) -> FacePatch:
+    def word_map():
+        return Word.of((l, 1.0) for l in pattern)
+
+    return FacePatch(kind="vertex", id=label, pattern=pattern, dim=0, word_map=word_map)
 
 
-def vertices() -> list[VertexWitness]:
-    """The six vertices with their 3-arc permutation witness words."""
+def vertices() -> list[FacePatch]:
+    """The six vertices, zero-parameter patches of 3-arc permutation words."""
     table = {
         (1, 3, 2): "A1",
         (2, 1, 3): "B2",
@@ -96,11 +97,7 @@ def vertices() -> list[VertexWitness]:
         (2, 3, 1): "C2",
         (1, 2, 3): "D1",
     }
-    out = []
-    for pattern, label in table.items():
-        w = Word.of((l, 1.0) for l in pattern)
-        out.append(VertexWitness(label, pqr(w), w))
-    return out
+    return [_vertex_patch(pattern, label) for pattern, label in table.items()]
 
 
 def _cube_edge_patch(i: int, j: int, after: bool) -> FacePatch:
@@ -116,7 +113,7 @@ def _cube_edge_patch(i: int, j: int, after: bool) -> FacePatch:
         kind="cube-edge",
         id=f"cube-edge-{i}{j}-{pos}{k}",
         pattern=tuple(l for l, _ in word_map(0.5).arcs),
-        param_box=((0.0, 1.0),),
+        dim=1,
         word_map=word_map,
     )
 
@@ -131,7 +128,7 @@ def _diagonal_patch(i: int, j: int) -> FacePatch:
         kind="diagonal-edge",
         id=f"diagonal-{i}{j}",
         pattern=(k, i, j, k),
-        param_box=((0.0, 1.0),),
+        dim=1,
         word_map=word_map,
     )
 
@@ -172,7 +169,7 @@ def _flat_triangle_patch(u: int, w: int, v: int) -> FacePatch:
         kind="flat-triangle",
         id=f"flat-{u}{w}{v}",
         pattern=(u, w, u, v, w),
-        param_box=((0.0, 1.0), (0.0, 1.0)),
+        dim=2,
         word_map=word_map,
         equation=equation,
         outward=outward,
@@ -219,7 +216,7 @@ def _quadric_patch(pattern) -> FacePatch:
         kind="quadric",
         id="quadric-" + "".join(map(str, pattern)),
         pattern=tuple(pattern),
-        param_box=((0.0, 1.0), (0.0, 1.0)),
+        dim=2,
         word_map=word_map,
         equation=equation,
         outward=outward,
@@ -282,11 +279,8 @@ def trim_and_mesh(resolution: int, eps: float = 1e-3) -> AtlasMesh:
         for params, w, point in patch.sample_grid(resolution):
             x = point.as_array()
             n = patch.outward(x)
-            outward = attainability.probe(point, n, eps, hint=w, **probe_kwargs)
-            inward = None
-            if outward == attainability.UNATTAINABLE_BEYOND:
-                inward = attainability.probe(point, -n, eps, hint=w, **probe_kwargs)
-            boundary = inward == attainability.ATTAINABLE_BEYOND
+            attainable_beyond = partial(attainability.probe, point, eps=eps, hint=w, **probe_kwargs)
+            boundary = not attainable_beyond(n) and attainable_beyond(-n)
             mesh.samples.append(
                 SampleRecord(patch.id, tuple(float(v) for v in params), tuple(x), boundary)
             )
@@ -331,17 +325,9 @@ def strata_csv(resolution: int = 11) -> str:
     """CSV dump of all strata: label, parameters, p, q, r, witness word."""
     buf = io.StringIO()
     buf.write("label,params,p,q,r,witness\n")
-
-    def row(label, params, point, word):
-        params_str = ";".join(repr(float(v)) for v in params)
-        witness = json.dumps(word_to_dict(word))
-        buf.write(
-            f'{label},{params_str},{point.p!r},{point.q!r},{point.r!r},"{witness.replace(chr(34), chr(34) * 2)}"\n'
-        )
-
-    for v in vertices():
-        row(v.label, (), v.point, v.word)
-    for patch in edge_families() + flat_triangles() + quadric_patches():
+    for patch in vertices() + edge_families() + flat_triangles() + quadric_patches():
         for params, word, point in patch.sample_grid(resolution):
-            row(patch.id, params, point, word)
+            params_str = ";".join(repr(float(v)) for v in params)
+            witness = json.dumps(word_to_dict(word)).replace('"', '""')
+            buf.write(f'{patch.id},{params_str},{point.p!r},{point.q!r},{point.r!r},"{witness}"\n')
     return buf.getvalue()

@@ -216,7 +216,7 @@ def main(argv=None) -> int:
         json.dump({"error": exc.name, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

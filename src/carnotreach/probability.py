@@ -158,6 +158,7 @@ def random_dice_check(
     each with its default seed."""
     require_int("n-trials", n_trials, 1)
     require_int("atoms-max", atoms_max, 1)
+    require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     trials = ((dice_pqr(*random_dice_triple(atoms_max, rng)), 0) for _ in range(n_trials))
     return _check(n_trials, trials, fit_kwargs)
@@ -173,6 +174,7 @@ def random_word_check(
     with a drawn seed, on the (p, q, r) of each."""
     require_int("n-trials", n_trials, 1)
     require_int("max-arcs", max_arcs, 3)
+    require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
 
     def trials():

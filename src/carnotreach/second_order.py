@@ -28,6 +28,8 @@ __all__ = [
 
 NULLSPACE_CUTOFF = 1e-10
 POSITIVE_EIG_TOL = 1e-10
+# largest gap between a word's durations and those its covector synthesizes
+CONSISTENCY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ class SecondOrderReport:
     verdict: str  # "not-optimal" | "inconclusive"
 
 
-def _check_consistency(w: Word, a: AdjointCovector, tol: float) -> None:
+def _check_consistency(w: Word, a: AdjointCovector) -> None:
     synthesized, _ = synthesize(a, w.total_duration)
     if len(synthesized.arcs) != len(w.arcs):
         raise InvariantViolation(
@@ -105,7 +107,7 @@ def _check_consistency(w: Word, a: AdjointCovector, tol: float) -> None:
             f"word has {len(w.arcs)} arcs but the covector synthesizes {len(synthesized.arcs)}",
         )
     for (l1, t1), (l2, t2) in zip(w.arcs, synthesized.arcs):
-        if l1 != l2 or abs(t1 - t2) > tol:
+        if l1 != l2 or abs(t1 - t2) > CONSISTENCY_TOL:
             raise InvariantViolation(
                 "word-covector",
                 f"word arc ({l1}, {t1}) does not match synthesized arc ({l2}, {t2})",
@@ -116,7 +118,6 @@ def ag_test(
     w: Word,
     a: AdjointCovector,
     check_consistency: bool = True,
-    consistency_tol: float = 1e-8,
 ) -> SecondOrderReport:
     """Second-order test of the word against its covector.
 
@@ -130,7 +131,7 @@ def ag_test(
     if k < 2:
         raise InvariantViolation("switch-count", f"need at least 2 switchings, got {k}")
     if check_consistency:
-        _check_consistency(w, a, consistency_tol)
+        _check_consistency(w, a)
 
     z = conjugated_fields(w)
     n = k + 1

@@ -71,16 +71,6 @@ class InvariantViolation(ValueError):
         self.name = name
 
 
-def _letter(value) -> int:
-    """An integer letter; floats, bools and strings are rejected, numpy ints pass."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise InvariantViolation("word-letter", f"letter must be an integer, got {value!r}")
-
-
 def require_int(name: str, value, minimum: int) -> int:
     """An integer argument of at least `minimum`, else InvariantViolation
     `name`; floats, bools and strings are rejected, numpy ints pass."""
@@ -122,7 +112,7 @@ class Word:
 
     @staticmethod
     def of(arcs) -> "Word":
-        return Word(tuple((_letter(l), require_real("word-duration", t)) for l, t in arcs))
+        return Word(tuple((require_int("word-letter", l, 1), require_real("word-duration", t)) for l, t in arcs))
 
     @property
     def total_duration(self) -> float:

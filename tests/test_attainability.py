@@ -10,8 +10,6 @@ from hypothesis import given, strategies as st
 
 from carnotreach import attainability, boundary_atlas, witness_table
 from carnotreach.attainability import (
-    ATTAINABLE_BEYOND,
-    UNATTAINABLE_BEYOND,
     enumerate_patterns,
     exclusion_bound,
     fit,
@@ -146,13 +144,23 @@ def test_fit_bounds_the_solver_size():
 def test_probe_directions():
     inward = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
     center = PqrPoint(0.5, 0.5, 0.5)
-    assert probe(center, inward, eps=0.05, max_arcs=6, n_starts=8) == ATTAINABLE_BEYOND
+    assert probe(center, inward, eps=0.05, max_arcs=6, n_starts=8) is True
     golden = PqrPoint(PHI, PHI, PHI)
-    assert probe(golden, inward, eps=1e-3, max_arcs=8) == UNATTAINABLE_BEYOND
+    assert probe(golden, inward, eps=1e-3, max_arcs=8) is False
     # leaving the cube is unattainable outright
-    assert probe(PqrPoint(1.0, 0.5, 0.5), (1, 0, 0)) == UNATTAINABLE_BEYOND
+    assert probe(PqrPoint(1.0, 0.5, 0.5), (1, 0, 0)) is False
     with pytest.raises(InvariantViolation):
         probe(center, inward, eps=0.0)
+
+
+def test_probe_names_a_mistyped_eps():
+    center = PqrPoint(0.5, 0.5, 0.5)
+    for eps in (True, "0.1", None, -1e-3, np.inf, np.nan):
+        with pytest.raises(InvariantViolation) as exc:
+            probe(center, (1, 0, 0), eps=eps)
+        assert exc.value.name == "eps"
+    # a numpy float passes; this step leaves the cube, so no search runs
+    assert probe(PqrPoint(1.0, 0.5, 0.5), (1, 0, 0), eps=np.float64(1e-3)) is False
 
 
 def test_interior_point_both_sides_attainable():
@@ -160,8 +168,8 @@ def test_interior_point_both_sides_attainable():
     n = np.array([1.0, 0.5, 0.5])
     n = n / np.linalg.norm(n)
     kwargs = dict(max_arcs=6, n_starts=8, seed=0)
-    assert probe(x, n, eps=1e-3, **kwargs) == ATTAINABLE_BEYOND
-    assert probe(x, -n, eps=1e-3, **kwargs) == ATTAINABLE_BEYOND
+    assert probe(x, n, eps=1e-3, **kwargs) is True
+    assert probe(x, -n, eps=1e-3, **kwargs) is True
 
 
 @pytest.mark.parametrize("max_arcs", [3, 4, 5, 8])
@@ -216,7 +224,7 @@ def test_screen_equivariant_under_shift_and_reversal():
 
 def test_screen_keeps_vertices_attained_at_tiny_tol():
     for v in boundary_atlas.vertices():
-        result = fit(v.point, max_arcs=3, tol=1e-16)
+        result = fit(v.point(), max_arcs=3, tol=1e-16)
         assert result.status == "attained"
         assert result.certificate is None
 
@@ -263,7 +271,7 @@ def test_screen_spares_reference_attained_points():
 
 def test_hint_far_from_target_falls_back_to_the_sweep():
     target = PqrPoint(0.5, 0.5, 0.5)
-    vertex = boundary_atlas.vertices()[0].word
+    vertex = boundary_atlas.vertices()[0].word()
     plain = fit(target, max_arcs=4).to_dict()
     hinted = fit(target, max_arcs=4, hint=vertex).to_dict()
     assert hinted.pop("starts_used") > plain.pop("starts_used")
@@ -271,7 +279,7 @@ def test_hint_far_from_target_falls_back_to_the_sweep():
 
 
 def test_hint_keeps_a_certified_target_certified():
-    vertex = boundary_atlas.vertices()[0].word
+    vertex = boundary_atlas.vertices()[0].word()
     for target in (PqrPoint(0.7, 0.7, 0.7), PqrPoint(0.2, 0.2, 0.2)):
         hinted = fit(target, hint=vertex)
         assert hinted == fit(target)
@@ -673,7 +681,7 @@ def test_conjecture_q_admits_every_dice_triple(atoms_max, seed):
 
 def test_conjecture_q_admits_every_strata_sample():
     patches = boundary_atlas.edge_families() + boundary_atlas.flat_triangles() + boundary_atlas.quadric_patches()
-    points = [v.point for v in boundary_atlas.vertices()]
+    points = [v.point() for v in boundary_atlas.vertices()]
     points += [point for patch in patches for _, _, point in patch.sample_grid(5)]
     assert len(points) == 366
     assert not any(_q_excludes(point.as_array()) for point in points)

@@ -17,10 +17,18 @@ def test_vertices_table():
         "C2": (0, 1, 1),
         "D1": (1, 1, 0),
     }
-    got = {v.label: (v.point.p, v.point.q, v.point.r) for v in atlas.vertices()}
+    got = {v.id: (v.point().p, v.point().q, v.point().r) for v in atlas.vertices()}
     assert got == expected
     for v in atlas.vertices():
-        assert pqr(v.word) == v.point
+        assert pqr(v.word()) == v.point()
+
+
+def test_vertices_are_zero_parameter_patches():
+    for v in atlas.vertices():
+        assert v.kind == "vertex"
+        assert v.dim == 0
+        for resolution in (2, 7):
+            assert list(v.sample_grid(resolution)) == [((), v.word(), v.point())]
 
 
 def test_edge_families_count_and_kinds():
@@ -256,8 +264,7 @@ def test_trim_propagates_linear_algebra_errors(monkeypatch):
 
 def test_trim_probes_inward_only_beyond_an_unattainable_outward_point(monkeypatch):
     verdicts = iter(
-        [attainability.ATTAINABLE_BEYOND, attainability.ATTAINABLE_BEYOND]
-        + [attainability.UNATTAINABLE_BEYOND, attainability.ATTAINABLE_BEYOND] * 200
+        [True, True] + [False, True] * 200
     )
     calls = []
 
@@ -320,3 +327,15 @@ def test_strata_csv_bytes_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "e5c9b6d9f572529699983f558765a2e5d47f618a5634a048830ae7608bd51013"
     )
+
+
+@pytest.mark.parametrize(
+    "resolution, digest",
+    [
+        (5, "deece503914686ffc3ee7ffd6e75e034e798902e5d89574c54d121c60f71af2c"),
+        (11, "22def45c8feee986b5c826dae6cbde903f6070f9c38387f7e507a4f71cafccb8"),
+    ],
+)
+def test_strata_csv_bytes_are_pinned_at_finer_resolutions(resolution, digest):
+    # sha256 recorded while vertices were a separate type from the patches
+    assert hashlib.sha256(atlas.strata_csv(resolution).encode()).hexdigest() == digest

@@ -341,6 +341,19 @@ def test_mc_verify_checks_atoms_max_before_any_solve(capsys, monkeypatch):
     assert json.loads(err)["error"] == "atoms-max"
 
 
+def test_mc_verify_names_a_negative_seed_before_any_solve(capsys, monkeypatch):
+    from carnotreach import attainability
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("fit called before --seed was checked")
+
+    monkeypatch.setattr(attainability, "fit", no_solve)
+    code, out, err = run(capsys, "mc-verify", "--n", "1", "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "seed"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

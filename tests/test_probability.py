@@ -143,6 +143,14 @@ def test_random_word_check_validates_its_sizes():
         assert exc.value.name == name
 
 
+def test_random_checks_validate_the_seed():
+    for check in (random_dice_check, random_word_check):
+        for seed in (-1, True, 1.5):
+            with pytest.raises(InvariantViolation) as exc:
+                check(2, seed=seed)
+            assert exc.value.name == "seed"
+
+
 def test_random_checks_propagate_solver_errors(monkeypatch):
     # a trial is attained or not-found: no error of `fit` becomes an error row
     for error in (np.linalg.LinAlgError, TypeError):
