@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .words import InvariantViolation, Word, canonicalize
+from .words import InvariantViolation, Word, canonicalize, require_real
 
 __all__ = [
     "AdjointCovector",
@@ -47,10 +47,14 @@ class AdjointCovector:
 
     @staticmethod
     def of(h, skew) -> "AdjointCovector":
-        h = tuple(float(v) for v in h)
-        skew = tuple(float(v) for v in skew)
+        try:
+            h, skew = tuple(h), tuple(skew)
+        except TypeError:
+            raise InvariantViolation("covector", f"h and skew must be 3-vectors, got {h!r} and {skew!r}") from None
         if len(h) != 3 or len(skew) != 3:
             raise InvariantViolation("covector", f"h and skew must be 3-vectors, got {h} and {skew}")
+        h = tuple(require_real("covector", v) for v in h)
+        skew = tuple(require_real("covector", v) for v in skew)
         if not all(math.isfinite(v) for v in h + skew):
             raise InvariantViolation("covector", f"h and skew must be finite, got {h} and {skew}")
         return AdjointCovector(h, skew)
@@ -169,6 +173,7 @@ def synthesize(
     is reported as singular (or mixed, if some bang arcs were generated).
     A horizon that needs more than MAX_SYNTH_ARCS arcs raises "switches".
     """
+    horizon = require_real("horizon", horizon)
     # an infinite horizon never runs down, so the loop below would not end
     if not 0 <= horizon < math.inf:
         raise InvariantViolation("horizon", f"horizon must be finite and nonnegative, got {horizon}")

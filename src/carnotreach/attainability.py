@@ -12,22 +12,18 @@ The Jacobian of the three coordinates has three rows, so each damped
 step solves a 3x3 system in closed form (`_damped_step`) rather than the
 n x n normal equations.
 
-The batch is an active set.  A start whose trial step is rejected keeps
-its durations, so its Jacobian is reused rather than rebuilt, and a start
-rejected with its damping already at the cap would repeat the same
-rejected step forever, so it retires from the batch.  Both rules skip
-only arithmetic whose outcome is already known: the results are
-bit-identical to iterating every start for the full iteration count.  The
-size of the largest batch is bounded before anything is allocated
+Each batch is one dense loop over all its starts.  Two maps per pattern,
+built once, turn the quadratic form into matrix products, so the residuals
+and the projected Jacobians of every start take one batched product each.
+The size of the largest batch is bounded before anything is allocated
 (`solver-size`).
 
-Memory: the per-start state is the projected Jacobian J (3, n), its Gram
-matrix J J^T (3, 3) and vectors of n numbers or fewer.  Everything else a
-Gauss-Newton iteration builds (the gathered pair masks, the trial
-durations and residuals) is made for at most GN_CHUNK starts at a time.
+Memory: the state of a start is its durations, residual and damping.  An
+iteration adds the projected Jacobian J (3, n), its Gram matrix J J^T
+(3, 3) and the trial durations and residuals, each released once used.
 On the largest batch of a default sweep, 378 patterns of 8 arcs with 20
 starts each, the traced peak of an iteration is about 3.7 times the bytes
-of the stored J.
+of J, reached inside `_damped_step`.
 
 Before any search, `fit` checks two proven bounds on the attainable
 set: the cyclic identity 1 <= p + q + r <= 2 (exactly one or two of the
@@ -52,7 +48,6 @@ reached by an explicit word (proof in its docstring).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -91,10 +86,8 @@ GN_ITERS = 70
 LAM_MIN, LAM_MAX = 1e-14, 1e10
 # the table word nearest a target, refined when the caller gives no hint
 _table_word = witness_table.nearest
-# starts per slice of a Gauss-Newton iteration, which bounds its temporaries
-GN_CHUNK = 512
 # cap on the largest array of the longest batch, max(P * S * 3n, P * 3n^2):
-# the stored Jacobians or the pattern masks; admits max_arcs 11 with 20 starts
+# the Jacobians of an iteration or the pattern maps; admits max_arcs 11 with 20 starts
 MAX_BATCH_ENTRIES = 2**22
 
 # golden bound: min(p, q, r) <= PHI and max(p, q, r) >= 1 - PHI on the attainable set
@@ -180,17 +173,6 @@ def _renormalize(t: np.ndarray, onehot: np.ndarray) -> np.ndarray:
     return t * scale
 
 
-def _tangent_project(d: np.ndarray, onehot: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Remove per-letter means so steps preserve the letter totals;
-    counts = onehot.sum(axis=2) (P, 3) is the number of arcs per letter."""
-    # d is (P, ..., n) with onehot[i] the letters of d[i]; flatten the middle axes
-    orig_shape = d.shape
-    flat = d.reshape(orig_shape[0], -1, orig_shape[-1])  # (P, B, n)
-    sums = np.einsum("pcn,pbn->pbc", onehot, flat)
-    flat = flat - np.einsum("pcn,pbc->pbn", onehot, sums / counts[:, None, :])
-    return flat.reshape(orig_shape)
-
-
 def _damped_step(J: np.ndarray, G: np.ndarray, lam: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Levenberg-Marquardt steps -(J^T J + lam I)^-1 J^T r of a batch, for
     Jacobians J (..., 3, n), their Gram matrices G = J J^T (..., 3, 3),
@@ -215,7 +197,7 @@ def _damped_step(J: np.ndarray, G: np.ndarray, lam: np.ndarray, r: np.ndarray) -
     y2 = (r[..., 2] - l20 * z0 - l21 * z1) / l22 / l22
     y1 = (z1 - l21 * y2) / l11
     y0 = (z0 - l10 * y1 - l20 * y2) / l00
-    return -(J[..., 0, :] * y0[..., None] + J[..., 1, :] * y1[..., None] + J[..., 2, :] * y2[..., None])
+    return -np.einsum("...k,...kn->...n", np.stack([y0, y1, y2], axis=-1), J)
 
 
 def _gauss_newton(
@@ -227,81 +209,61 @@ def _gauss_newton(
 ):
     """Damped Gauss-Newton over patterns `pat` (P, n) from starts `t`
     (P, S, n) on the per-letter simplices; returns (durations, squared
-    residuals (P, S)).  Stops once any start meets the tolerance.
+    residuals (P, S)).  Stops once any start meets the tolerance, or once
+    every start is frozen.
+
+    Two maps (n, 3n) per pattern are built once.  H[l, (k, m)] is entry
+    (l, m) of B_k = M_k + M_k^T, with M_k the k-th pair mask of
+    `_pair_masks`; K = H proj, with proj the tangent projection, which
+    removes per-letter means.  For durations t, the row t H holds the three
+    gradients B_k t, so the residuals are t^T B_k t / 2 - target, and t K
+    is the projected Jacobian J (3, n).  Every start of the batch runs
+    through the same products.
 
     Each start is damped on its own, with lam in [LAM_MIN, LAM_MAX], and
-    steps by `_damped_step` from its projected Jacobian J (3, n) and
-    G = J J^T (3, 3).  G is positive semidefinite, so every squared pivot
-    of the 3x3 system G + lam I is at least lam >= LAM_MIN: no step can
-    fail, and no start needs a fallback.  A rejected trial leaves the
-    start's durations, and so J and G, unchanged: they are recomputed only
-    for starts whose last trial was accepted.  A start rejected with lam
-    already at LAM_MAX keeps its durations, residual and lam, so every
-    later iteration would repeat its step bit for bit and be rejected
-    again; it retires, and the loop ends when no start is left.  The step
-    is elementwise arithmetic on the start's own J, G, lam and r, which no
-    other start changes, so the result is bit-identical to iterating every
-    start to the end.
-
-    An iteration first rebuilds J and G of the starts accepted last time,
-    then steps, evaluates and accepts the live starts, GN_CHUNK at a time.
-    Each start's arithmetic does not depend on the slicing, so neither does
-    the result.
+    steps by `_damped_step` from J and G = J J^T (3, 3).  G is positive
+    semidefinite, so every squared pivot of the 3x3 system G + lam I is at
+    least lam >= LAM_MIN: no step can fail, and no start needs a fallback.
+    A start rejected with lam already at LAM_MAX keeps its durations,
+    residual and lam, so every later iteration repeats its step bit for bit
+    and is rejected again: it is frozen for good.
     """
-    P, n = pat.shape
-    S = t.shape[1]
+    P, S, n = t.shape
     M = _pair_masks(pat)
-    Msym = M + M.transpose(0, 1, 3, 2)
+    H = (M + M.transpose(0, 1, 3, 2)).transpose(0, 2, 1, 3).reshape(P, n, 3 * n)
+    del M  # M, J and the trial arrays are released once used: the peak is the step
     onehot = _letter_onehot(pat)
-    counts = onehot.sum(axis=2)
-    owner = np.repeat(np.arange(P), S)  # pattern of each start
+    proj = np.eye(n) - np.matmul(onehot.transpose(0, 2, 1), onehot / onehot.sum(axis=2, keepdims=True))
+    K = np.matmul(H.reshape(P, 3 * n, n), proj).reshape(P, n, 3 * n)
+    del proj
 
-    def chunks(count):
-        return (slice(c, c + GN_CHUNK) for c in range(0, count, GN_CHUNK))
-
-    def residuals(rows, tt):
-        """Residuals at durations tt (b, n) of at most GN_CHUNK starts whose
-        patterns are `rows`."""
-        return np.einsum("bklm,bl,bm->bk", M[rows], tt, tt) - target
+    def residuals(tt):
+        grads = np.matmul(tt, H).reshape(P, S, 3, n)
+        return 0.5 * np.einsum("pskm,psm->psk", grads, tt) - target
 
     def sqnorm(r):
-        return np.einsum("bk,bk->b", r, r)
+        return np.einsum("psk,psk->ps", r, r)
 
-    t = t.reshape(P * S, n).copy()
-    rcur = np.concatenate([residuals(owner[part], t[part]) for part in chunks(P * S)])
+    rcur = residuals(t)
     fcur = sqnorm(rcur)
-    lam = np.full(P * S, 1e-3)
-    J = np.empty((P * S, 3, n))
-    G = np.empty((P * S, 3, 3))
-    live = moved = np.arange(P * S)
+    lam = np.full((P, S), 1e-3)
     for _ in range(iters):
-        for part in chunks(len(moved)):
-            idx = moved[part]
-            pc = owner[idx]
-            Jm = _tangent_project(np.einsum("bklm,bm->bkl", Msym[pc], t[idx]), onehot[pc], counts[pc])
-            J[idx] = Jm
-            G[idx] = np.einsum("bkn,bln->bkl", Jm, Jm)
-        accepted = np.empty(len(live), dtype=bool)
-        frozen = np.empty(len(live), dtype=bool)
-        for part in chunks(len(live)):
-            idx = live[part]
-            pc = owner[idx]
-            lam_live = lam[idx]
-            step = _damped_step(J[idx], G[idx], lam_live, rcur[idx])
-            t_trial = _renormalize(t[idx, None] + step[:, None], onehot[pc])[:, 0]
-            r_trial = residuals(pc, t_trial)
-            f_trial = sqnorm(r_trial)
-            accept = accepted[part] = f_trial < fcur[idx]
-            stepped = idx[accept]
-            t[stepped] = t_trial[accept]
-            rcur[stepped] = r_trial[accept]
-            fcur[stepped] = f_trial[accept]
-            frozen[part] = ~accept & (lam_live == LAM_MAX)
-            lam[idx] = np.clip(np.where(accept, lam_live * 0.3, lam_live * 5.0), LAM_MIN, LAM_MAX)
-        moved, live = live[accepted], live[~frozen]
-        if fcur.min() <= (tol * tol) * 1e-4 or not live.size:
+        J = np.matmul(t, K).reshape(P, S, 3, n)
+        t_trial = t + _damped_step(J, np.einsum("pskn,psln->pskl", J, J), lam, rcur)
+        del J
+        t_trial = _renormalize(t_trial, onehot)
+        r_trial = residuals(t_trial)
+        f_trial = sqnorm(r_trial)
+        accept = f_trial < fcur
+        t = np.where(accept[..., None], t_trial, t)
+        rcur = np.where(accept[..., None], r_trial, rcur)
+        fcur = np.where(accept, f_trial, fcur)
+        del t_trial, r_trial, f_trial
+        frozen = ~accept & (lam == LAM_MAX)
+        lam = np.clip(np.where(accept, lam * 0.3, lam * 5.0), LAM_MIN, LAM_MAX)
+        if fcur.min() <= (tol * tol) * 1e-4 or frozen.all():
             break
-    return t.reshape(P, S, n), fcur.reshape(P, S)
+    return t, fcur
 
 
 def _search(patterns, starts: np.ndarray, target: np.ndarray, tol: float, iters: int = GN_ITERS):
@@ -416,14 +378,15 @@ def fit(
 
     Before anything is allocated, a sweep whose longest batch needs an
     array of more than MAX_BATCH_ENTRIES entries raises "solver-size"; the
-    largest are the stored Jacobians, P * S * 3n entries, and the pattern
-    masks, P * 3n^2.
+    largest are the Jacobians of an iteration, P * S * 3n entries, and the
+    pattern maps, P * 3n^2.
     """
     require_int("max-arcs", max_arcs, 3)
     require_int("seed", seed, 0)
     require_int("n-starts", n_starts, 1)
-    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool) and 0 < tol < math.inf):
-        raise InvariantViolation("tol", f"tol must be a finite positive number, got {tol!r}")
+    tol = require_real("tol", tol)
+    if not 0 < tol < math.inf:
+        raise InvariantViolation("tol", f"tol must be finite and positive, got {tol}")
     # the longest patterns make the largest batch: 3 * 2^(n-1) - 6 patterns
     n = max_arcs
     P, S = 3 * 2 ** (n - 1) - 6, 1 if n == 3 else n_starts
@@ -432,7 +395,7 @@ def fit(
         raise InvariantViolation(
             "solver-size",
             f"max_arcs={max_arcs} with n_starts={n_starts} needs {entries} entries in its "
-            f"largest Gauss-Newton array (Jacobians or pattern masks), above {MAX_BATCH_ENTRIES}",
+            f"largest Gauss-Newton array (Jacobians or pattern maps), above {MAX_BATCH_ENTRIES}",
         )
     if hint is not None:
         _check_hint(hint)

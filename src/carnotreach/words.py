@@ -89,6 +89,8 @@ def require_int(name: str, value, minimum: int) -> int:
 def require_real(name: str, value) -> float:
     """A real number as a float, else InvariantViolation `name`; bools,
     strings and integers too large for a float are rejected, numpy numbers pass."""
+    if type(value) is float:  # the common case, without the slower ABC check
+        return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             return float(value)
@@ -136,6 +138,8 @@ class PqrPoint:
     def __post_init__(self):
         tol = 1e-9
         for name, v in (("p", self.p), ("q", self.q), ("r", self.r)):
+            # checked as a float; the field keeps the value as given
+            v = require_real("pqr", v)
             if not math.isfinite(v):
                 raise InvariantViolation("pqr-finite", f"{name} = {v} is not finite")
             if v < -tol or v > 1.0 + tol:
@@ -253,7 +257,7 @@ def random_word(n_arcs: int, seed: int) -> Word:
     arcs, so each letter total is exactly 1.  Deterministic in the seed.
     """
     require_int("n-arcs", n_arcs, 3)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_int("seed", seed, 0))
     pattern = random_pattern(n_arcs, rng)
     durations = np.empty(n_arcs)
     for letter in LETTERS:

@@ -138,7 +138,8 @@ def test_synthesize_input_validation():
     with pytest.raises(InvariantViolation):
         synthesize(AdjointCovector.of((1, 0, 0), (1, 1, 1)), -1.0)
     # inf - step stays inf, so an infinite horizon would append arcs forever
-    for horizon in (np.inf, np.nan):
+    # a string, a bool or an integer too large for a float is named too
+    for horizon in (np.inf, np.nan, "3", True, 10**400):
         with pytest.raises(InvariantViolation) as exc:
             synthesize(AdjointCovector.of((1.0, 0.5, 0.5), (1.0, -1.0, 1.0)), horizon)
         assert exc.value.name == "horizon"
@@ -152,6 +153,23 @@ def test_covector_rejects_wrong_length_or_non_finite(h, skew):
     with pytest.raises(InvariantViolation) as exc:
         AdjointCovector.of(h, skew)
     assert exc.value.name == "covector"
+
+
+@pytest.mark.parametrize(
+    "h, skew",
+    [(("1", True, 0.5), (0, 0, 0)), (5, (1, 1, 1)), ((1, 1, 1), None), ((1, 1, 1), (1, 10**400, 1))],
+)
+def test_covector_rejects_mistyped_entries(h, skew):
+    # strings and bools used to pass as numbers, and the others raised a bare TypeError or OverflowError
+    with pytest.raises(InvariantViolation) as exc:
+        AdjointCovector.of(h, skew)
+    assert exc.value.name == "covector"
+
+
+def test_covector_accepts_numpy_numbers():
+    a = AdjointCovector.of(np.array([1.0, 0.5, 0.25]), (np.float32(1.0), np.int64(-1), 1))
+    assert a == AdjointCovector((1.0, 0.5, 0.25), (1.0, -1.0, 1.0))
+    assert all(type(v) is float for v in a.h + a.skew)
 
 
 def test_switch_events_csv_shape():

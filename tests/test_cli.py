@@ -90,17 +90,18 @@ GOLDEN_MEMBER = {
 # (0.6, 0.5, 0.4) is settled by refinement, (0.36, 0.24, 0.45) refines its
 # 5-arc table word, misses, and sweeps to the residual above, counting both in
 # starts_used.  Recorded when the witness table was added; the attained bytes
-# were re-recorded with the three-row Gauss-Newton step, which kept the status,
-# starts_used and witness letters and moved the last bits of the durations
+# were re-recorded with the three-row Gauss-Newton step and again with the
+# dense loop, each of which kept the status, starts_used and witness letters
+# and moved the last bits of the durations
 GOLDEN_TABLE_MEMBER = {
     ("0.6", "0.5", "0.4"): ((), (
-        '{\n  "status": "attained",\n  "residual": 2.7528717674843763e-10,\n'
+        '{\n  "status": "attained",\n  "residual": 2.7528726586045127e-10,\n'
         '  "starts_used": 18,\n  "witness": {\n    "letters": [\n      3,\n'
         '      1,\n      2,\n      3,\n      2,\n      1,\n      3\n    ],\n'
-        '    "durations": [\n      0.03958500777502278,\n      0.5999999998092116,\n'
-        '      0.48901682482989883,\n      0.9010374797146369,\n'
-        '      0.5109831751701012,\n      0.40000000019078835,\n'
-        '      0.05937751251034035\n    ]\n  },\n  "max_arcs": 8\n}\n'
+        '    "durations": [\n      0.039585007775022614,\n      0.5999999998092115,\n'
+        '      0.48901682482989867,\n      0.901037479714637,\n'
+        '      0.5109831751701013,\n      0.40000000019078846,\n'
+        '      0.05937751251034048\n    ]\n  },\n  "max_arcs": 8\n}\n'
     )),
     ("0.36", "0.24", "0.45"): (("--max-arcs", "6"), (
         '{\n  "status": "not-found",\n  "residual": 0.02593712749248486,\n'
@@ -205,8 +206,8 @@ def test_mc_verify(tmp_path, capsys):
 
 
 def test_mc_verify_golden_output(tmp_path, capsys):
-    # sha256 of stdout followed by the CSV, recorded with the three-row
-    # Gauss-Newton step; the verdicts are those recorded before it
+    # sha256 of stdout followed by the CSV, re-recorded with the dense
+    # Gauss-Newton loop; the verdicts are those recorded before the three-row step
     csv_path = str(tmp_path / "mc.csv")
     code, out, _ = run(capsys, "mc-verify", "--n", "6", "--seed", "1", "--out-csv", csv_path)
     assert code == 0
@@ -216,7 +217,7 @@ def test_mc_verify_golden_output(tmp_path, capsys):
     assert [row.split(",")[3] for row in rows] == ["attained"] * 6
     text = out + open(csv_path).read()
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "79a860ccc2a7d6d917f43a66ce8f976755636aaee556fd8cf5a6a4157f912f0a"
+        "070f83f4fd18f20fe5e1d21f06bf2aecd907d011a12b01a261258c3455f97a72"
     )
 
 

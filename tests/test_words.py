@@ -236,3 +236,24 @@ def test_pqr_point_rejects_non_finite():
         with pytest.raises(InvariantViolation) as exc:
             PqrPoint(0.5, bad, 0.5)
         assert exc.value.name == "pqr-finite"
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "0.5", None, 10**400])
+def test_pqr_point_rejects_mistyped_coordinates(bad):
+    for coords in ((bad, 0.5, 0.5), (0.5, 0.5, bad)):
+        with pytest.raises(InvariantViolation) as exc:
+            PqrPoint(*coords)
+        assert exc.value.name == "pqr"
+
+
+def test_pqr_point_keeps_coordinates_as_given():
+    point = PqrPoint(np.float64(0.5), 1, 0.25)
+    assert type(point.p) is np.float64 and type(point.q) is int
+    assert point == PqrPoint(0.5, 1.0, 0.25)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+def test_random_word_rejects_bad_seeds(seed):
+    with pytest.raises(InvariantViolation) as exc:
+        random_word(4, seed)
+    assert exc.value.name == "seed"
