@@ -218,7 +218,8 @@ def _gauss_newton(
     removes per-letter means.  For durations t, the row t H holds the three
     gradients B_k t, so the residuals are t^T B_k t / 2 - target, and t K
     is the projected Jacobian J (3, n).  Every start of the batch runs
-    through the same products.
+    through the same products; np.matmul hands them to the BLAS, so their
+    last bits follow the kernel it picks for the CPU.
 
     Each start is damped on its own, with lam in [LAM_MIN, LAM_MAX], and
     steps by `_damped_step` from J and G = J J^T (3, 3).  G is positive

@@ -89,8 +89,6 @@ def require_int(name: str, value, minimum: int) -> int:
 def require_real(name: str, value) -> float:
     """A real number as a float, else InvariantViolation `name`; bools,
     strings and integers too large for a float are rejected, numpy numbers pass."""
-    if type(value) is float:  # the common case, without the slower ABC check
-        return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             return float(value)

@@ -160,7 +160,6 @@ def test_covector_rejects_wrong_length_or_non_finite(h, skew):
     [(("1", True, 0.5), (0, 0, 0)), (5, (1, 1, 1)), ((1, 1, 1), None), ((1, 1, 1), (1, 10**400, 1))],
 )
 def test_covector_rejects_mistyped_entries(h, skew):
-    # strings and bools used to pass as numbers, and the others raised a bare TypeError or OverflowError
     with pytest.raises(InvariantViolation) as exc:
         AdjointCovector.of(h, skew)
     assert exc.value.name == "covector"

@@ -387,9 +387,11 @@ EIGHT_START_TABLE_STARTS = [
 ]
 
 
-# sha256 of json.dumps([fit(...).to_dict(), ...]) with the table lookup off,
-# re-recorded with the dense Gauss-Newton loop, which kept every verdict and
-# moved the last bits of residuals and durations: the sweep's bytes
+# sha256 of json.dumps([fit(...).to_dict(), ...]) with the table lookup off:
+# the sweep's bytes.  The solver's matrix products go through the BLAS, so
+# these digests hold for the OpenBLAS kernel of the CPU they were recorded on
+# (SkylakeX); another kernel may move the last bits of residuals and durations.
+# Each test asserts its verdict list first, which holds on any kernel
 def test_fit_bytes_on_attained_pool_points(no_table):
     results = [fit(x) for x in _pool_points(True, 12)]
     assert _verdicts(results) == [("attained", 3006)] * 12
@@ -626,8 +628,8 @@ def test_damped_step_stays_finite_on_rank_one_gram_matrices():
 
 def test_gauss_newton_memory_is_bounded_by_the_normal_equations():
     # every eight-arc pattern with 20 starts, the largest batch of a default sweep:
-    # the loop stores J (3, n) and G (3, 3) per start, so its traced peak stays
-    # below 1.5 times the bytes of one (n, n) matrix per start
+    # an iteration's J (3, n), G (3, 3), step and trial arrays per start, and the
+    # per-pattern maps, stay below 1.5 times the bytes of one (n, n) matrix per start
     pat = np.array(attainability._patterns_of_length(8))
     S, n = 20, 8
     rng = np.random.default_rng(4)

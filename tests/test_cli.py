@@ -89,10 +89,10 @@ GOLDEN_MEMBER = {
 # exact bytes of `member --seed 3 <flags>` with the table word refined first:
 # (0.6, 0.5, 0.4) is settled by refinement, (0.36, 0.24, 0.45) refines its
 # 5-arc table word, misses, and sweeps to the residual above, counting both in
-# starts_used.  Recorded when the witness table was added; the attained bytes
-# were re-recorded with the three-row Gauss-Newton step and again with the
-# dense loop, each of which kept the status, starts_used and witness letters
-# and moved the last bits of the durations
+# starts_used.  The attained bytes hold for the OpenBLAS kernel they were
+# recorded on (SkylakeX): the solver's matrix products go through the BLAS, so
+# another kernel may move the last bits of the durations but not the verdict,
+# which is checked first
 GOLDEN_TABLE_MEMBER = {
     ("0.6", "0.5", "0.4"): ((), (
         '{\n  "status": "attained",\n  "residual": 2.7528726586045127e-10,\n'
@@ -127,6 +127,11 @@ def test_member_golden_output_from_the_table(capsys, point):
     flags, golden = GOLDEN_TABLE_MEMBER[point]
     code, out, _ = run(capsys, "member", "--p", p, "--q", q, "--r", r, "--seed", "3", *flags)
     assert code == 0
+
+    def verdict(d):
+        return d["status"], d["starts_used"], d.get("witness", {}).get("letters")
+
+    assert verdict(json.loads(out)) == verdict(json.loads(golden))
     assert out == golden
 
 
@@ -206,8 +211,9 @@ def test_mc_verify(tmp_path, capsys):
 
 
 def test_mc_verify_golden_output(tmp_path, capsys):
-    # sha256 of stdout followed by the CSV, re-recorded with the dense
-    # Gauss-Newton loop; the verdicts are those recorded before the three-row step
+    # sha256 of stdout followed by the CSV; the verdicts, asserted first, hold on
+    # any BLAS kernel, the bytes on the one they were recorded on (see
+    # GOLDEN_TABLE_MEMBER)
     csv_path = str(tmp_path / "mc.csv")
     code, out, _ = run(capsys, "mc-verify", "--n", "6", "--seed", "1", "--out-csv", csv_path)
     assert code == 0
