@@ -1,12 +1,27 @@
-"""Attainability of a target (p, q, r): witness-word search.
+"""Attainability of a target (p, q, r): a proven screen, an exact witness,
+then a witness-word search.
 
-The solver enumerates canonical switching patterns (no adjacent repeats,
-all three letters present) up to a pattern cap, and for each pattern
-minimizes the squared distance of the precedence coordinates to the
-target over the per-letter duration simplices.  The objective is a fixed
-quadratic form in the durations, so residuals and Jacobians are exact;
-the optimizer is a projected, damped Gauss-Newton run from multiple
-deterministic starts, batched over patterns with numpy.
+`fit` answers in three steps, and the first that decides returns.
+
+1. Screen.  Two proven bounds hold on the attainable set: the cyclic
+   identity 1 <= p + q + r <= 2 (exactly one or two of the events
+   x1 < x2, x2 < x3, x3 < x1 hold for independent variables) and the
+   golden bound min(p, q, r) <= (sqrt 5 - 1)/2 of Steinhaus-Trybula and
+   Usiskin, with max(p, q, r) >= (3 - sqrt 5)/2 by reversal.  A target
+   farther than tol from every point the bounds allow is not-found at
+   once, with a certificate naming the bound (`exclusion_bound`).
+2. Closed form.  With a pattern cap of at least 6 arcs, `closed_form_word`
+   inverts one six-arc word, or one of its images under the 12 symmetries
+   of the problem, in Python floats.  A word whose point lies within tol
+   of the target is the witness; no search runs.
+3. Sweep.  The solver enumerates canonical switching patterns (no
+   adjacent repeats, all three letters present) up to the cap, and for
+   each pattern minimizes the squared distance of the precedence
+   coordinates to the target over the per-letter duration simplices.  The
+   objective is a fixed quadratic form in the durations, so residuals and
+   Jacobians are exact; the optimizer is a projected, damped Gauss-Newton
+   run from multiple deterministic starts, batched over patterns with
+   numpy.
 
 The Jacobian of the three coordinates has three rows, so each damped
 step solves a 3x3 system in closed form (`_damped_step`) rather than the
@@ -25,19 +40,6 @@ On the largest batch of a default sweep, 378 patterns of 8 arcs with 20
 starts each, the traced peak of an iteration is about 3.7 times the bytes
 of J, reached inside `_damped_step`.
 
-Before any search, `fit` checks two proven bounds on the attainable
-set: the cyclic identity 1 <= p + q + r <= 2 (exactly one or two of the
-events x1 < x2, x2 < x3, x3 < x1 hold for independent variables) and the
-golden bound min(p, q, r) <= (sqrt 5 - 1)/2 of Steinhaus-Trybula and
-Usiskin, with max(p, q, r) >= (3 - sqrt 5)/2 by reversal.  A target
-farther than tol from every point the bounds allow is not-found at once,
-with a certificate naming the bound.
-
-A target that passes the screen is first refined from a nearby word: the
-caller's hint or, without one, the nearest word of the precomputed
-`witness_table`.  Only when that refinement misses does the per-length
-sweep run.
-
 "attained" comes with a reproducing witness word; "not-found" is
 evidence, not proof, of non-attainability, unless it carries a certificate.
 
@@ -50,20 +52,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
-from . import witness_table
 from .words import (
     LETTERS,
     PQR_PAIRS,
-    SECTION_TOL,
     InvariantViolation,
     PqrPoint,
     Word,
     canonicalize,
     pqr,
+    precedence,
     require_int,
     require_real,
     word_to_dict,
@@ -71,6 +72,7 @@ from .words import (
 
 __all__ = [
     "FitResult",
+    "closed_form_word",
     "enumerate_patterns",
     "exclusion_bound",
     "fit",
@@ -84,8 +86,6 @@ DEFAULT_STARTS = 20
 GN_ITERS = 70
 # Levenberg-Marquardt damping range; a start rejected at LAM_MAX is frozen
 LAM_MIN, LAM_MAX = 1e-14, 1e10
-# the table word nearest a target, refined when the caller gives no hint
-_table_word = witness_table.nearest
 # cap on the largest array of the longest batch, max(P * S * 3n, P * 3n^2):
 # the Jacobians of an iteration or the pattern maps; admits max_arcs 11 with 20 starts
 MAX_BATCH_ENTRIES = 2**22
@@ -277,50 +277,6 @@ def _search(patterns, starts: np.ndarray, target: np.ndarray, tol: float, iters:
     return float(np.sqrt(fcur[bp, bs])), patterns[bp], t[bp, bs], fcur.size
 
 
-def _pad_once(candidates):
-    """Insert one zero-duration arc at every slot of every (pattern,
-    durations) candidate, with each letter differing from both neighbours."""
-    out = {}
-    for pattern, durs in candidates:
-        for i in range(len(pattern) + 1):
-            for letter in LETTERS:
-                if letter in pattern[max(i - 1, 0) : i + 1]:
-                    continue
-                out[(pattern[:i] + (letter,) + pattern[i:], durs[:i] + (0.0,) + durs[i:])] = None
-    return list(out)
-
-
-def _refine(
-    hint: Word,
-    target: np.ndarray,
-    max_arcs: int,
-    tol: float,
-    seed: int,
-):
-    """Gauss-Newton from the hint's durations padded with one, then two,
-    zero-duration arcs; returns (best_residual, pattern, durations, starts).
-
-    Each padded pattern runs from two starts: the hint's durations and a
-    3% blend of them with a gamma draw, which leaves the stationary point
-    where the residual is normal to the Jacobian's range."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    canon = canonicalize(hint)
-    candidates = [(tuple(l for l, _ in canon.arcs), tuple(t for _, t in canon.arcs))]
-    residual, pattern, durs, starts = np.inf, None, None, 0
-    for _ in range(2):
-        candidates = _pad_once(candidates)
-        if len(candidates[0][0]) > max_arcs:
-            break
-        seeded = np.array([c[1] for c in candidates])
-        blend = 0.97 * seeded + 0.03 * rng.gamma(1.0, size=seeded.shape)
-        patterns = [c[0] for c in candidates]
-        residual, pattern, durs, used = _search(patterns, np.stack([seeded, blend], axis=1), target, tol)
-        starts += used
-        if residual <= tol:
-            break
-    return residual, pattern, durs, starts
-
-
 def exclusion_bound(point: PqrPoint) -> tuple[float, str | None]:
     """Proven lower bound on the distance from the point to the attainable
     set, with the name of the bound that gives it; (0.0, None) when the
@@ -341,12 +297,65 @@ def exclusion_bound(point: PqrPoint) -> tuple[float, str | None]:
     return golden_gap, "golden-bound"
 
 
-def _check_hint(hint) -> None:
-    if not isinstance(hint, Word):
-        raise InvariantViolation("hint", f"hint must be a Word, got {type(hint).__name__}")
-    totals = hint.letter_totals()
-    if any(abs(T - 1.0) > SECTION_TOL for T in totals.values()):
-        raise InvariantViolation("hint", f"hint must be a section word, letter totals {totals}")
+# the word of `closed_form_word`, with durations (a, b, c, 1 - a, 1 - c, 1 - b)
+_CLOSED_FORM_LETTERS = (1, 2, 3, 1, 3, 2)
+
+
+def closed_form_word(point: PqrPoint) -> Word | None:
+    """A section word of at most six arcs whose (p, q, r) is the point up to
+    rounding, or None when no image of the point under the symmetries lies
+    in the region R below, up to SCREEN_SLACK.
+
+    The word 1 2 3 1 3 2 with durations (a, b, c, 1 - a, 1 - c, 1 - b),
+    each in [0, 1], reaches p = 1 - (1 - a) b, q = b and r = c (1 - a).
+    Inverting, b = q, 1 - a = (1 - p)/q and c = r q/(1 - p), which lie in
+    [0, 1] exactly on R = {p + q >= 1, p + q r <= 1}.  Two degenerate
+    points of R need their own durations: q = 0 forces p = 1, reached with
+    a = 0 and c = r; p = 1 with q > 0 forces r = 0, reached with a = 1 and
+    c = 0.  Durations are clamped to [0, 1], so rounding near the faces of
+    R cannot make the word invalid; the caller judges it by its residual.
+
+    A symmetry renames the letters by a permutation and may reverse the
+    arcs.  Renaming maps P(i before j) to P(perm(i) before perm(j)), and
+    reversal maps it to P(j before i), so `words.precedence` gives the
+    image of the point for each of the 12 symmetries.  The image farthest
+    inside R (least outside it, for a point that rounding put just beyond
+    R) gives the word, and the same symmetry maps the word back.
+
+    Write E_i = x_i + x_j x_k - 1 for {i, j, k} = {1, 2, 3} and x = (p, q,
+    r), and O_i for the same expression at 1 - x.  The images of R are the
+    sets R(i, j) = {x_i + x_j >= 1, E_i <= 0} for i != j, and the sets
+    R'(i, j), the same at 1 - x with O_i.  Every point with some E_i <= 0
+    and some O_m <= 0 lies in one of them:
+    - if x_i + x_j >= 1 for some j != i, the point lies in R(i, j);
+    - otherwise (1 - x_i) + (1 - x_j) > 1 for both j != i, so the point
+      lies in R'(i, j) for either j when m = i, and in R'(m, i) when m != i.
+    So every point that no all-positive triple E or O excludes gets a word.
+    """
+    x = (float(point.p), float(point.q), float(point.r))
+    images = []
+    for perm in permutations(LETTERS):
+        for reversed_ in (False, True):
+            # (p, q, r) of the six-arc word: its P(i before j) is P(perm(i) before
+            # perm(j)) of the renamed word, whose point is x, or P(perm(j) before
+            # perm(i)) when the renamed word is also reversed
+            pairs = [(perm[i - 1], perm[j - 1]) for i, j in PQR_PAIRS]
+            p, q, r = (precedence(x, j, i) if reversed_ else precedence(x, i, j) for i, j in pairs)
+            # how far the image lies outside R, with 1 - p exact for p >= 1/2
+            images.append((max((1.0 - p) - q, q * r - (1.0 - p)), perm, reversed_, p, q, r))
+    outside, perm, reversed_, p, q, r = min(images, key=lambda image: image[0])
+    if outside > SCREEN_SLACK:
+        return None
+    if q == 0.0:
+        a, c = 0.0, r
+    elif p == 1.0:
+        a, c = 1.0, 0.0
+    else:
+        a, c = 1.0 - (1.0 - p) / q, r * q / (1.0 - p)
+    a, b, c = (min(max(v, 0.0), 1.0) for v in (a, q, c))
+    durations = (a, b, c, 1.0 - a, 1.0 - c, 1.0 - b)
+    arcs = [(perm[l - 1], t) for l, t in zip(_CLOSED_FORM_LETTERS, durations)]
+    return canonicalize(Word.of(arcs[::-1] if reversed_ else arcs))
 
 
 def fit(
@@ -355,7 +364,6 @@ def fit(
     tol: float = DEFAULT_TOL,
     seed: int = 0,
     n_starts: int = DEFAULT_STARTS,
-    hint: Word | None = None,
 ) -> FitResult:
     """Search for a section word whose (p, q, r) hits the target.
 
@@ -363,19 +371,13 @@ def fit(
     attainable set is not-found without a search: its residual is that
     lower bound and its certificate names the bound.
 
-    Otherwise a word whose point lies near the target is refined first:
-    `hint` when the caller passes one (a section word), else the nearest
-    word of `witness_table`, if any lies in the 27 grid cells around the
-    target.  Gauss-Newton runs from its durations with one zero-duration
-    arc inserted at every slot, then, if that misses tol, with two; padded
-    patterns longer than max_arcs are skipped.  A hit returns attained
-    with `starts_used` counting the refinement starts only.
+    Otherwise, when max_arcs is at least 6, the word of `closed_form_word`
+    is tried: if its point lies within tol of the target, the result is
+    attained with `starts_used` 0.
 
-    A miss falls back to the sweep, whose result is returned unchanged
-    except that `starts_used` also counts the refinement.  The sweep runs
-    patterns by increasing length with per-length deterministic seeds, so
-    for the same seed its best residual never worsens as max_arcs grows;
-    it stops early once the tolerance is met.
+    Else the sweep runs patterns by increasing length with per-length
+    deterministic seeds, so for the same seed its best residual never
+    worsens as max_arcs grows; it stops early once the tolerance is met.
 
     Before anything is allocated, a sweep whose longest batch needs an
     array of more than MAX_BATCH_ENTRIES entries raises "solver-size"; the
@@ -398,21 +400,18 @@ def fit(
             f"max_arcs={max_arcs} with n_starts={n_starts} needs {entries} entries in its "
             f"largest Gauss-Newton array (Jacobians or pattern maps), above {MAX_BATCH_ENTRIES}",
         )
-    if hint is not None:
-        _check_hint(hint)
     bound, certificate = exclusion_bound(target)
     if bound > tol + SCREEN_SLACK:
         return FitResult("not-found", None, bound, 0, certificate)
+    if max_arcs >= 6:
+        word = closed_form_word(target)
+        if word is not None:
+            result = _attained(word, target, 0)
+            if result.residual <= tol:
+                return result
+
     tvec = target.as_array()
-
     starts_used = 0
-    if hint is None:
-        hint = _table_word(tvec, max_arcs)
-    if hint is not None:
-        residual, pattern, durs, starts_used = _refine(hint, tvec, max_arcs, tol, seed)
-        if residual <= tol:
-            return _attained(pattern, durs, tvec, starts_used)
-
     best = (np.inf, None, None)
     for n in range(3, max_arcs + 1):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
@@ -429,14 +428,14 @@ def fit(
 
     residual, pattern, durs = best
     if residual <= tol:
-        return _attained(pattern, durs, tvec, starts_used)
+        return _attained(canonicalize(Word.of(zip(pattern, durs))), target, starts_used)
     return FitResult("not-found", None, float(residual), starts_used)
 
 
-def _attained(pattern, durs, tvec: np.ndarray, starts_used: int) -> FitResult:
-    witness = canonicalize(Word.of(zip(pattern, durs)))
-    # report the residual of the actual witness word
-    residual = float(np.linalg.norm(pqr(witness).as_array() - tvec))
+def _attained(witness: Word, target: PqrPoint, starts_used: int) -> FitResult:
+    # the residual of the actual witness word, in Python floats
+    point = pqr(witness)
+    residual = math.dist((point.p, point.q, point.r), (float(target.p), float(target.q), float(target.r)))
     return FitResult("attained", witness, residual, starts_used)
 
 

@@ -11,9 +11,9 @@ follow from the letter-pair rule `words.pair_axis`.
 
 The quadric patches, generated in full, overlap the interior of the
 attainable body; `trim_and_mesh` probes each sample with
-`attainability.probe` (seeded with the sample's witness word), keeps the
-samples whose outward side is unattainable and inward side attainable,
-and assembles a triangle mesh exported as OBJ.
+`attainability.probe`, keeps the samples whose outward side is
+unattainable and inward side attainable, and assembles a triangle mesh
+exported as OBJ.
 """
 from __future__ import annotations
 
@@ -259,9 +259,9 @@ def trim_and_mesh(resolution: int, eps: float = 1e-3) -> AtlasMesh:
     A sample is boundary iff `attainability.probe` finds the point eps
     outward unattainable and the point eps inward attainable.  The inward
     probe runs only when the outward verdict is unattainable, since no
-    other sample can be boundary.  Every probe passes the sample's witness
-    word as the hint and fits with PROBE_MAX_ARCS arcs, PROBE_STARTS
-    starts per pattern and seed 0.
+    other sample can be boundary.  Every probe fits with PROBE_MAX_ARCS
+    arcs, PROBE_STARTS starts per pattern and seed 0, so a point that
+    `attainability.closed_form_word` reaches is settled without a sweep.
     """
     probe_kwargs = dict(max_arcs=PROBE_MAX_ARCS, n_starts=PROBE_STARTS, seed=0)
     mesh = AtlasMesh()
@@ -276,10 +276,10 @@ def trim_and_mesh(resolution: int, eps: float = 1e-3) -> AtlasMesh:
 
     for patch in quadric_patches() + flat_triangles():
         points, kept = [], []
-        for params, w, point in patch.sample_grid(resolution):
+        for params, _, point in patch.sample_grid(resolution):
             x = point.as_array()
             n = patch.outward(x)
-            attainable_beyond = partial(attainability.probe, point, eps=eps, hint=w, **probe_kwargs)
+            attainable_beyond = partial(attainability.probe, point, eps=eps, **probe_kwargs)
             boundary = not attainable_beyond(n) and attainable_beyond(-n)
             mesh.samples.append(
                 SampleRecord(patch.id, tuple(float(v) for v in params), tuple(x), boundary)

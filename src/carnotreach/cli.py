@@ -29,10 +29,13 @@ def _emit(obj) -> None:
 
 
 def _triple(text: str) -> tuple[float, float, float]:
-    parts = [float(v) for v in text.split(",")]
+    try:
+        parts = tuple(float(v) for v in text.split(","))
+    except ValueError:  # a part that is not a number
+        parts = ()
     if len(parts) != 3:
         raise InvariantViolation("triple", f"expected 3 comma-separated numbers, got {text!r}")
-    return tuple(parts)
+    return parts
 
 
 def _cmd_endpoint(args) -> int:

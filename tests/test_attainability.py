@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from carnotreach import attainability, boundary_atlas, witness_table
+from carnotreach import attainability, boundary_atlas
 from carnotreach.attainability import (
+    closed_form_word,
     enumerate_patterns,
     exclusion_bound,
     fit,
@@ -270,64 +271,6 @@ def test_screen_spares_reference_attained_points():
         assert exclusion_bound(PqrPoint(r["p"], r["q"], r["r"])) == (0.0, None)
 
 
-def test_hint_far_from_target_falls_back_to_the_sweep():
-    target = PqrPoint(0.5, 0.5, 0.5)
-    vertex = boundary_atlas.vertices()[0].word()
-    plain = fit(target, max_arcs=4).to_dict()
-    hinted = fit(target, max_arcs=4, hint=vertex).to_dict()
-    assert hinted.pop("starts_used") > plain.pop("starts_used")
-    assert hinted == plain
-
-
-def test_hint_keeps_a_certified_target_certified():
-    vertex = boundary_atlas.vertices()[0].word()
-    for target in (PqrPoint(0.7, 0.7, 0.7), PqrPoint(0.2, 0.2, 0.2)):
-        hinted = fit(target, hint=vertex)
-        assert hinted == fit(target)
-        assert hinted.certificate is not None
-        assert hinted.starts_used == 0
-
-
-def test_hint_refines_nearby_targets_within_max_arcs():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        w = random_word(int(rng.integers(3, 7)), int(rng.integers(2**31)))
-        n_arcs = len(w.arcs)
-        x = np.clip(pqr(w).as_array() + rng.normal(scale=1e-3, size=3), 0.0, 1.0)
-        target = PqrPoint(*x)
-        for max_arcs in (n_arcs + 1, n_arcs + 2):
-            plain = fit(target, max_arcs=max_arcs, n_starts=6, seed=1)
-            hinted = fit(target, max_arcs=max_arcs, n_starts=6, seed=1, hint=w)
-            if plain.status == "attained":
-                assert hinted.status == "attained"
-            if hinted.status == "attained":
-                assert len(hinted.witness.arcs) <= max_arcs
-                assert hinted.residual <= 1e-7
-                got = pqr(hinted.witness).as_array()
-                assert np.linalg.norm(got - x) == hinted.residual
-
-
-def test_hint_hit_counts_only_refinement_starts():
-    # a 5-arc hint pads at 6 slots (4 inner letters + 2 at each end): 8 patterns, 2 starts each
-    w = random_word(5, 3)
-    result = fit(pqr(w), max_arcs=6, hint=w)
-    assert result.status == "attained"
-    assert result.starts_used == 16
-
-
-def test_hint_must_be_a_section_word():
-    target = PqrPoint(0.5, 0.5, 0.5)
-    bad = (
-        Word.of([(1, 0.5), (2, 1.0), (3, 1.0)]),
-        Word.of([(1, 1.0), (2, 1.0)]),
-        ((1, 1.0), (2, 1.0), (3, 1.0)),
-    )
-    for hint in bad:
-        with pytest.raises(InvariantViolation) as exc:
-            fit(target, hint=hint)
-        assert exc.value.name == "hint"
-
-
 def test_probe_propagates_solver_errors(monkeypatch):
     center = PqrPoint(0.5, 0.5, 0.5)
     # a probe has two verdicts: no error of `fit`, not even a linear algebra one, becomes one
@@ -364,144 +307,65 @@ def _eight_start_round_trips() -> list:
     return results
 
 
-@pytest.fixture
-def no_table(monkeypatch):
-    """A hint-less `fit` goes straight to the sweep, as before the witness table."""
-    monkeypatch.setattr(attainability, "_table_word", lambda x, max_arcs: None)
-
-
 def _verdicts(results) -> list[tuple[str, int]]:
     return [(r.status, r.starts_used) for r in results]
 
 
-# (status, starts_used) of the eight-start round trips, without and with the
-# witness table; recorded before the three-row Gauss-Newton step, which may
-# move the last bits of residuals and durations but no verdict
-EIGHT_START_SWEEP_STARTS = [
-    1206, 6, 486, 150, 1206, 486, 6, 150, 6, 1206, 150, 1206,
-    150, 150, 1206, 1206, 1206, 486, 1206, 486, 150, 486, 150, 486,
-]
-EIGHT_START_TABLE_STARTS = [
-    18, 18, 18, 18, 18, 18, 16, 18, 18, 18, 18, 18,
-    18, 16, 16, 16, 18, 16, 18, 18, 16, 18, 16, 16,
-]
-
-
-# sha256 of json.dumps([fit(...).to_dict(), ...]) with the table lookup off:
-# the sweep's bytes.  The solver's matrix products go through the BLAS, so
-# these digests hold for the OpenBLAS kernel of the CPU they were recorded on
-# (SkylakeX); another kernel may move the last bits of residuals and durations.
-# Each test asserts its verdict list first, which holds on any kernel
-def test_fit_bytes_on_attained_pool_points(no_table):
+# sha256 of json.dumps([fit(...).to_dict(), ...]).  Each test asserts its
+# verdict list first.  Attained results come from `closed_form_word` in Python
+# floats, so their bytes hold on any CPU.  A sweep's matrix products go
+# through the BLAS, so the digests of swept results hold for the OpenBLAS
+# kernel of the CPU they were recorded on (SkylakeX); another kernel may move
+# the last bits of their residuals
+def test_fit_bytes_on_attained_pool_points():
     results = [fit(x) for x in _pool_points(True, 12)]
-    assert _verdicts(results) == [("attained", 3006)] * 12
-    assert _digest(results) == "db69430c00dcb3b71e612a2b14f3c2c0933c693ff24e4b80b71945384afb9b98"
+    assert _verdicts(results) == [("attained", 0)] * 12
+    assert _digest(results) == "14fc56020785f0cdd5a7ab363795840bd4dac7594daee8e642aa4698340332be"
 
 
-def test_fit_bytes_on_unscreened_not_found_pool_points(no_table):
+def test_fit_bytes_on_unscreened_not_found_pool_points():
     results = [fit(x) for x in _pool_points(False, 2)]
     assert _verdicts(results) == [("not-found", 14286)] * 2
     assert _digest(results) == "bbb2e35fdf65b706d2fc8ea678ceffdf41951c97ff560cc0e97f1cc860ab8d7b"
 
 
-def test_fit_bytes_with_eight_starts(no_table):
+def test_fit_bytes_with_eight_starts():
     results = _eight_start_round_trips()
-    assert _verdicts(results) == [("attained", n) for n in EIGHT_START_SWEEP_STARTS]
-    assert _digest(results) == "ef5f96da90f592d82231051d2af30097f420a5f3537dbb153e1d2e6f08f97b3e"
+    assert _verdicts(results) == [("attained", 0)] * 24
+    assert _digest(results) == "0350f168e5873eb90e73abbd3efde4346fd757383862b3641f16a678e6b5daf3"
 
 
-# the same calls at defaults, which refine the nearest witness-table word first
-def test_table_fit_bytes_on_attained_pool_points():
-    results = [fit(x) for x in _pool_points(True, 12)]
-    assert _verdicts(results) == [("attained", n) for n in (16, 16, 18, 16, 18, 16, 18, 16, 16, 18, 16, 18)]
-    assert _digest(results) == "60d7653aead5d5e0500fb93ffab2ee8104fbfef5e0fe580d8c4756fda059a1a6"
-
-
-def test_table_fit_bytes_on_unscreened_not_found_pool_points():
-    results = [fit(x) for x in _pool_points(False, 2)]
-    assert _verdicts(results) == [("not-found", 14386)] * 2
-    assert _digest(results) == "f5f8eb171937c4753ff039c912b412f927ac351e40a99f613638947de3ac66c3"
-
-
-def test_table_fit_bytes_with_eight_starts():
-    results = _eight_start_round_trips()
-    assert _verdicts(results) == [("attained", n) for n in EIGHT_START_TABLE_STARTS]
-    assert _digest(results) == "5753d3fef0785c1f089473b9127f8d99c7b2e93a3ec9cdcf4cce96ee9d1f121a"
-
-
-def test_table_settles_the_attained_pool_points(monkeypatch):
-    # every attained reference point stays attained, nearly all by refining the table word
-    hits = []
-    refine = attainability._refine
-
-    def recording_refine(hint, target, max_arcs, tol, seed):
-        out = refine(hint, target, max_arcs, tol, seed)
-        hits.append(out[0] <= tol)
-        return out
-
-    monkeypatch.setattr(attainability, "_refine", recording_refine)
-    points = [r for r in json.loads(CUBE_SCAN_REFERENCE.read_text())["points"] if r["status"] == "attained"]
-    assert len(points) == 258
+def test_closed_form_settles_the_attained_pool_points():
+    # every attained reference point gets a closed-form word, and no not-found one does
+    points = json.loads(CUBE_SCAN_REFERENCE.read_text())["points"]
+    assert len(points) == 400
     for r in points:
-        result = fit(PqrPoint(r["p"], r["q"], r["r"]))
-        assert result.status == "attained" and result.residual <= attainability.DEFAULT_TOL
-    assert len(hits) == 258
-    assert sum(hits) >= 250
+        target = PqrPoint(r["p"], r["q"], r["r"])
+        word = closed_form_word(target)
+        assert (word is not None) == (r["status"] == "attained")
+        if word is not None:
+            result = fit(target)
+            assert (result.status, result.starts_used, result.witness) == ("attained", 0, word)
+            assert result.residual <= attainability.DEFAULT_TOL
 
 
-def test_table_word_fits_under_max_arcs(monkeypatch):
-    # a target on a six-arc table word: at max_arcs 6 its first padding would
-    # have 7 arcs, so the lookup passes over it and a five-arc word is refined
-    table = witness_table.load()
-    arcs = (table.letters > 0).sum(axis=1)
-    row = next(
-        row
-        for row in np.flatnonzero(arcs == 6)
-        if len(witness_table.nearest(table.points[row], 6).arcs) == 5
-    )
-    target = PqrPoint(*table.points[row])
-    assert witness_table.nearest(target.as_array(), 8) == table.word(row)
-    refined = []
-    refine = attainability._refine
-    monkeypatch.setattr(attainability, "_refine", lambda hint, *args: refined.append(hint) or refine(hint, *args))
-    result = fit(target, max_arcs=6)
-    assert [len(w.arcs) for w in refined] == [5]
-    assert result.status == "attained" and len(result.witness.arcs) <= 6
-
-
-def test_table_refines_only_without_a_hint(monkeypatch):
-    looked_up = []
-    lookup = attainability._table_word
-    monkeypatch.setattr(attainability, "_table_word", lambda x, max_arcs: looked_up.append(x) or lookup(x, max_arcs))
-    target = PqrPoint(0.6, 0.5, 0.4)
-    hinted = fit(target, hint=random_word(5, 3))
-    assert looked_up == []
-    plain = fit(target)
-    assert len(looked_up) == 1
-    assert hinted.status == plain.status == "attained"
-    # a certified target is settled before any lookup
-    fit(PqrPoint(0.7, 0.7, 0.7))
-    assert len(looked_up) == 1
-
-
-def test_fit_bytes_on_hinted_probes():
+def test_fit_bytes_on_atlas_probes():
     results = []
     for patch in boundary_atlas.quadric_patches() + boundary_atlas.flat_triangles():
-        for _, w, point in patch.sample_grid(4):
+        for _, _, point in patch.sample_grid(4):
             x = point.as_array()
             for side in (1.0, -1.0):
                 y = x + side * 1e-3 * patch.outward(x)
                 if (y >= 0.0).all() and (y <= 1.0).all():
-                    results.append(fit(PqrPoint(*y), max_arcs=6, n_starts=6, hint=w))
+                    results.append(fit(PqrPoint(*y), max_arcs=6, n_starts=6))
     assert len(results) == 174
     # each quadric patch, then each flat triangle, gives the same verdicts;
-    # 922 starts are a refinement miss and a 6-start sweep, 0 a sum-bound certificate
-    quadric = [80, 80, 16, 16, 922, 16, 80, 16, 16, 16, 16, 80, 0]
-    flat = [12, 14, 14, 12, 12, 16, 16, 14, 12, 16, 16, 14, 12, 14, 14, 0]
-    assert _verdicts(results) == [
-        ("not-found" if n in (0, 922) else "attained", n) for n in quadric * 6 + flat * 6
-    ]
-    assert _digest(results) == "c64ed12a22e1dced9003b26e06f323499759e478d93c4317b3787be856749fa7"
+    # 906 starts are a 6-start sweep, the last not-found of each a sum-bound certificate
+    attained, swept, certified = ("attained", 0), ("not-found", 906), ("not-found", 0)
+    quadric = [attained] * 4 + [swept] + [attained] * 7 + [certified]
+    flat = [attained] * 15 + [certified]
+    assert _verdicts(results) == quadric * 6 + flat * 6
+    assert _digest(results) == "723fe8c2b51322aeaac7fa2f868adb133dff57df06978929c5e228c251160ca7"
 
 
 def _tangent_project(d, onehot):
@@ -721,19 +585,48 @@ def test_conjecture_q_trims_the_atlas_like_the_solver(resolution):
     assert len(mesh.samples) == 12 * resolution**2
 
 
+def _clear_of_q(x) -> bool:
+    """Whether neither the even nor the odd minimum is within Q_MARGIN of 0,
+    so rounding cannot move the point across Q's boundary."""
+    even, odd = _quadrics(x)
+    return min(abs(even.min()), abs(odd.min())) > Q_MARGIN
+
+
+@given(st.integers(3, 10), st.integers(0, 2**31 - 1))
+def test_closed_form_reaches_every_word(n_arcs, seed):
+    x = pqr(random_word(n_arcs, seed))
+    word = closed_form_word(x)
+    assert word is not None and len(word.arcs) <= 6
+    assert np.abs(pqr(word).as_array() - x.as_array()).max() <= 1e-12
+
+
+def test_closed_form_exists_exactly_where_q_admits():
+    rng = np.random.default_rng(14)
+    points = [x for x in rng.uniform(0.0, 1.0, size=(3000, 3)) if _clear_of_q(x)]
+    assert len(points) > 2900
+    for x in points:
+        word = closed_form_word(PqrPoint(*x))
+        assert (word is not None) == (not _q_excludes(x))
+        if word is not None:
+            assert np.abs(pqr(word).as_array() - x).max() <= 1e-12
+
+
+def test_closed_form_reaches_the_vertices_and_the_degenerate_edges():
+    # the vertices take the q = 0 durations (a = 0, c = r) and the p = 1 ones
+    # (a = 1, c = 0); the cube edges (1, 0, t) and (1, t, 0) lie on both faces
+    points = [v.point() for v in boundary_atlas.vertices()]
+    for t in np.linspace(0.0, 1.0, 9):
+        points += [PqrPoint(1.0, 0.0, t), PqrPoint(1.0, t, 0.0)]
+    for point in points:
+        word = closed_form_word(point)
+        assert word is not None
+        assert np.abs(pqr(word).as_array() - point.as_array()).max() <= 1e-15
+
+
 # the 3-cycle 1 -> 2 -> 3 -> 1 and the transposition (1 2) of the letters,
 # with their action on (p, q, r)
 CYCLE = ({1: 2, 2: 3, 3: 1}, lambda x: np.roll(x, 1))
 SWAP = ({1: 2, 2: 1, 3: 3}, lambda x: 1.0 - x[[0, 2, 1]])
-
-
-def test_fit_status_is_invariant_under_letter_permutations():
-    for seed in range(4):
-        w = random_word(5, seed)
-        for perm, act in (CYCLE, SWAP):
-            image = Word.of((perm[l], t) for l, t in w.arcs)
-            assert np.abs(pqr(image).as_array() - act(pqr(w).as_array())).max() <= 1e-12
-            assert fit(pqr(w)).status == fit(pqr(image)).status == "attained"
 
 
 def _symmetries() -> dict:
@@ -765,6 +658,22 @@ def _image(w: Word, perm, reversed_) -> Word:
     return reverse(image) if reversed_ else image
 
 
+def test_fit_status_is_invariant_under_letter_permutations():
+    # words, and uniform points clear of Q's boundary, keep their status under
+    # all 12 symmetries; a sweep to six arcs with two starts settles the points
+    # that the closed form does not reach and the screen does not certify
+    rng = np.random.default_rng(15)
+    points = [pqr(random_word(5, seed)).as_array() for seed in range(4)]
+    points += [x for x in rng.uniform(0.0, 1.0, size=(40, 3)) if _clear_of_q(x)]
+    statuses = []
+    for x in points:
+        images = {fit(PqrPoint(*act(x)), max_arcs=6, n_starts=2).status for act in SYMMETRIES.values()}
+        assert len(images) == 1
+        statuses += images
+    assert statuses[:4] == ["attained"] * 4
+    assert "not-found" in statuses[4:]
+
+
 def test_the_symmetries_form_a_group_of_twelve():
     assert len(SYMMETRIES) == 12
     assert {perm for perm, _ in SYMMETRIES} == {(1, 2, 3), (2, 3, 1), (3, 1, 2), (2, 1, 3), (3, 2, 1), (1, 3, 2)}
@@ -793,8 +702,8 @@ def test_letter_permutations_preserve_conjecture_q(point):
 
 
 def test_fit_stays_not_found_on_the_symmetric_images():
-    # the images of unscreened not-found pool points are unscreened too, so
-    # each of these fits refines a table word and sweeps up to six arcs with
+    # the images of unscreened not-found pool points are unscreened too and get
+    # no closed-form word, so each of these fits sweeps up to six arcs with
     # eight starts per pattern
     for x in _pool_points(False, 2):
         for act in SYMMETRIES.values():

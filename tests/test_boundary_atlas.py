@@ -5,7 +5,7 @@ import pytest
 
 from carnotreach import attainability
 from carnotreach import boundary_atlas as atlas
-from carnotreach.words import InvariantViolation, PqrPoint, pair_axis, pqr, reverse
+from carnotreach.words import InvariantViolation, pair_axis, pqr, reverse
 
 
 def test_vertices_table():
@@ -223,26 +223,6 @@ def test_trim_obj_matches_unseeded_probes(resolution):
     assert hashlib.sha256(text.encode()).hexdigest() == OBJ_SHA256[resolution]
 
 
-def test_hinted_probes_match_unhinted():
-    kwargs = dict(max_arcs=atlas.PROBE_MAX_ARCS, n_starts=atlas.PROBE_STARTS, seed=0)
-    eps = 1e-3
-    for patch in atlas.quadric_patches() + atlas.flat_triangles():
-        for _, w, point in patch.sample_grid(4):
-            x = point.as_array()
-            for side in (eps, -eps):
-                y = x + side * patch.outward(x)
-                if (y < -1e-12).any() or (y > 1.0 + 1e-12).any():
-                    continue
-                target = PqrPoint(*np.clip(y, 0.0, 1.0))
-                plain = attainability.fit(target, **kwargs)
-                hinted = attainability.fit(target, hint=w, **kwargs)
-                assert hinted.status == plain.status, (patch.id, x, side)
-                if hinted.status == "attained":
-                    assert len(hinted.witness.arcs) <= kwargs["max_arcs"]
-                    got = pqr(hinted.witness).as_array()
-                    assert np.linalg.norm(got - target.as_array()) <= attainability.DEFAULT_TOL
-
-
 def test_trim_propagates_prober_bugs(monkeypatch):
     def buggy(*args, **kwargs):
         raise TypeError("bug in the solver")
@@ -279,7 +259,7 @@ def test_trim_probes_inward_only_beyond_an_unattainable_outward_point(monkeypatc
     assert all(rec.boundary for rec in mesh.samples[2:])
     # one probe for each of the first two samples, two for every other
     assert len(calls) == 2 * len(mesh.samples) - 2
-    assert all(kw == dict(hint=kw["hint"], max_arcs=6, n_starts=6, seed=0) for kw in calls)
+    assert all(kw == dict(max_arcs=6, n_starts=6, seed=0) for kw in calls)
 
 
 def test_trim_validates_resolution():

@@ -67,9 +67,9 @@ def test_member_non_finite_is_a_domain_error(capsys):
     assert json.loads(err)["error"] == "pqr-finite"
 
 
-# exact bytes of `member --max-arcs 5 --seed 3` with the witness-table lookup
-# off, recorded before the exclusion screen and the Gauss-Newton residual
-# reuse; neither may change them
+# exact bytes of `member --max-arcs 5 --seed 3`: below the closed form's six
+# arcs, both points are swept, so the attained bytes hold for the OpenBLAS
+# kernel they were recorded on (see tests/test_attainability.py)
 GOLDEN_MEMBER = {
     ("0.6", "0.5", "0.4"): (
         '{\n  "status": "attained",\n  "residual": 1.2483976575904067e-11,\n'
@@ -86,35 +86,27 @@ GOLDEN_MEMBER = {
 }
 
 
-# exact bytes of `member --seed 3 <flags>` with the table word refined first:
-# (0.6, 0.5, 0.4) is settled by refinement, (0.36, 0.24, 0.45) refines its
-# 5-arc table word, misses, and sweeps to the residual above, counting both in
-# starts_used.  The attained bytes hold for the OpenBLAS kernel they were
-# recorded on (SkylakeX): the solver's matrix products go through the BLAS, so
-# another kernel may move the last bits of the durations but not the verdict,
-# which is checked first
+# exact bytes of `member --seed 3 <flags>`: (0.6, 0.5, 0.4) is reached by the
+# closed-form word in Python floats, so its bytes hold on any CPU;
+# (0.36, 0.24, 0.45) gets no closed-form word and is swept to the residual
+# above.  The verdict is checked first
 GOLDEN_TABLE_MEMBER = {
     ("0.6", "0.5", "0.4"): ((), (
-        '{\n  "status": "attained",\n  "residual": 2.7528726586045127e-10,\n'
-        '  "starts_used": 18,\n  "witness": {\n    "letters": [\n      3,\n'
-        '      1,\n      2,\n      3,\n      2,\n      1,\n      3\n    ],\n'
-        '    "durations": [\n      0.039585007775022614,\n      0.5999999998092115,\n'
-        '      0.48901682482989867,\n      0.901037479714637,\n'
-        '      0.5109831751701013,\n      0.40000000019078846,\n'
-        '      0.05937751251034048\n    ]\n  },\n  "max_arcs": 8\n}\n'
+        '{\n  "status": "attained",\n  "residual": 0.0,\n'
+        '  "starts_used": 0,\n  "witness": {\n    "letters": [\n      1,\n'
+        '      2,\n      3,\n      1,\n      3,\n      2\n    ],\n'
+        '    "durations": [\n      0.19999999999999996,\n      0.5,\n      0.5,\n'
+        '      0.8,\n      0.5,\n      0.5\n    ]\n  },\n  "max_arcs": 8\n}\n'
     )),
     ("0.36", "0.24", "0.45"): (("--max-arcs", "6"), (
         '{\n  "status": "not-found",\n  "residual": 0.02593712749248486,\n'
-        '  "starts_used": 3022,\n  "max_arcs": 6\n}\n'
+        '  "starts_used": 3006,\n  "max_arcs": 6\n}\n'
     )),
 }
 
 
 @pytest.mark.parametrize("point", sorted(GOLDEN_MEMBER))
-def test_member_golden_output(capsys, monkeypatch, point):
-    from carnotreach import attainability
-
-    monkeypatch.setattr(attainability, "_table_word", lambda x, max_arcs: None)
+def test_member_golden_output(capsys, point):
     p, q, r = point
     code, out, _ = run(capsys, "member", "--p", p, "--q", q, "--r", r, "--max-arcs", "5", "--seed", "3")
     assert code == 0
@@ -211,9 +203,8 @@ def test_mc_verify(tmp_path, capsys):
 
 
 def test_mc_verify_golden_output(tmp_path, capsys):
-    # sha256 of stdout followed by the CSV; the verdicts, asserted first, hold on
-    # any BLAS kernel, the bytes on the one they were recorded on (see
-    # GOLDEN_TABLE_MEMBER)
+    # sha256 of stdout followed by the CSV; every trial is attained by the
+    # closed-form word in Python floats, so the bytes hold on any BLAS kernel
     csv_path = str(tmp_path / "mc.csv")
     code, out, _ = run(capsys, "mc-verify", "--n", "6", "--seed", "1", "--out-csv", csv_path)
     assert code == 0
@@ -223,7 +214,7 @@ def test_mc_verify_golden_output(tmp_path, capsys):
     assert [row.split(",")[3] for row in rows] == ["attained"] * 6
     text = out + open(csv_path).read()
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "070f83f4fd18f20fe5e1d21f06bf2aecd907d011a12b01a261258c3455f97a72"
+        "ac5cb48858370b5e26528707081b5bf75ffcc7a0640e05bf380966d4c0e73d58"
     )
 
 
@@ -299,8 +290,12 @@ def test_member_rejects_a_negative_seed(capsys):
 
 @pytest.mark.parametrize(
     "flags, error",
-    [(("--h", "nan,1,1"), "covector"), (("--h", "0.5,0.8,1.0", "--horizon", "inf"), "horizon")],
-    ids=["nan-h", "inf-horizon"],
+    [
+        (("--h", "nan,1,1"), "covector"),
+        (("--h", "0.5,0.8,1.0", "--horizon", "inf"), "horizon"),
+        (("--h", "a,1,1"), "triple"),
+    ],
+    ids=["nan-h", "inf-horizon", "non-numeric-h"],
 )
 def test_simulate_adjoint_rejects_non_finite_input(capsys, flags, error):
     code, out, err = run(capsys, "simulate-adjoint", "--skew", "1.0,-1.0,1.0", *flags)

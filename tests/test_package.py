@@ -53,11 +53,11 @@ def test_runtime_needs_no_scipy():
         "from carnotreach.attainability import fit, max_min_coordinate",
         "from carnotreach.words import PqrPoint",
         "print(max_min_coordinate(8)[0])",
-        # a hint-less fit loads the witness table
+        # settled by the closed-form word, with no sweep
         "print(fit(PqrPoint(0.6, 0.5, 0.4)).starts_used)",
     ])
     src = str(Path(carnotreach.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "0.6180339887498949\n18\n"
+    assert done.stdout == "0.6180339887498949\n0\n"
