@@ -307,29 +307,64 @@ def _eight_start_round_trips() -> list:
     return results
 
 
+@pytest.fixture
+def no_closed_form(monkeypatch):
+    """`fit` goes straight to the sweep, as for a cap below 6 arcs."""
+    monkeypatch.setattr(attainability, "closed_form_word", lambda point: None)
+
+
 def _verdicts(results) -> list[tuple[str, int]]:
     return [(r.status, r.starts_used) for r in results]
 
 
-# sha256 of json.dumps([fit(...).to_dict(), ...]).  Each test asserts its
-# verdict list first.  Attained results come from `closed_form_word` in Python
-# floats, so their bytes hold on any CPU.  A sweep's matrix products go
-# through the BLAS, so the digests of swept results hold for the OpenBLAS
-# kernel of the CPU they were recorded on (SkylakeX); another kernel may move
-# the last bits of their residuals
-def test_fit_bytes_on_attained_pool_points():
+# (status, starts_used) of the eight-start round trips with the closed form off
+EIGHT_START_SWEEP_STARTS = [
+    1206, 6, 486, 150, 1206, 486, 6, 150, 6, 1206, 150, 1206,
+    150, 150, 1206, 1206, 1206, 486, 1206, 486, 150, 486, 150, 486,
+]
+
+
+# sha256 of json.dumps([fit(...).to_dict(), ...]) with the closed form off:
+# the sweep's bytes.  The solver's matrix products go through the BLAS, so
+# these digests hold for the OpenBLAS kernel of the CPU they were recorded on
+# (SkylakeX); another kernel may move the last bits of residuals and durations.
+# Each test asserts its verdict list first, which holds on any kernel
+def test_fit_bytes_on_attained_pool_points(no_closed_form):
     results = [fit(x) for x in _pool_points(True, 12)]
-    assert _verdicts(results) == [("attained", 0)] * 12
-    assert _digest(results) == "14fc56020785f0cdd5a7ab363795840bd4dac7594daee8e642aa4698340332be"
+    assert _verdicts(results) == [("attained", 3006)] * 12
+    assert _digest(results) == "db69430c00dcb3b71e612a2b14f3c2c0933c693ff24e4b80b71945384afb9b98"
 
 
-def test_fit_bytes_on_unscreened_not_found_pool_points():
+def test_fit_bytes_on_unscreened_not_found_pool_points(no_closed_form):
     results = [fit(x) for x in _pool_points(False, 2)]
     assert _verdicts(results) == [("not-found", 14286)] * 2
     assert _digest(results) == "bbb2e35fdf65b706d2fc8ea678ceffdf41951c97ff560cc0e97f1cc860ab8d7b"
 
 
-def test_fit_bytes_with_eight_starts():
+def test_fit_bytes_with_eight_starts(no_closed_form):
+    results = _eight_start_round_trips()
+    assert _verdicts(results) == [("attained", n) for n in EIGHT_START_SWEEP_STARTS]
+    assert _digest(results) == "ef5f96da90f592d82231051d2af30097f420a5f3537dbb153e1d2e6f08f97b3e"
+
+
+# the same calls at defaults, which try the closed-form word before the sweep
+# (the "table" in the names is the witness-table lookup that the closed form replaced).
+# Attained results then come from `closed_form_word` in Python floats, so
+# their bytes hold on any CPU; the not-found ones are the sweep's
+def test_table_fit_bytes_on_attained_pool_points():
+    results = [fit(x) for x in _pool_points(True, 12)]
+    assert _verdicts(results) == [("attained", 0)] * 12
+    assert _digest(results) == "14fc56020785f0cdd5a7ab363795840bd4dac7594daee8e642aa4698340332be"
+
+
+def test_table_fit_bytes_on_unscreened_not_found_pool_points():
+    # the closed form finds no word for a not-found point, so the sweep's bytes are unchanged
+    results = [fit(x) for x in _pool_points(False, 2)]
+    assert _verdicts(results) == [("not-found", 14286)] * 2
+    assert _digest(results) == "bbb2e35fdf65b706d2fc8ea678ceffdf41951c97ff560cc0e97f1cc860ab8d7b"
+
+
+def test_table_fit_bytes_with_eight_starts():
     results = _eight_start_round_trips()
     assert _verdicts(results) == [("attained", 0)] * 24
     assert _digest(results) == "0350f168e5873eb90e73abbd3efde4346fd757383862b3641f16a678e6b5daf3"
