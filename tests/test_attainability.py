@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -401,6 +405,53 @@ def test_fit_bytes_on_atlas_probes():
     flat = [attained] * 15 + [certified]
     assert _verdicts(results) == quadric * 6 + flat * 6
     assert _digest(results) == "723fe8c2b51322aeaac7fa2f868adb133dff57df06978929c5e228c251160ca7"
+
+
+# (status, starts_used, residual to 12 significant digits) of every unscreened
+# not-found reference pool point at defaults.  The residuals are the sweep's,
+# so their last bits follow the BLAS kernel; 12 digits hold under the
+# default, Sandybridge and Haswell OpenBLAS kernels
+NOT_FOUND_POOL_PINS = [
+    ("not-found", 14286, "0.025222918259"),
+    ("not-found", 14286, "0.0241377452944"),
+    ("not-found", 14286, "0.0110256456833"),
+    ("not-found", 14286, "0.0415443355862"),
+    ("not-found", 14286, "0.0228929356596"),
+    ("not-found", 14286, "0.00834467140229"),
+    ("not-found", 14286, "0.0134285763097"),
+    ("not-found", 14286, "0.0122871634226"),
+    ("not-found", 14286, "0.00964237055209"),
+]
+
+
+def _rounded_verdicts(results) -> list[tuple[str, int, str]]:
+    return [(r.status, r.starts_used, f"{r.residual:.12g}") for r in results]
+
+
+def test_fit_residuals_on_every_unscreened_not_found_pool_point():
+    points = _pool_points(False, 400)
+    assert len(points) == len(NOT_FOUND_POOL_PINS)
+    assert _rounded_verdicts([fit(x) for x in points]) == NOT_FOUND_POOL_PINS
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="OpenBLAS core types are x86_64 kernels")
+@pytest.mark.parametrize("coretype", ["Sandybridge", "Haswell"])
+def test_fit_residuals_hold_under_other_blas_kernels(coretype):
+    # the first two pins, rerun in a child process whose OpenBLAS is forced to another kernel
+    points = [(float(x.p), float(x.q), float(x.r)) for x in _pool_points(False, 2)]
+    script = "\n".join([
+        "from carnotreach.attainability import fit",
+        "from carnotreach.words import PqrPoint",
+        f"for x in {points!r}:",
+        "    r = fit(PqrPoint(*x))",
+        "    print(r.status, r.starts_used, f'{r.residual:.12g}')",
+    ])
+    src = str(Path(attainability.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": coretype}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    got = [(status, int(used), residual) for status, used, residual in map(str.split, done.stdout.splitlines())]
+    assert got == NOT_FOUND_POOL_PINS[:2]
 
 
 def _tangent_project(d, onehot):
