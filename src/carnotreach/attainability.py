@@ -34,11 +34,11 @@ The size of the largest batch is bounded before anything is allocated
 (`solver-size`).
 
 Memory: the state of a start is its durations, residual and damping.  An
-iteration adds the projected Jacobian J (3, n), its Gram matrix J J^T
-(3, 3) and the trial durations and residuals, each released once used.
-On the largest batch of a default sweep, 378 patterns of 8 arcs with 20
-starts each, the traced peak of an iteration is about 3.7 times the bytes
-of J, reached inside `_damped_step`.
+iteration adds the projected Jacobian J (3, n), the six distinct entries
+of its Gram matrix J J^T and the trial durations and residuals, each
+released once used.  On the largest batch of a default sweep, 378
+patterns of 8 arcs with 20 starts each, the traced peak of an iteration
+is about 3.3 times the bytes of J, reached inside `_damped_step`.
 
 "attained" comes with a reproducing witness word; "not-found" is
 evidence, not proof, of non-attainability, unless it carries a certificate.
@@ -158,40 +158,47 @@ def _letter_onehot(patterns: np.ndarray) -> np.ndarray:
 
 
 def _renormalize(t: np.ndarray, onehot: np.ndarray) -> np.ndarray:
-    """Clip to >= 0 and rescale so each letter's durations sum to 1."""
+    """Clip durations t (P, S, n) to >= 0 and rescale so each letter's
+    durations sum to 1, with onehot (P, 3, n) the letters of each pattern."""
     t = np.clip(t, 0.0, None)
-    sums = np.einsum("pcn,psn->psc", onehot, t)
+    letters_of = onehot.transpose(0, 2, 1)  # (P, n, 3)
+    sums = np.matmul(t, letters_of)  # (P, S, 3)
     # a letter whose durations all collapsed to 0 restarts from uniform
     dead = sums <= 0.0
     if dead.any():
-        counts = onehot.sum(axis=2)  # (P, 3)
-        uniform = np.einsum("pcn,pc->pn", onehot, 1.0 / counts)
-        mask = np.einsum("pcn,psc->psn", onehot, dead.astype(float)) > 0
-        t = np.where(mask, np.broadcast_to(uniform[:, None, :], t.shape), t)
-        sums = np.einsum("pcn,psn->psc", onehot, t)
-    scale = np.einsum("pcn,psc->psn", onehot, 1.0 / sums)
-    return t * scale
+        counts = onehot.sum(axis=2)[:, None, :]  # (P, 1, 3)
+        uniform = np.matmul(1.0 / counts, onehot)  # (P, 1, n)
+        t = np.where(np.matmul(dead.astype(float), onehot) > 0, uniform, t)
+        sums = np.matmul(t, letters_of)
+    # each arc has one letter, so every entry of the scale is one reciprocal, exactly
+    return t * np.matmul(1.0 / sums, onehot)
 
 
-def _damped_step(J: np.ndarray, G: np.ndarray, lam: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _damped_step(J: np.ndarray, lam: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Levenberg-Marquardt steps -(J^T J + lam I)^-1 J^T r of a batch, for
-    Jacobians J (..., 3, n), their Gram matrices G = J J^T (..., 3, 3),
-    dampings lam (...) and residuals r (..., 3).
+    Jacobians J (..., 3, n), dampings lam (...) and residuals r (..., 3).
 
     By the push-through identity the step is -J^T y with (G + lam I) y = r,
-    a 3x3 system solved by an elementwise Cholesky factorisation.  G is
+    where G = J J^T is the 3x3 Gram matrix of the rows of J.  Its six
+    distinct entries are formed as dot products of those rows, and the
+    system is solved by an elementwise Cholesky factorisation.  G is
     positive semidefinite, so each Schur complement of G + lam I is at
     least lam I and every squared pivot is at least lam in exact
     arithmetic; flooring them at lam keeps rounding from producing a NaN.
     Each step is a combination of the rows of J, so it lies in the tangent
     space whenever J does.
     """
-    l00 = np.sqrt(np.maximum(G[..., 0, 0] + lam, lam))
-    l10 = G[..., 1, 0] / l00
-    l20 = G[..., 2, 0] / l00
-    l11 = np.sqrt(np.maximum(G[..., 1, 1] + lam - l10 * l10, lam))
-    l21 = (G[..., 2, 1] - l20 * l10) / l11
-    l22 = np.sqrt(np.maximum(G[..., 2, 2] + lam - l20 * l20 - l21 * l21, lam))
+    j0, j1, j2 = J[..., 0, :], J[..., 1, :], J[..., 2, :]
+
+    def dot(a, b):
+        return np.einsum("...n,...n->...", a, b)
+
+    l00 = np.sqrt(np.maximum(dot(j0, j0) + lam, lam))
+    l10 = dot(j1, j0) / l00
+    l20 = dot(j2, j0) / l00
+    l11 = np.sqrt(np.maximum(dot(j1, j1) + lam - l10 * l10, lam))
+    l21 = (dot(j2, j1) - l20 * l10) / l11
+    l22 = np.sqrt(np.maximum(dot(j2, j2) + lam - l20 * l20 - l21 * l21, lam))
     z0 = r[..., 0] / l00
     z1 = (r[..., 1] - l10 * z0) / l11
     y2 = (r[..., 2] - l20 * z0 - l21 * z1) / l22 / l22
@@ -222,7 +229,8 @@ def _gauss_newton(
     last bits follow the kernel it picks for the CPU.
 
     Each start is damped on its own, with lam in [LAM_MIN, LAM_MAX], and
-    steps by `_damped_step` from J and G = J J^T (3, 3).  G is positive
+    steps by `_damped_step` from J and G = J J^T (3, 3), which it forms
+    from the rows of J.  G is positive
     semidefinite, so every squared pivot of the 3x3 system G + lam I is at
     least lam >= LAM_MIN: no step can fail, and no start needs a fallback.
     A start rejected with lam already at LAM_MAX keeps its durations,
@@ -250,7 +258,7 @@ def _gauss_newton(
     lam = np.full((P, S), 1e-3)
     for _ in range(iters):
         J = np.matmul(t, K).reshape(P, S, 3, n)
-        t_trial = t + _damped_step(J, np.einsum("pskn,psln->pskl", J, J), lam, rcur)
+        t_trial = t + _damped_step(J, lam, rcur)
         del J
         t_trial = _renormalize(t_trial, onehot)
         r_trial = residuals(t_trial)
