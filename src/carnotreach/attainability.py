@@ -230,9 +230,9 @@ def _gauss_newton(
 
     Each start is damped on its own, with lam in [LAM_MIN, LAM_MAX], and
     steps by `_damped_step` from J and G = J J^T (3, 3), which it forms
-    from the rows of J.  G is positive
-    semidefinite, so every squared pivot of the 3x3 system G + lam I is at
-    least lam >= LAM_MIN: no step can fail, and no start needs a fallback.
+    from the rows of J.  G is positive semidefinite, so every squared pivot
+    of the 3x3 system G + lam I is at least lam >= LAM_MIN: no step can
+    fail, and no start needs a fallback.
     A start rejected with lam already at LAM_MAX keeps its durations,
     residual and lam, so every later iteration repeats its step bit for bit
     and is rejected again: it is frozen for good.
