@@ -22,7 +22,7 @@ from carnotreach.attainability import (
     probe,
 )
 from carnotreach.probability import dice_pqr, random_dice_triple
-from carnotreach.words import InvariantViolation, PqrPoint, Word, pqr, random_word, reverse
+from carnotreach.words import InvariantViolation, PqrPoint, Word, pqr, random_word, reverse, word_to_dict
 
 PHI = (np.sqrt(5.0) - 1.0) / 2.0
 CUBE_SCAN_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "cube_scan.json"
@@ -736,6 +736,33 @@ def test_closed_form_reaches_the_vertices_and_the_degenerate_edges():
         word = closed_form_word(point)
         assert word is not None
         assert np.abs(pqr(word).as_array() - point.as_array()).max() <= 1e-15
+
+
+def _screen_and_closed_form_points() -> list[PqrPoint]:
+    """The 400 reference pool points, 2,000 seeded uniform points, the cube
+    vertices, and grid points on the faces q = 0 and p = 1."""
+    points = [PqrPoint(r["p"], r["q"], r["r"]) for r in json.loads(CUBE_SCAN_REFERENCE.read_text())["points"]]
+    points += [PqrPoint(*x) for x in np.random.default_rng(18).uniform(0.0, 1.0, size=(2000, 3))]
+    points += [PqrPoint(*map(float, v)) for v in np.ndindex(2, 2, 2)]
+    for s in np.linspace(0.0, 1.0, 9):
+        for t in np.linspace(0.0, 1.0, 9):
+            points += [PqrPoint(s, 0.0, t), PqrPoint(1.0, s, t)]
+    return points
+
+
+def test_screen_and_closed_form_bytes():
+    # sha256 of the closed-form word and the exclusion bound of every point;
+    # both are computed in Python floats, so the digest holds on any CPU
+    points = _screen_and_closed_form_points()
+    assert len(points) == 2570
+    records = []
+    for x in points:
+        word = closed_form_word(x)
+        records.append([None if word is None else word_to_dict(word), list(exclusion_bound(x))])
+    assert sum(r[0] is not None for r in records) == 1656
+    assert sum(r[1][1] is not None for r in records) == 844
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "45eecffa886f204d25bd76cfc33bb89bc302330869e9d12431a8ccc1d8c36356"
 
 
 # the 3-cycle 1 -> 2 -> 3 -> 1 and the transposition (1 2) of the letters,

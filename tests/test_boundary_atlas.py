@@ -209,11 +209,13 @@ def test_trim_and_mesh_small():
             assert all(0 <= i < len(mesh.vertices) for i in tri)
 
 
-# sha256 of write_obj(trim_and_mesh(resolution)) at the CLI probe defaults,
-# recorded before probes were seeded with the sample's witness word
+# sha256 of write_obj(trim_and_mesh(resolution)) at the CLI probe defaults;
+# 3 and 5 recorded before probes were seeded with the sample's witness word,
+# 7 before the probes and the triangle normals ran on Python floats
 OBJ_SHA256 = {
     3: "6c098e5ba29081c557af3bbfcff0b09cdc4afab5c211ba35214e2c323dd47fff",
     5: "e89f217118a7b7d6542e7856a45ef4f0dabc560f6af4a33fb012f078bf1cff7c",
+    7: "dbf28036eb84ab71ace09532dbf16491eac4f14d393eed6abe849914b6ca5ac1",
 }
 
 
@@ -221,6 +223,28 @@ OBJ_SHA256 = {
 def test_trim_obj_matches_unseeded_probes(resolution):
     text = atlas.write_obj(atlas.trim_and_mesh(resolution, eps=1e-3))
     assert hashlib.sha256(text.encode()).hexdigest() == OBJ_SHA256[resolution]
+
+
+def test_trim_fits_the_clipped_probe_points_bytewise(monkeypatch):
+    # every target `fit` receives is the probe point clip(x + eps d, 0, 1) in numpy float64 arithmetic
+    probe, fit = attainability.probe, attainability.fit
+    expected, received = [], []
+
+    def watched_probe(point, direction, eps, **kwargs):
+        y = point.as_array() + eps * np.asarray(direction, dtype=float)
+        if (y >= -1e-12).all() and (y <= 1.0 + 1e-12).all():
+            expected.append(np.clip(y, 0.0, 1.0).tobytes())
+        return probe(point, direction, eps=eps, **kwargs)
+
+    def watched_fit(target, **kwargs):
+        received.append(np.array([target.p, target.q, target.r], dtype=float).tobytes())
+        return fit(target, **kwargs)
+
+    monkeypatch.setattr(attainability, "probe", watched_probe)
+    monkeypatch.setattr(attainability, "fit", watched_fit)
+    atlas.trim_and_mesh(5, eps=1e-3)
+    assert len(received) == 252
+    assert received == expected
 
 
 def test_trim_propagates_prober_bugs(monkeypatch):
