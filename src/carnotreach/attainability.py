@@ -63,8 +63,8 @@ from .words import (
     PqrPoint,
     Word,
     canonicalize,
+    pair_axis,
     pqr,
-    precedence,
     require_int,
     require_real,
     word_to_dict,
@@ -294,10 +294,10 @@ def exclusion_bound(point: PqrPoint) -> tuple[float, str | None]:
     corners min(p, q, r) > PHI and max(p, q, r) < 1 - PHI, so the distance
     to the slab, or out of a corner, bounds the distance to the set.
     """
-    x = point.as_array()
-    s = float(x.sum())
+    x = (float(point.p), float(point.q), float(point.r))
+    s = x[0] + x[1] + x[2]
     sum_gap = max(0.0, 1.0 - s, s - 2.0) / math.sqrt(3.0)
-    golden_gap = max(0.0, float(x.min()) - PHI, (1.0 - PHI) - float(x.max()))
+    golden_gap = max(0.0, min(x) - PHI, (1.0 - PHI) - max(x))
     if sum_gap == golden_gap == 0.0:
         return 0.0, None
     if sum_gap >= golden_gap:
@@ -307,6 +307,26 @@ def exclusion_bound(point: PqrPoint) -> tuple[float, str | None]:
 
 # the word of `closed_form_word`, with durations (a, b, c, 1 - a, 1 - c, 1 - b)
 _CLOSED_FORM_LETTERS = (1, 2, 3, 1, 3, 2)
+
+
+def _symmetry_table() -> tuple[tuple[tuple[int, ...], bool, tuple[int, int, int]], ...]:
+    """(perm, reversed, (i, j, k)) for each of the 12 symmetries: the image
+    of a point x under it is (y_i, y_j, y_k), with y = (x, 1 - x).
+
+    The six-arc word renamed by perm has P(perm(i) before perm(j)) at x as
+    its P(i before j), or P(perm(j) before perm(i)) when it is also
+    reversed; `words.pair_axis` gives the axis a of that pair, and index a
+    or a + 3 picks x_a or 1 - x_a."""
+    table = []
+    for perm in permutations(LETTERS):
+        for reversed_ in (False, True):
+            pairs = [(perm[i - 1], perm[j - 1]) for i, j in PQR_PAIRS]
+            axes = (pair_axis(j, i) if reversed_ else pair_axis(i, j) for i, j in pairs)
+            table.append((perm, reversed_, tuple(a if sign > 0 else a + 3 for a, sign in axes)))
+    return tuple(table)
+
+
+_SYMMETRIES = _symmetry_table()
 
 
 def closed_form_word(point: PqrPoint) -> Word | None:
@@ -325,8 +345,9 @@ def closed_form_word(point: PqrPoint) -> Word | None:
 
     A symmetry renames the letters by a permutation and may reverse the
     arcs.  Renaming maps P(i before j) to P(perm(i) before perm(j)), and
-    reversal maps it to P(j before i), so `words.precedence` gives the
-    image of the point for each of the 12 symmetries.  The image farthest
+    reversal maps it to P(j before i), so each coordinate of the image of
+    the point is a coordinate x_a of the point or its complement 1 - x_a;
+    the table `_SYMMETRIES` holds which, for each of the 12 symmetries.  The image farthest
     inside R (least outside it, for a point that rounding put just beyond
     R) gives the word, and the same symmetry maps the word back.
 
@@ -340,17 +361,13 @@ def closed_form_word(point: PqrPoint) -> Word | None:
       lies in R'(i, j) for either j when m = i, and in R'(m, i) when m != i.
     So every point that no all-positive triple E or O excludes gets a word.
     """
-    x = (float(point.p), float(point.q), float(point.r))
+    p, q, r = float(point.p), float(point.q), float(point.r)
+    x = (p, q, r, 1.0 - p, 1.0 - q, 1.0 - r)
     images = []
-    for perm in permutations(LETTERS):
-        for reversed_ in (False, True):
-            # (p, q, r) of the six-arc word: its P(i before j) is P(perm(i) before
-            # perm(j)) of the renamed word, whose point is x, or P(perm(j) before
-            # perm(i)) when the renamed word is also reversed
-            pairs = [(perm[i - 1], perm[j - 1]) for i, j in PQR_PAIRS]
-            p, q, r = (precedence(x, j, i) if reversed_ else precedence(x, i, j) for i, j in pairs)
-            # how far the image lies outside R, with 1 - p exact for p >= 1/2
-            images.append((max((1.0 - p) - q, q * r - (1.0 - p)), perm, reversed_, p, q, r))
+    for perm, reversed_, (i, j, k) in _SYMMETRIES:
+        p, q, r = x[i], x[j], x[k]
+        # how far the image lies outside R, with 1 - p exact for p >= 1/2
+        images.append((max((1.0 - p) - q, q * r - (1.0 - p)), perm, reversed_, p, q, r))
     outside, perm, reversed_, p, q, r = min(images, key=lambda image: image[0])
     if outside > SCREEN_SLACK:
         return None
@@ -457,20 +474,22 @@ def probe(
 
     Points leaving the unit cube are unattainable outright; otherwise the
     answer is whether `fit` attains the point, and any error `fit` raises
-    propagates.
+    propagates.  The point and its clip to the cube are computed in Python
+    floats, coordinate by coordinate, as c + eps d and min(max(c, 0), 1).
     """
     eps = require_real("eps", eps)
     if not 0 < eps < math.inf:
         raise InvariantViolation("eps", f"eps must be finite and positive, got {eps}")
-    d = np.asarray(direction, dtype=float)
-    if d.shape != (3,):
-        raise InvariantViolation("direction-shape", f"direction must be 3 numbers, got shape {d.shape}")
-    if not np.isfinite(d).all():
+    components = np.asarray(direction, dtype=object)
+    if components.shape != (3,):
+        raise InvariantViolation("direction-shape", f"direction must be 3 numbers, got shape {components.shape}")
+    d = [require_real("direction", v) for v in components]
+    if not all(map(math.isfinite, d)):
         raise InvariantViolation("direction-finite", f"direction must be finite, got {d}")
-    x = point.as_array() + eps * d
-    if (x < -1e-12).any() or (x > 1.0 + 1e-12).any():
+    x = [float(c) + eps * v for c, v in zip((point.p, point.q, point.r), d)]
+    if any(c < -1e-12 or c > 1.0 + 1e-12 for c in x):
         return False
-    return fit(PqrPoint(*np.clip(x, 0.0, 1.0)), **fit_kwargs).status == "attained"
+    return fit(PqrPoint(*(min(max(c, 0.0), 1.0) for c in x)), **fit_kwargs).status == "attained"
 
 
 def max_min_coordinate(max_arcs: int = DEFAULT_MAX_ARCS) -> tuple[float, Word]:

@@ -299,9 +299,12 @@ def trim_and_mesh(resolution: int, eps: float = 1e-3) -> AtlasMesh:
                 for tri in ((vids[0], vids[1], vids[2]), (vids[0], vids[2], vids[3])):
                     if len(set(tri)) < 3:
                         continue  # parametrization collapsed along a box edge
-                    pts = [np.array(mesh.vertices[v]) for v in tri]
-                    normal = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-                    center = (pts[0] + pts[1] + pts[2]) / 3.0
+                    a, b, c = (mesh.vertices[v] for v in tri)
+                    u = [bk - ak for ak, bk in zip(a, b)]
+                    w = [ck - ak for ak, ck in zip(a, c)]
+                    # u x w, with the products and differences of np.cross
+                    normal = (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+                    center = [(ak + bk + ck) / 3.0 for ak, bk, ck in zip(a, b, c)]
                     if np.dot(normal, patch.outward(center)) < 0:
                         tri = (tri[0], tri[2], tri[1])  # enforce outward orientation
                     faces.append(tri)

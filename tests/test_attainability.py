@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,18 @@ from carnotreach.attainability import (
     probe,
 )
 from carnotreach.probability import dice_pqr, random_dice_triple
-from carnotreach.words import InvariantViolation, PqrPoint, Word, pqr, random_word, reverse, word_to_dict
+from carnotreach.words import (
+    LETTERS,
+    PQR_PAIRS,
+    InvariantViolation,
+    PqrPoint,
+    Word,
+    precedence,
+    pqr,
+    random_word,
+    reverse,
+    word_to_dict,
+)
 
 PHI = (np.sqrt(5.0) - 1.0) / 2.0
 CUBE_SCAN_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "cube_scan.json"
@@ -199,6 +211,22 @@ def test_probe_rejects_a_direction_of_the_wrong_shape():
         with pytest.raises(InvariantViolation) as exc:
             probe(center, direction)
         assert exc.value.name == "direction-shape"
+
+
+def test_probe_names_a_mistyped_direction():
+    center = PqrPoint(0.5, 0.5, 0.5)
+    for direction in (["1", "0", "0"], [True, False, False], (1.0, None, 0.0), np.array([True, False, False])):
+        with pytest.raises(InvariantViolation) as exc:
+            probe(center, direction)
+        assert exc.value.name == "direction"
+    # a string is not three numbers
+    with pytest.raises(InvariantViolation) as exc:
+        probe(center, "abc")
+    assert exc.value.name == "direction-shape"
+    # numpy numbers and integers pass; these steps leave the cube, so no search runs
+    edge = PqrPoint(1.0, 0.5, 0.5)
+    assert probe(edge, np.array([1, 0, 0])) is False
+    assert probe(edge, [np.float32(1.0), 0, np.int64(0)]) is False
 
 
 def test_probe_rejects_non_finite_direction():
@@ -763,6 +791,24 @@ def test_screen_and_closed_form_bytes():
     assert sum(r[1][1] is not None for r in records) == 844
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == "45eecffa886f204d25bd76cfc33bb89bc302330869e9d12431a8ccc1d8c36356"
+
+
+def test_symmetry_table_gives_the_precedence_images():
+    # the images of a point under the 12 symmetries, computed as the closed form
+    # did before its table: the oracle for every entry, bit for bit
+    table = attainability._SYMMETRIES
+    assert len(table) == 12
+    for x in _screen_and_closed_form_points()[::10]:
+        x = (float(x.p), float(x.q), float(x.r))
+        y = x + tuple(1.0 - c for c in x)
+        expected = []
+        for perm in permutations(LETTERS):
+            for reversed_ in (False, True):
+                pairs = [(perm[i - 1], perm[j - 1]) for i, j in PQR_PAIRS]
+                image = (precedence(x, j, i) if reversed_ else precedence(x, i, j) for i, j in pairs)
+                expected.append((perm, reversed_, [v.hex() for v in image]))
+        got = [(perm, reversed_, [y[k].hex() for k in index]) for perm, reversed_, index in table]
+        assert got == expected
 
 
 # the 3-cycle 1 -> 2 -> 3 -> 1 and the transposition (1 2) of the letters,
