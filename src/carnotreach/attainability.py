@@ -309,7 +309,7 @@ def exclusion_bound(point: PqrPoint) -> tuple[float, str | None]:
 _CLOSED_FORM_LETTERS = (1, 2, 3, 1, 3, 2)
 
 
-def _symmetry_table() -> tuple[tuple[tuple[int, ...], bool, tuple[int, int, int]], ...]:
+def _symmetry_table() -> tuple[tuple, ...]:
     """(perm, reversed, (i, j, k)) for each of the 12 symmetries: the image
     of a point x under it is (y_i, y_j, y_k), with y = (x, 1 - x).
 
@@ -347,9 +347,10 @@ def closed_form_word(point: PqrPoint) -> Word | None:
     arcs.  Renaming maps P(i before j) to P(perm(i) before perm(j)), and
     reversal maps it to P(j before i), so each coordinate of the image of
     the point is a coordinate x_a of the point or its complement 1 - x_a;
-    the table `_SYMMETRIES` holds which, for each of the 12 symmetries.  The image farthest
-    inside R (least outside it, for a point that rounding put just beyond
-    R) gives the word, and the same symmetry maps the word back.
+    the table `_SYMMETRIES` says which, for each of the 12 symmetries.  The
+    image farthest inside R (least outside it, for a point that rounding
+    put just beyond R) gives the word, and the same symmetry maps the word
+    back.
 
     Write E_i = x_i + x_j x_k - 1 for {i, j, k} = {1, 2, 3} and x = (p, q,
     r), and O_i for the same expression at 1 - x.  The images of R are the
