@@ -18,6 +18,7 @@ exported as OBJ.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import partial
@@ -71,18 +72,18 @@ class FacePatch:
         return pqr(self.word(*params))
 
     def sample_grid(self, resolution: int):
-        """Yield (params, word, point) over a regular grid of the cube."""
+        """Yield (params, word, point) over a regular grid of the cube, the
+        last parameter varying fastest; parameters are Python floats."""
         require_int("resolution", resolution, 2)
-        axis = np.linspace(0.0, 1.0, resolution)
-        for idx in np.ndindex(*(resolution,) * self.dim):
-            params = tuple(axis[i] for i in idx)
+        axis = np.linspace(0.0, 1.0, resolution).tolist()
+        for params in itertools.product(axis, repeat=self.dim):
             w = self.word(*params)
             yield params, w, pqr(w)
 
 
 def _vertex_patch(pattern: tuple[int, int, int], label: str) -> FacePatch:
     def word_map():
-        return Word.of((l, 1.0) for l in pattern)
+        return Word(tuple((l, 1.0) for l in pattern))
 
     return FacePatch(kind="vertex", id=label, pattern=pattern, dim=0, word_map=word_map)
 
@@ -106,7 +107,7 @@ def _cube_edge_patch(i: int, j: int, after: bool) -> FacePatch:
     def word_map(s):
         block = [(i, s), (j, 1.0), (i, 1.0 - s)]
         arcs = block + [(k, 1.0)] if after else [(k, 1.0)] + block
-        return Word.of(arcs)
+        return Word(tuple(arcs))
 
     pos = "post" if after else "pre"
     return FacePatch(
@@ -122,7 +123,7 @@ def _diagonal_patch(i: int, j: int) -> FacePatch:
     k = 6 - i - j
 
     def word_map(a):
-        return Word.of([(k, a), (i, 1.0), (j, 1.0), (k, 1.0 - a)])
+        return Word(((k, a), (i, 1.0), (j, 1.0), (k, 1.0 - a)))
 
     return FacePatch(
         kind="diagonal-edge",
@@ -144,10 +145,14 @@ def edge_families() -> list[FacePatch]:
     return patches
 
 
+def _two_blocks(u: int, w: int, v: int, a: float, b: float) -> tuple[tuple[int, float], ...]:
+    return ((u, a), (w, b), (u, 1.0 - a), (v, 1.0), (w, 1.0 - b))
+
+
 def triangle_word(u: int, w: int, v: int, a: float, b: float) -> Word:
     """Product of a {u, w} block and a {w, v} block; sweeps the facet
     triangle where u always precedes v."""
-    return canonicalize(Word.of([(u, a), (w, b), (u, 1.0 - a), (v, 1.0), (w, 1.0 - b)]))
+    return canonicalize(Word.of(_two_blocks(u, w, v, a, b)))
 
 
 def _flat_triangle_patch(u: int, w: int, v: int) -> FacePatch:
@@ -155,7 +160,7 @@ def _flat_triangle_patch(u: int, w: int, v: int) -> FacePatch:
     value = 1.0 if sign > 0 else 0.0
 
     def word_map(a, b):
-        return triangle_word(u, w, v, a, b)
+        return Word(_two_blocks(u, w, v, a, b))  # FacePatch.word canonicalizes
 
     def equation(x):
         return sign * (x[axis] - value)
@@ -206,7 +211,7 @@ def _quadric_patch(pattern) -> FacePatch:
 
     def word_map(a, b):
         l0, l1, l2, l3, l4 = pattern
-        return Word.of([(l0, a), (l1, b), (l2, 1.0), (l3, 1.0 - a), (l4, 1.0 - b)])
+        return Word(((l0, a), (l1, b), (l2, 1.0), (l3, 1.0 - a), (l4, 1.0 - b)))
 
     def outward(x):
         g = gradient(x)
@@ -267,35 +272,33 @@ def trim_and_mesh(resolution: int, eps: float = 1e-3) -> AtlasMesh:
     mesh = AtlasMesh()
     vertex_index: dict[tuple[float, float, float], int] = {}
 
-    def add_vertex(x: np.ndarray) -> int:
-        key = tuple(round(float(v), 9) for v in x)
+    def add_vertex(x: tuple[float, float, float]) -> int:
+        key = tuple(round(v, 9) for v in x)
         if key not in vertex_index:
             vertex_index[key] = len(mesh.vertices)
-            mesh.vertices.append(tuple(float(v) for v in x))
+            mesh.vertices.append(x)
         return vertex_index[key]
 
     for patch in quadric_patches() + flat_triangles():
-        points, kept = [], []
+        points, kept = [], []  # flat over the grid, at ia * resolution + ib
         for params, _, point in patch.sample_grid(resolution):
-            x = point.as_array()
-            n = patch.outward(x)
+            x = (point.p, point.q, point.r)
+            n = patch.outward(np.array(x)).tolist()
             attainable_beyond = partial(attainability.probe, point, eps=eps, **probe_kwargs)
-            boundary = not attainable_beyond(n) and attainable_beyond(-n)
-            mesh.samples.append(
-                SampleRecord(patch.id, tuple(float(v) for v in params), tuple(x), boundary)
-            )
+            boundary = not attainable_beyond(n) and attainable_beyond([-v for v in n])
+            mesh.samples.append(SampleRecord(patch.id, params, x, boundary))
             points.append(x)
             kept.append(boundary)
-        grid = np.reshape(points, (resolution, resolution, 3))
-        kept = np.reshape(kept, (resolution, resolution))
 
         faces: list[tuple[int, int, int]] = []
         for ia in range(resolution - 1):
             for ib in range(resolution - 1):
-                corners = [(ia, ib), (ia + 1, ib), (ia + 1, ib + 1), (ia, ib + 1)]
+                # (ia, ib), (ia + 1, ib), (ia + 1, ib + 1), (ia, ib + 1)
+                k = ia * resolution + ib
+                corners = (k, k + resolution, k + resolution + 1, k + 1)
                 if not all(kept[c] for c in corners):
                     continue
-                vids = [add_vertex(grid[c]) for c in corners]
+                vids = [add_vertex(points[c]) for c in corners]
                 for tri in ((vids[0], vids[1], vids[2]), (vids[0], vids[2], vids[3])):
                     if len(set(tri)) < 3:
                         continue  # parametrization collapsed along a box edge
@@ -330,7 +333,7 @@ def strata_csv(resolution: int = 11) -> str:
     buf.write("label,params,p,q,r,witness\n")
     for patch in vertices() + edge_families() + flat_triangles() + quadric_patches():
         for params, word, point in patch.sample_grid(resolution):
-            params_str = ";".join(repr(float(v)) for v in params)
+            params_str = ";".join(map(repr, params))
             witness = json.dumps(word_to_dict(word)).replace('"', '""')
             buf.write(f'{patch.id},{params_str},{point.p!r},{point.q!r},{point.r!r},"{witness}"\n')
     return buf.getvalue()

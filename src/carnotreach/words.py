@@ -88,7 +88,13 @@ def require_int(name: str, value, minimum: int) -> int:
 
 def require_real(name: str, value) -> float:
     """A real number as a float, else InvariantViolation `name`; bools,
-    strings and integers too large for a float are rejected, numpy numbers pass."""
+    strings and integers too large for a float are rejected, numpy numbers pass.
+
+    A float (numpy float64 and other float subclasses included) returns
+    `float(value)` at once; every other value takes the slower `numbers.Real`
+    check. Both paths accept and reject the same values."""
+    if isinstance(value, float):
+        return float(value)
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             return float(value)

@@ -247,6 +247,29 @@ def test_trim_fits_the_clipped_probe_points_bytewise(monkeypatch):
     assert received == expected
 
 
+def test_atlas_path_carries_python_floats(monkeypatch):
+    # a numpy scalar is slower than a float in every Python operation downstream
+    patches = atlas.vertices() + atlas.edge_families() + atlas.flat_triangles() + atlas.quadric_patches()
+    for patch in patches:
+        for params, word, point in patch.sample_grid(3):
+            assert all(type(v) is float for v in params)
+            assert all(type(t) is float for _, t in word.arcs)
+            assert all(type(v) is float for v in (point.p, point.q, point.r))
+
+    probe, directions = attainability.probe, []
+
+    def watched_probe(point, direction, eps, **kwargs):
+        directions.append(direction)
+        return probe(point, direction, eps=eps, **kwargs)
+
+    monkeypatch.setattr(attainability, "probe", watched_probe)
+    mesh = atlas.trim_and_mesh(3)
+    assert len(directions) == 210
+    assert all(type(v) is float for d in directions for v in d)
+    assert all(type(v) is float for rec in mesh.samples for v in rec.params + rec.point)
+    assert mesh.vertices and all(type(v) is float for x in mesh.vertices for v in x)
+
+
 def test_trim_propagates_prober_bugs(monkeypatch):
     def buggy(*args, **kwargs):
         raise TypeError("bug in the solver")

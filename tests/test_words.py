@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from carnotreach.words import (
     pqr,
     pqr_from_endpoint,
     random_word,
+    require_real,
     reverse,
     section_weights,
     to_section,
@@ -218,6 +220,31 @@ def test_word_rejects_non_real_durations():
     w = Word.of(zip([1, 2, 3], [np.float64(0.5), np.float32(1.0), np.int64(1)]))
     assert w.arcs == ((1, 0.5), (2, 1.0), (3, 1.0))
     assert all(type(t) is float for _, t in w.arcs)
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.25, np.float64(0.25), np.float32(0.25), _Float(0.25), 3, np.int64(3), Fraction(1, 3)],
+    ids=["float", "float64", "float32", "float-subclass", "int", "int64", "Fraction"],
+)
+def test_require_real_returns_an_exact_float(value):
+    # floats take the isinstance(value, float) check, the rest the numbers.Real one; both give float(value)
+    got = require_real("x", value)
+    assert type(got) is float
+    assert got == float(value)
+
+
+@pytest.mark.parametrize(
+    "value", [True, np.bool_(True), "1", None, 10**400], ids=["bool", "bool_", "str", "None", "huge-int"]
+)
+def test_require_real_still_rejects_what_is_not_a_real_float(value):
+    with pytest.raises(InvariantViolation) as exc:
+        require_real("x", value)
+    assert exc.value.name == "x"
 
 
 def test_word_rejects_non_integer_letters():
