@@ -236,6 +236,30 @@ def test_atlas_subcommand(tmp_path, capsys):
     assert open(csv_path).readline().strip() == "label,params,p,q,r,witness"
 
 
+def test_atlas_files_are_pinned(tmp_path, capsys):
+    # the OBJ digest is OBJ_SHA256[3] and the CSV digest the strata_csv pin at
+    # resolution 3, both in tests/test_boundary_atlas.py
+    obj_path, csv_path = tmp_path / "mesh.obj", tmp_path / "strata.csv"
+    code, out, _ = run(
+        capsys, "atlas", "--resolution", "3", "--out-obj", str(obj_path), "--out-csv", str(csv_path)
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "vertices": 24,
+        "groups": {f"flat-{uwv}": 4 for uwv in ("123", "231", "312", "321", "213", "132")},
+        "samples": 108,
+        "prober_failures": 0,
+        "obj": str(obj_path),
+        "csv": str(csv_path),
+    }
+    assert hashlib.sha256(obj_path.read_bytes()).hexdigest() == (
+        "6c098e5ba29081c557af3bbfcff0b09cdc4afab5c211ba35214e2c323dd47fff"
+    )
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "e5c9b6d9f572529699983f558765a2e5d47f618a5634a048830ae7608bd51013"
+    )
+
+
 @pytest.mark.parametrize("eps", ["0", "-0.001", "inf", "nan"])
 def test_atlas_rejects_non_positive_or_non_finite_eps(tmp_path, capsys, eps):
     code, out, err = run(
