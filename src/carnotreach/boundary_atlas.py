@@ -10,10 +10,11 @@ sampled point is attained by construction; facets and quadric equations
 follow from the letter-pair rule `words.pair_axis`.
 
 The quadric patches, generated in full, overlap the interior of the
-attainable body; `trim_and_mesh` probes each sample with
-`attainability.probe`, keeps the samples whose outward side is
-unattainable and inward side attainable, and assembles a triangle mesh
-exported as OBJ.
+attainable body; `trim_and_mesh` samples every stratum once
+(`sample_strata`), probes each surface sample with `attainability.probe`,
+keeps the samples whose outward side is unattainable and inward side
+attainable, and assembles a triangle mesh exported as OBJ; `strata_csv`
+formats the sampled strata the mesh keeps.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ __all__ = [
     "flat_triangles",
     "triangle_word",
     "quadric_patches",
+    "sample_strata",
     "trim_and_mesh",
     "write_obj",
     "strata_csv",
@@ -240,6 +242,19 @@ def quadric_patches() -> list[FacePatch]:
     return [_quadric_patch(pattern) for pattern in cyclic + [p[::-1] for p in cyclic]]
 
 
+SampledStratum = tuple[FacePatch, list[tuple[tuple[float, ...], Word, PqrPoint]]]
+
+
+def sample_strata(resolution: int) -> list[SampledStratum]:
+    """Every stratum with its `sample_grid(resolution)` rows: the six
+    vertices, the twelve edge families, the six flat triangles and the six
+    quadric patches, in that order."""
+    return [
+        (patch, list(patch.sample_grid(resolution)))
+        for patch in vertices() + edge_families() + flat_triangles() + quadric_patches()
+    ]
+
+
 @dataclass
 class SampleRecord:
     patch_id: str
@@ -250,16 +265,19 @@ class SampleRecord:
 
 @dataclass
 class AtlasMesh:
-    """Triangle mesh of the boundary with per-sample provenance."""
+    """Triangle mesh of the boundary with per-sample provenance and the
+    sampled strata it was built from."""
 
     vertices: list[tuple[float, float, float]] = field(default_factory=list)
     groups: dict[str, list[tuple[int, int, int]]] = field(default_factory=dict)
     samples: list[SampleRecord] = field(default_factory=list)
+    strata: list[SampledStratum] = field(default_factory=list)
 
 
 def trim_and_mesh(resolution: int, eps: float = 1e-3) -> AtlasMesh:
-    """Sample the surface patches, keep certified boundary samples, and
-    triangulate them.
+    """Sample every stratum once (`sample_strata`, kept as `mesh.strata`),
+    keep the certified boundary samples of the quadric patches and then the
+    flat triangles, and triangulate them.
 
     A sample is boundary iff `attainability.probe` finds the point eps
     outward unattainable and the point eps inward attainable.  The inward
@@ -269,7 +287,7 @@ def trim_and_mesh(resolution: int, eps: float = 1e-3) -> AtlasMesh:
     `attainability.closed_form_word` reaches is settled without a sweep.
     """
     probe_kwargs = dict(max_arcs=PROBE_MAX_ARCS, n_starts=PROBE_STARTS, seed=0)
-    mesh = AtlasMesh()
+    mesh = AtlasMesh(strata=sample_strata(resolution))
     vertex_index: dict[tuple[float, float, float], int] = {}
 
     def add_vertex(x: tuple[float, float, float]) -> int:
@@ -279,9 +297,10 @@ def trim_and_mesh(resolution: int, eps: float = 1e-3) -> AtlasMesh:
             mesh.vertices.append(x)
         return vertex_index[key]
 
-    for patch in quadric_patches() + flat_triangles():
+    surfaces = [s for kind in ("quadric", "flat-triangle") for s in mesh.strata if s[0].kind == kind]
+    for patch, rows in surfaces:
         points, kept = [], []  # flat over the grid, at ia * resolution + ib
-        for params, _, point in patch.sample_grid(resolution):
+        for params, _, point in rows:
             x = (point.p, point.q, point.r)
             n = patch.outward(np.array(x)).tolist()
             attainable_beyond = partial(attainability.probe, point, eps=eps, **probe_kwargs)
@@ -327,12 +346,13 @@ def write_obj(mesh: AtlasMesh) -> str:
     return buf.getvalue()
 
 
-def strata_csv(resolution: int = 11) -> str:
-    """CSV dump of all strata: label, parameters, p, q, r, witness word."""
+def strata_csv(strata: list[SampledStratum]) -> str:
+    """CSV dump of sampled strata (`sample_strata`, `AtlasMesh.strata`):
+    label, parameters, p, q, r, witness word; it samples nothing."""
     buf = io.StringIO()
     buf.write("label,params,p,q,r,witness\n")
-    for patch in vertices() + edge_families() + flat_triangles() + quadric_patches():
-        for params, word, point in patch.sample_grid(resolution):
+    for patch, rows in strata:
+        for params, word, point in rows:
             params_str = ";".join(map(repr, params))
             witness = json.dumps(word_to_dict(word)).replace('"', '""')
             buf.write(f'{patch.id},{params_str},{point.p!r},{point.q!r},{point.r!r},"{witness}"\n')

@@ -68,7 +68,7 @@ def _cmd_atlas(args) -> int:
     with open(args.out_obj, "w") as fh:
         fh.write(boundary_atlas.write_obj(mesh))
     with open(args.out_csv, "w") as fh:
-        fh.write(boundary_atlas.strata_csv(args.resolution))
+        fh.write(boundary_atlas.strata_csv(mesh.strata))
     _emit(
         {
             "vertices": len(mesh.vertices),

@@ -337,7 +337,7 @@ def test_write_obj_format():
 
 
 def test_strata_csv_header_and_rows():
-    text = atlas.strata_csv(3)
+    text = atlas.strata_csv(atlas.sample_strata(3))
     lines = text.strip().splitlines()
     assert lines[0] == "label,params,p,q,r,witness"
     labels = {line.split(",")[0] for line in lines[1:]}
@@ -350,7 +350,7 @@ def test_strata_csv_header_and_rows():
 
 def test_strata_csv_bytes_are_pinned():
     # sha256 recorded before the atlas trimmed through attainability.probe
-    text = atlas.strata_csv(3)
+    text = atlas.strata_csv(atlas.sample_strata(3))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "e5c9b6d9f572529699983f558765a2e5d47f618a5634a048830ae7608bd51013"
     )
@@ -365,4 +365,4 @@ def test_strata_csv_bytes_are_pinned():
 )
 def test_strata_csv_bytes_are_pinned_at_finer_resolutions(resolution, digest):
     # sha256 recorded while vertices were a separate type from the patches
-    assert hashlib.sha256(atlas.strata_csv(resolution).encode()).hexdigest() == digest
+    assert hashlib.sha256(atlas.strata_csv(atlas.sample_strata(resolution)).encode()).hexdigest() == digest

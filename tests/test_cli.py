@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from carnotreach import boundary_atlas
 from carnotreach.cli import main
 
 
@@ -258,6 +259,27 @@ def test_atlas_files_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
         "e5c9b6d9f572529699983f558765a2e5d47f618a5634a048830ae7608bd51013"
     )
+
+
+@pytest.mark.parametrize("resolution", ["2", "3"])
+def test_atlas_samples_each_stratum_once(tmp_path, capsys, monkeypatch, resolution):
+    # the mesh and the CSV are built from one sampling pass over the 30 strata
+    sample_grid, sampled = boundary_atlas.FacePatch.sample_grid, []
+
+    def counted(patch, resolution):
+        sampled.append(patch.id)
+        return sample_grid(patch, resolution)
+
+    monkeypatch.setattr(boundary_atlas.FacePatch, "sample_grid", counted)
+    code, _, _ = run(
+        capsys,
+        "atlas",
+        "--resolution", resolution,
+        "--out-obj", str(tmp_path / "mesh.obj"),
+        "--out-csv", str(tmp_path / "strata.csv"),
+    )
+    assert code == 0
+    assert len(sampled) == len(set(sampled)) == 30
 
 
 @pytest.mark.parametrize("eps", ["0", "-0.001", "inf", "nan"])
