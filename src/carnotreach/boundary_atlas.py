@@ -297,7 +297,7 @@ def trim_and_mesh(resolution: int, eps: float = 1e-3) -> AtlasMesh:
             mesh.vertices.append(x)
         return vertex_index[key]
 
-    surfaces = [s for kind in ("quadric", "flat-triangle") for s in mesh.strata if s[0].kind == kind]
+    surfaces = [(p, rows) for kind in ("quadric", "flat-triangle") for p, rows in mesh.strata if p.kind == kind]
     for patch, rows in surfaces:
         points, kept = [], []  # flat over the grid, at ia * resolution + ib
         for params, _, point in rows:

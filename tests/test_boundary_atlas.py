@@ -249,9 +249,8 @@ def test_trim_fits_the_clipped_probe_points_bytewise(monkeypatch):
 
 def test_atlas_path_carries_python_floats(monkeypatch):
     # a numpy scalar is slower than a float in every Python operation downstream
-    patches = atlas.vertices() + atlas.edge_families() + atlas.flat_triangles() + atlas.quadric_patches()
-    for patch in patches:
-        for params, word, point in patch.sample_grid(3):
+    for _, rows in atlas.sample_strata(3):
+        for params, word, point in rows:
             assert all(type(v) is float for v in params)
             assert all(type(t) is float for _, t in word.arcs)
             assert all(type(v) is float for v in (point.p, point.q, point.r))
