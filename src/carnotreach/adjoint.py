@@ -45,27 +45,32 @@ class AdjointCovector:
     h: tuple[float, float, float]
     skew: tuple[float, float, float]
 
+    def __post_init__(self):
+        try:
+            entries = (*self.h, *self.skew)
+            shaped = len(self.h) == len(self.skew) == 3
+        except TypeError:  # h or skew is not a sized iterable
+            shaped = False
+        if not shaped:
+            raise InvariantViolation("covector", f"h and skew must be 3-vectors, got {self.h!r} and {self.skew!r}")
+        for v in entries:
+            # a float needs only the finiteness check; the rest go through require_real
+            if not math.isfinite(v if type(v) is float else require_real("covector", v)):
+                raise InvariantViolation("covector", f"h and skew must be finite, got {self.h} and {self.skew}")
+
     @staticmethod
     def of(h, skew) -> "AdjointCovector":
+        """The covector of two iterables of three reals, kept as Python floats."""
         try:
             h, skew = tuple(h), tuple(skew)
         except TypeError:
             raise InvariantViolation("covector", f"h and skew must be 3-vectors, got {h!r} and {skew!r}") from None
-        if len(h) != 3 or len(skew) != 3:
-            raise InvariantViolation("covector", f"h and skew must be 3-vectors, got {h} and {skew}")
-        h = tuple(require_real("covector", v) for v in h)
-        skew = tuple(require_real("covector", v) for v in skew)
-        if not all(math.isfinite(v) for v in h + skew):
-            raise InvariantViolation("covector", f"h and skew must be finite, got {h} and {skew}")
+        h, skew = (tuple(require_real("covector", v) for v in vec) for vec in (h, skew))
         return AdjointCovector(h, skew)
 
     @property
     def h12(self) -> float:
         return self.skew[0]
-
-    @property
-    def h13(self) -> float:
-        return self.skew[1]
 
     @property
     def h23(self) -> float:
@@ -116,14 +121,14 @@ def adjoint_flow(a: AdjointCovector, w: Word) -> AdjointCovector:
     return AdjointCovector(tuple(h), a.skew)
 
 
-def maximizing_controls(a: AdjointCovector, tol: float = TIE_TOL) -> tuple[int, ...]:
+def maximizing_controls(a: AdjointCovector) -> tuple[int, ...]:
     """Letters attaining the maximum of h over the control simplex.
 
     One letter: a vertex control; two: an edge of the simplex; three: the
     whole simplex (the covector sits at the quadrant vertex).
     """
     hmax = max(a.h)
-    return tuple(i + 1 for i, hi in enumerate(a.h) if hi >= hmax - tol)
+    return tuple(i + 1 for i, hi in enumerate(a.h) if hi >= hmax - TIE_TOL)
 
 
 def normalize(a: AdjointCovector) -> AdjointCovector:
@@ -147,9 +152,9 @@ def normalize(a: AdjointCovector) -> AdjointCovector:
     return AdjointCovector(h, skew)
 
 
-def _edge_is_singular(a: AdjointCovector, i: int, j: int, tol: float) -> bool:
+def _edge_is_singular(a: AdjointCovector, i: int, j: int) -> bool:
     # edge {i, j} of the quadrant is invariant iff h_ij = 0
-    return abs(a.skew[_SKEW_INDEX[min(i, j), max(i, j)]]) <= tol
+    return abs(a.skew[_SKEW_INDEX[min(i, j), max(i, j)]]) <= TIE_TOL
 
 
 def _edge_bang_letter(a: AdjointCovector, i: int, j: int) -> int:
@@ -160,11 +165,7 @@ def _edge_bang_letter(a: AdjointCovector, i: int, j: int) -> int:
     return lo if hij >= 0 else hi
 
 
-def synthesize(
-    a: AdjointCovector,
-    horizon: float,
-    tol: float = TIE_TOL,
-) -> tuple[Word, RegimeReport]:
+def synthesize(a: AdjointCovector, horizon: float) -> tuple[Word, RegimeReport]:
     """Run the closed loop "control = maximizing vertex" for the given horizon.
 
     Switch instants are roots of linear functions, so the trajectory is
@@ -177,7 +178,7 @@ def synthesize(
     # an infinite horizon never runs down, so the loop below would not end
     if not 0 <= horizon < math.inf:
         raise InvariantViolation("horizon", f"horizon must be finite and nonnegative, got {horizon}")
-    if abs(max(a.h) - 1.0) > tol:
+    if abs(max(a.h) - 1.0) > TIE_TOL:
         raise InvariantViolation("normalized", f"covector must satisfy max h_i = 1, got {a.h}")
 
     C = casimir(a)
@@ -194,13 +195,13 @@ def synthesize(
             kind = "singular-edge" if len(letters) == 2 else "singular-vertex"
         return RegimeReport(kind, C, K, tuple(letters))
 
-    while remaining > tol:
-        active = tuple(i + 1 for i in range(3) if h[i] >= 1.0 - tol)
+    while remaining > TIE_TOL:
+        active = tuple(i + 1 for i in range(3) if h[i] >= 1.0 - TIE_TOL)
         if len(active) == 3:
             return canonicalize(Word.of(arcs)), report("singular", active)
         if len(active) == 2:
             i, j = active
-            if _edge_is_singular(a, i, j, tol):
+            if _edge_is_singular(a, i, j):
                 return canonicalize(Word.of(arcs)), report("singular", active)
             letter = _edge_bang_letter(a, i, j)
         elif len(active) == 1:
@@ -213,7 +214,7 @@ def synthesize(
         t_switch = np.inf
         nxt = None
         for jdx in range(3):
-            if jdx == letter - 1 or col[jdx] <= tol:
+            if jdx == letter - 1 or col[jdx] <= TIE_TOL:
                 continue
             s = (1.0 - h[jdx]) / col[jdx]
             if s < t_switch:

@@ -11,10 +11,11 @@ follow from the letter-pair rule `words.pair_axis`.
 
 The quadric patches, generated in full, overlap the interior of the
 attainable body; `trim_and_mesh` samples every stratum once
-(`sample_strata`), probes each surface sample with `attainability.probe`,
-keeps the samples whose outward side is unattainable and inward side
-attainable, and assembles a triangle mesh exported as OBJ; `strata_csv`
-formats the sampled strata the mesh keeps.
+(`sample_strata`), probes each surface sample with `attainability.probe`
+at a fixed step PROBE_EPS along its normal, keeps the samples whose
+outward side is unattainable and inward side attainable, and assembles a
+triangle mesh exported as OBJ; `strata_csv` formats the sampled strata
+the mesh keeps.
 """
 from __future__ import annotations
 
@@ -36,7 +37,6 @@ __all__ = [
     "vertices",
     "edge_families",
     "flat_triangles",
-    "triangle_word",
     "quadric_patches",
     "sample_strata",
     "trim_and_mesh",
@@ -44,7 +44,8 @@ __all__ = [
     "strata_csv",
 ]
 
-# the `fit` settings of every `trim_and_mesh` probe
+# the step and the `fit` settings of every `trim_and_mesh` probe
+PROBE_EPS = 1e-3
 PROBE_MAX_ARCS = 6
 PROBE_STARTS = 6
 
@@ -147,22 +148,14 @@ def edge_families() -> list[FacePatch]:
     return patches
 
 
-def _two_blocks(u: int, w: int, v: int, a: float, b: float) -> tuple[tuple[int, float], ...]:
-    return ((u, a), (w, b), (u, 1.0 - a), (v, 1.0), (w, 1.0 - b))
-
-
-def triangle_word(u: int, w: int, v: int, a: float, b: float) -> Word:
-    """Product of a {u, w} block and a {w, v} block; sweeps the facet
-    triangle where u always precedes v."""
-    return canonicalize(Word.of(_two_blocks(u, w, v, a, b)))
-
-
 def _flat_triangle_patch(u: int, w: int, v: int) -> FacePatch:
     axis, sign = pair_axis(u, v)  # the patch lies on the facet P(u before v) = 1
     value = 1.0 if sign > 0 else 0.0
 
     def word_map(a, b):
-        return Word(_two_blocks(u, w, v, a, b))  # FacePatch.word canonicalizes
+        # a {u, w} block times a {w, v} block, so u always precedes v;
+        # FacePatch.word canonicalizes
+        return Word(((u, a), (w, b), (u, 1.0 - a), (v, 1.0), (w, 1.0 - b)))
 
     def equation(x):
         return sign * (x[axis] - value)
@@ -274,19 +267,20 @@ class AtlasMesh:
     strata: list[SampledStratum] = field(default_factory=list)
 
 
-def trim_and_mesh(resolution: int, eps: float = 1e-3) -> AtlasMesh:
+def trim_and_mesh(resolution: int) -> AtlasMesh:
     """Sample every stratum once (`sample_strata`, kept as `mesh.strata`),
     keep the certified boundary samples of the quadric patches and then the
     flat triangles, and triangulate them.
 
-    A sample is boundary iff `attainability.probe` finds the point eps
-    outward unattainable and the point eps inward attainable.  The inward
-    probe runs only when the outward verdict is unattainable, since no
-    other sample can be boundary.  Every probe fits with PROBE_MAX_ARCS
-    arcs, PROBE_STARTS starts per pattern and seed 0, so a point that
-    `attainability.closed_form_word` reaches is settled without a sweep.
+    A sample is boundary iff `attainability.probe` finds the point
+    PROBE_EPS outward unattainable and the point PROBE_EPS inward
+    attainable.  The inward probe runs only when the outward verdict is
+    unattainable, since no other sample can be boundary.  Every probe fits
+    with PROBE_MAX_ARCS arcs, PROBE_STARTS starts per pattern and seed 0,
+    so a point that `attainability.closed_form_word` reaches is settled
+    without a sweep.
     """
-    probe_kwargs = dict(max_arcs=PROBE_MAX_ARCS, n_starts=PROBE_STARTS, seed=0)
+    probe_kwargs = dict(eps=PROBE_EPS, max_arcs=PROBE_MAX_ARCS, n_starts=PROBE_STARTS, seed=0)
     mesh = AtlasMesh(strata=sample_strata(resolution))
     vertex_index: dict[tuple[float, float, float], int] = {}
 
@@ -303,7 +297,7 @@ def trim_and_mesh(resolution: int, eps: float = 1e-3) -> AtlasMesh:
         for params, _, point in rows:
             x = (point.p, point.q, point.r)
             n = patch.outward(np.array(x)).tolist()
-            attainable_beyond = partial(attainability.probe, point, eps=eps, **probe_kwargs)
+            attainable_beyond = partial(attainability.probe, point, **probe_kwargs)
             boundary = not attainable_beyond(n) and attainable_beyond([-v for v in n])
             mesh.samples.append(SampleRecord(patch.id, params, x, boundary))
             points.append(x)

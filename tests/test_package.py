@@ -6,9 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import carnotreach
+from carnotreach.adjoint import AdjointCovector
+from carnotreach.probability import DiscreteDistribution
+from carnotreach.words import InvariantViolation, PqrPoint, Word
 
 MODULES = ["carnotreach"] + [
     f"carnotreach.{info.name}" for info in pkgutil.iter_modules(carnotreach.__path__)
@@ -61,3 +65,70 @@ def test_runtime_needs_no_scipy():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "0.6180339887498949\n0\n"
+
+
+def _covector_slot(k):
+    def build(make, bad):
+        entries = [1.0, 0.5, 0.25, 1.0, -1.0, 1.0]
+        entries[k] = bad
+        return make(tuple(entries[:3]), tuple(entries[3:]))
+
+    return build
+
+
+def _word_slot(k):
+    def build(make, bad):
+        arcs = [[1, 1.0], [2, 1.0], [3, 1.0]]
+        arcs[1][k] = bad
+        return make(tuple(map(tuple, arcs)))
+
+    return build
+
+
+def _atom_slot(k):
+    def build(make, bad):
+        atom = [0.5, 1.0]
+        atom[k] = bad
+        return make((tuple(atom),))
+
+    return build
+
+
+def _pqr_slot(k):
+    def build(make, bad):
+        coords = [0.5, 0.5, 0.5]
+        coords[k] = bad
+        return make(*coords)
+
+    return build
+
+
+# (id, constructors, how to put a value in the slot, the names it may raise)
+NUMERIC_SLOTS = [
+    ("word-letter", (Word, Word.of), _word_slot(0), {"word-letter"}),
+    ("word-duration", (Word, Word.of), _word_slot(1), {"word-duration"}),
+    *((f"pqr-{k}", (PqrPoint,), _pqr_slot(k), {"pqr", "pqr-finite"}) for k in range(3)),
+    *(
+        (f"covector-{k}", (AdjointCovector, AdjointCovector.of), _covector_slot(k), {"covector"})
+        for k in range(6)
+    ),
+    *(
+        (f"atom-{k}", (DiscreteDistribution, DiscreteDistribution.of), _atom_slot(k), {"dice-json", "dice-finite"})
+        for k in range(2)
+    ),
+]
+BAD_NUMBERS = [True, "1", None, float("nan"), float("inf"), 10**400]
+
+
+@pytest.mark.parametrize("bad", BAD_NUMBERS, ids=["bool", "str", "None", "nan", "inf", "huge-int"])
+@pytest.mark.parametrize("slot, makers, build, names", NUMERIC_SLOTS, ids=[row[0] for row in NUMERIC_SLOTS])
+def test_every_public_constructor_names_a_bad_number(slot, makers, build, names, bad):
+    for make in makers:
+        with pytest.raises(InvariantViolation) as exc:
+            build(make, bad)
+        assert exc.value.name in names, (make, slot, bad)
+    # numpy numbers, as the solver and the samplers produce them, pass in every slot
+    good = np.int64(1) if slot == "word-letter" else np.float64(1.0)
+    for make in makers:
+        build(make, good)
+

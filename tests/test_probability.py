@@ -34,9 +34,10 @@ def test_distribution_validation():
     [[("1", 1.0)], [(1.0, True)], [(False, 1.0)], [(1.0, 1.0, 1.0)], [(1.0,)], [1.0], 5, [(10**400, 1.0)]],
 )
 def test_distribution_names_malformed_atoms(atoms):
-    with pytest.raises(InvariantViolation) as exc:
-        DiscreteDistribution.of(atoms)
-    assert exc.value.name == "dice-json"
+    for make in (DiscreteDistribution, DiscreteDistribution.of):
+        with pytest.raises(InvariantViolation) as exc:
+            make(atoms)
+        assert exc.value.name == "dice-json"
 
 
 def test_distribution_accepts_integer_and_numpy_atoms():

@@ -60,8 +60,9 @@ def test_conjugated_fields_ignore_outer_durations():
 
 def test_ag_test_requires_two_switchings():
     a = AdjointCovector.of((1, 0, 0), (1, 1, 1))
-    with pytest.raises(InvariantViolation):
-        ag_test(Word.of([(1, 1), (2, 1)]), a, check_consistency=False)
+    with pytest.raises(InvariantViolation) as exc:
+        ag_test(Word.of([(1, 1), (2, 1)]), a)
+    assert exc.value.name == "switch-count"
 
 
 def test_consistency_check_rejects_mismatched_word():
