@@ -16,6 +16,13 @@ at a fixed step PROBE_EPS along its normal, keeps the samples whose
 outward side is unattainable and inward side attainable, and assembles a
 triangle mesh exported as OBJ; `strata_csv` formats the sampled strata
 the mesh keeps.
+
+The six quadric patches are one orbit of the letter permutations S3, and
+so are the six flat triangles: each is the first patch of its kind with
+its letters renamed, at the same parameters and durations.  Renaming
+maps each coordinate of the point, and of the outward normal, to a
+coordinate or its complement, and attainability is invariant under it,
+so `trim_and_mesh` probes only the first patch of each kind.
 """
 from __future__ import annotations
 
@@ -279,6 +286,17 @@ def trim_and_mesh(resolution: int) -> AtlasMesh:
     with PROBE_MAX_ARCS arcs, PROBE_STARTS starts per pattern and seed 0,
     so a point that `attainability.closed_form_word` reaches is settled
     without a sweep.
+
+    Only the first patch of each kind is probed; every other patch of that
+    kind takes its verdict at the same grid index.  The verdicts agree
+    exactly, not up to rounding: a patch of either kind is the first one
+    with its letters renamed by some σ in S3, at the same parameters.
+    Renaming by σ keeps every duration, sends the point x to its image,
+    each coordinate of which is some x_a or 1 - x_a, and sends the outward
+    normal along with it; the cube, the sum and golden bounds, the closed
+    form and attainability itself are invariant under that map.  Each
+    patch keeps its own points, `SampleRecord`s, vertices and face
+    orientation.
     """
     probe_kwargs = dict(eps=PROBE_EPS, max_arcs=PROBE_MAX_ARCS, n_starts=PROBE_STARTS, seed=0)
     mesh = AtlasMesh(strata=sample_strata(resolution))
@@ -291,17 +309,23 @@ def trim_and_mesh(resolution: int) -> AtlasMesh:
             mesh.vertices.append(x)
         return vertex_index[key]
 
+    def probed(patch: FacePatch, rows) -> list[bool]:
+        verdicts = []
+        for _, _, point in rows:
+            n = patch.outward(point.as_array()).tolist()
+            attainable_beyond = partial(attainability.probe, point, **probe_kwargs)
+            verdicts.append(not attainable_beyond(n) and attainable_beyond([-v for v in n]))
+        return verdicts
+
+    orbit_verdicts: dict[str, list[bool]] = {}  # kind -> verdicts of its first patch
     surfaces = [(p, rows) for kind in ("quadric", "flat-triangle") for p, rows in mesh.strata if p.kind == kind]
     for patch, rows in surfaces:
-        points, kept = [], []  # flat over the grid, at ia * resolution + ib
-        for params, _, point in rows:
-            x = (point.p, point.q, point.r)
-            n = patch.outward(np.array(x)).tolist()
-            attainable_beyond = partial(attainability.probe, point, **probe_kwargs)
-            boundary = not attainable_beyond(n) and attainable_beyond([-v for v in n])
+        if patch.kind not in orbit_verdicts:
+            orbit_verdicts[patch.kind] = probed(patch, rows)
+        kept = orbit_verdicts[patch.kind]  # flat over the grid, at ia * resolution + ib
+        points = [(point.p, point.q, point.r) for _, _, point in rows]
+        for (params, _, _), x, boundary in zip(rows, points, kept, strict=True):
             mesh.samples.append(SampleRecord(patch.id, params, x, boundary))
-            points.append(x)
-            kept.append(boundary)
 
         faces: list[tuple[int, int, int]] = []
         for ia in range(resolution - 1):

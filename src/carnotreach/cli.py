@@ -107,7 +107,7 @@ def _cmd_simulate_adjoint(args) -> int:
 def _cmd_second_order(args) -> int:
     w = words.word_from_dict(_read_json(args.word))
     a = adjoint.AdjointCovector.of(_triple(args.h), _triple(args.skew))
-    report = second_order.ag_test(w, a)
+    report = second_order.ag_test(w, adjoint.normalize(a))
     _emit(
         {
             "verdict": report.verdict,

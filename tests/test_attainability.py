@@ -709,7 +709,7 @@ def test_conjecture_q_admits_every_strata_sample():
     assert not any(_q_excludes(point.as_array()) for point in points)
 
 
-@pytest.mark.parametrize("resolution", [3, 5])
+@pytest.mark.parametrize("resolution", [3, 5, 7, 11])
 def test_conjecture_q_trims_the_atlas_like_the_solver(resolution):
     mesh = boundary_atlas.trim_and_mesh(resolution)
 

@@ -5,7 +5,7 @@ import pytest
 
 from carnotreach import attainability
 from carnotreach import boundary_atlas as atlas
-from carnotreach.words import InvariantViolation, pair_axis, pqr, reverse
+from carnotreach.words import InvariantViolation, Word, pair_axis, pqr, reverse
 
 
 def test_vertices_table():
@@ -207,6 +207,7 @@ OBJ_SHA256 = {
     3: "6c098e5ba29081c557af3bbfcff0b09cdc4afab5c211ba35214e2c323dd47fff",
     5: "e89f217118a7b7d6542e7856a45ef4f0dabc560f6af4a33fb012f078bf1cff7c",
     7: "dbf28036eb84ab71ace09532dbf16491eac4f14d393eed6abe849914b6ca5ac1",
+    11: "20bd737027c7143b902409dc0ee21471a997727f5ff25fa17e0a771401d2a04a",
 }
 
 
@@ -234,7 +235,7 @@ def test_trim_fits_the_clipped_probe_points_bytewise(monkeypatch):
     monkeypatch.setattr(attainability, "probe", watched_probe)
     monkeypatch.setattr(attainability, "fit", watched_fit)
     atlas.trim_and_mesh(5)
-    assert len(received) == 252
+    assert len(received) == 42
     assert received == expected
 
 
@@ -254,7 +255,7 @@ def test_atlas_path_carries_python_floats(monkeypatch):
 
     monkeypatch.setattr(attainability, "probe", watched_probe)
     mesh = atlas.trim_and_mesh(3)
-    assert len(directions) == 210
+    assert len(directions) == 35
     assert all(type(v) is float for d in directions for v in d)
     assert all(type(v) is float for rec in mesh.samples for v in rec.params + rec.point)
     assert mesh.vertices and all(type(v) is float for x in mesh.vertices for v in x)
@@ -291,12 +292,54 @@ def test_trim_probes_inward_only_beyond_an_unattainable_outward_point(monkeypatc
 
     monkeypatch.setattr(attainability, "probe", scripted)
     mesh = atlas.trim_and_mesh(2)
-    first, second = mesh.samples[:2]
-    assert not first.boundary and not second.boundary
-    assert all(rec.boundary for rec in mesh.samples[2:])
-    # one probe for each of the first two samples, two for every other
-    assert len(calls) == 2 * len(mesh.samples) - 2
+    # the first quadric patch and the first flat triangle are probed, 4 samples
+    # each: one probe for each of the first two samples, two for every other
+    assert len(calls) == 2 * 8 - 2
+    # every quadric patch shares the verdicts of the first one
+    for i, rec in enumerate(mesh.samples):
+        assert rec.boundary == (not rec.patch_id.startswith("quadric-") or i % 4 >= 2)
     assert all(kw == dict(eps=atlas.PROBE_EPS, max_arcs=6, n_starts=6, seed=0) for kw in calls)
+
+
+def _renamed(word, sigma):
+    return Word(tuple((sigma[letter], t) for letter, t in word.arcs))
+
+
+@pytest.mark.parametrize("patches", [atlas.quadric_patches(), atlas.flat_triangles()], ids=["quadric", "flat-triangle"])
+def test_each_surface_patch_is_the_first_of_its_kind_renamed(patches):
+    first = patches[0]
+    grid = np.linspace(0.0, 1.0, 9).tolist()
+    renamings = set()
+    for patch in patches:
+        sigma = dict(zip(first.pattern, patch.pattern))
+        assert [sigma[letter] for letter in first.pattern] == list(patch.pattern), patch.id
+        assert sorted(sigma.values()) == [1, 2, 3], patch.id
+        renamings.add(tuple(sorted(sigma.items())))
+        for a in grid:
+            for b in grid:
+                assert patch.word(a, b) == _renamed(first.word(a, b), sigma), (patch.id, a, b)
+    assert len(renamings) == 6
+
+
+def _probe_every_sample(resolution):
+    # the trim without the shared verdicts: every surface sample of every patch probed
+    kwargs = dict(eps=atlas.PROBE_EPS, max_arcs=atlas.PROBE_MAX_ARCS, n_starts=atlas.PROBE_STARTS, seed=0)
+    records = []
+    strata = atlas.sample_strata(resolution)
+    for kind in ("quadric", "flat-triangle"):
+        for patch, rows in strata:
+            if patch.kind != kind:
+                continue
+            for params, _, point in rows:
+                n = patch.outward(point.as_array()).tolist()
+                beyond = [attainability.probe(point, d, **kwargs) for d in (n, [-v for v in n])]
+                records.append(atlas.SampleRecord(patch.id, params, (point.p, point.q, point.r), beyond == [False, True]))
+    return records
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 4, 5, 6, 7])
+def test_shared_verdicts_equal_probing_every_sample(resolution):
+    assert atlas.trim_and_mesh(resolution).samples == _probe_every_sample(resolution)
 
 
 def test_trim_validates_resolution():

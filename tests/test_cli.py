@@ -171,6 +171,25 @@ def test_second_order_subcommand(tmp_path, capsys):
     assert data["W_dim"] == 1
 
 
+def test_second_order_normalizes_its_covector_like_simulate_adjoint(tmp_path, capsys):
+    # a covector and its positive multiple lie on one ray and give one verdict
+    code, out, _ = run(
+        capsys,
+        "simulate-adjoint", "--h", "0,2,2", "--skew", "2,-2,2", "--horizon", "5.5",
+    )
+    assert code == 0
+    word = json.loads(out)["word"]
+    assert word["letters"] == [2, 1, 3, 2, 1, 3]
+    path = write_word(tmp_path, word["letters"], word["durations"])
+    reports = []
+    for h, skew in (("0,1,1", "1,-1,1"), ("0,2,2", "2,-2,2")):
+        code, out, _ = run(capsys, "second-order", "--word", path, "--h", h, "--skew", skew)
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0]["verdict"] == reports[1]["verdict"] == "not-optimal"
+    assert reports[0]["W_dim"] == reports[1]["W_dim"] == 1
+
+
 def test_second_order_rejects_a_word_its_covector_does_not_synthesize(tmp_path, capsys):
     # h = (0, 1, 1) starts on the edge {2, 3}, so the synthesized word does not open with letter 1
     path = write_word(tmp_path, [1, 2, 1], [1.0, 1.0, 1.0])
