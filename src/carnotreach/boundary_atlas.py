@@ -4,10 +4,11 @@ Generators for every named stratum: the six vertices, twelve
 one-parameter edge families (cube edges from mixed singular+bang words,
 facet diagonals from 3-switch words), six flat facet triangles from
 products of two two-letter blocks, and six quadric patches from 4-switch
-words.  Every stratum is a `FacePatch`: an explicit witness-word map on
-the unit parameter cube [0, 1]^dim, with dim 0 for a vertex, so each
-sampled point is attained by construction; facets and quadric equations
-follow from the letter-pair rule `words.pair_axis`.
+words.  Every stratum is a `FacePatch`: a letter pattern and, for each
+arc, which of 1, a parameter t or 1 - t it lasts, so one rule maps the
+unit parameter cube [0, 1]^dim, with dim 0 for a vertex, to witness words
+and each sampled point is attained by construction; facets and quadric
+equations follow from the letter-pair rule `words.pair_axis`.
 
 The quadric patches, generated in full, overlap the interior of the
 attainable body; `trim_and_mesh` samples every stratum once
@@ -19,10 +20,11 @@ the mesh keeps.
 
 The six quadric patches are one orbit of the letter permutations S3, and
 so are the six flat triangles: each is the first patch of its kind with
-its letters renamed, at the same parameters and durations.  Renaming
-maps each coordinate of the point, and of the outward normal, to a
-coordinate or its complement, and attainability is invariant under it,
-so `trim_and_mesh` probes only the first patch of each kind.
+its `pattern` renamed and the same `durations`, so at the same parameters
+every arc keeps its duration.  Renaming maps each coordinate of the point,
+and of the outward normal, to a coordinate or its complement, and
+attainability is invariant under it, so `trim_and_mesh` probes only the
+first patch of each kind.
 """
 from __future__ import annotations
 
@@ -30,13 +32,14 @@ import io
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from . import attainability
-from .words import PQR_PAIRS, PqrPoint, Word, canonicalize, pair_axis, pqr, precedence, require_int, word_to_dict
+from .words import (
+    PQR_PAIRS, InvariantViolation, PqrPoint, Word, canonicalize, pair_axis, pqr, precedence, require_int, word_to_dict
+)
 
 __all__ = [
     "FacePatch",
@@ -55,31 +58,66 @@ __all__ = [
 PROBE_EPS = 1e-3
 PROBE_MAX_ARCS = 6
 PROBE_STARTS = 6
+# cap on the rows of `sample_strata`, 12 r^2 + 12 r + 6 at resolution r: a row
+# holds about 750 bytes, so this admits r <= 147 in about 200 MB and rejects a
+# larger --resolution before it allocates without limit
+MAX_SAMPLE_ROWS = 2**18
 
 
 @dataclass(frozen=True)
 class FacePatch:
-    """A parametrized stratum of the boundary atlas.
+    """A parametrized stratum of the boundary atlas, as plain data.
 
-    `word_map` sends a parameter tuple of the unit cube [0, 1]^dim to a
-    witness word (a vertex has dim 0 and one word); `equation`, when
-    present, vanishes on the patch and is nonpositive on the body side;
-    `outward` is the unit normal pointing away from the body.
+    The witness word at a parameter tuple of the unit cube [0, 1]^dim
+    has the letters of `pattern`; arc l lasts
+    `(1.0, *params, *[1.0 - t for t in reversed(params)])[durations[l]]`,
+    so index 0 gives 1.0, d > 0 gives params[d - 1] and d < 0 gives
+    1.0 - params[-d - 1].  `dim` is the largest |d|, 0 for a vertex.
     """
 
     kind: str  # vertex | cube-edge | diagonal-edge | flat-triangle | quadric
     id: str
     pattern: tuple[int, ...]
-    dim: int
-    word_map: Callable[..., Word]
-    equation: Callable[[np.ndarray], float] | None = None
-    outward: Callable[[np.ndarray], np.ndarray] | None = None
+    durations: tuple[int, ...]
+
+    @cached_property
+    def dim(self) -> int:
+        return max(map(abs, self.durations))
 
     def word(self, *params) -> Word:
-        return canonicalize(self.word_map(*params))
+        if len(params) != self.dim:
+            raise TypeError(f"{self.id} takes {self.dim} parameters, got {len(params)}")
+        values = (1.0, *params, *[1.0 - t for t in reversed(params)])
+        return canonicalize(Word(tuple([(l, values[d]) for l, d in zip(self.pattern, self.durations)])))
 
     def point(self, *params) -> PqrPoint:
         return pqr(self.word(*params))
+
+    def equation(self, x) -> float:
+        """Vanishes on a flat triangle or a quadric patch and is nonpositive
+        on the body side."""
+        if self.kind == "quadric":
+            return _quadric(self.pattern)[0](x)
+        axis, sign = self._facet()
+        return sign * (x[axis] - (1.0 if sign > 0 else 0.0))
+
+    def outward(self, x) -> np.ndarray:
+        """The unit normal at x of a flat triangle or a quadric patch,
+        pointing away from the body."""
+        if self.kind == "quadric":
+            g = _quadric(self.pattern)[1](x)
+            return g / np.linalg.norm(g)
+        axis, sign = self._facet()
+        n = np.zeros(3)
+        n[axis] = sign
+        return n
+
+    def _facet(self) -> tuple[int, float]:
+        """`pair_axis` of the facet P(u before v) = 1 that holds a flat
+        triangle (u, w, u, v, w); no other kind has a facet or a quadric."""
+        if self.kind != "flat-triangle":
+            raise InvariantViolation("stratum-kind", f"a {self.kind} stratum has no surface equation")
+        return pair_axis(self.pattern[0], self.pattern[3])
 
     def sample_grid(self, resolution: int):
         """Yield (params, word, point) over a regular grid of the cube, the
@@ -89,13 +127,6 @@ class FacePatch:
         for params in itertools.product(axis, repeat=self.dim):
             w = self.word(*params)
             yield params, w, pqr(w)
-
-
-def _vertex_patch(pattern: tuple[int, int, int], label: str) -> FacePatch:
-    def word_map():
-        return Word(tuple((l, 1.0) for l in pattern))
-
-    return FacePatch(kind="vertex", id=label, pattern=pattern, dim=0, word_map=word_map)
 
 
 def vertices() -> list[FacePatch]:
@@ -108,87 +139,31 @@ def vertices() -> list[FacePatch]:
         (2, 3, 1): "C2",
         (1, 2, 3): "D1",
     }
-    return [_vertex_patch(pattern, label) for pattern, label in table.items()]
-
-
-def _cube_edge_patch(i: int, j: int, after: bool) -> FacePatch:
-    k = 6 - i - j
-
-    def word_map(s):
-        block = [(i, s), (j, 1.0), (i, 1.0 - s)]
-        arcs = block + [(k, 1.0)] if after else [(k, 1.0)] + block
-        return Word(tuple(arcs))
-
-    pos = "post" if after else "pre"
-    return FacePatch(
-        kind="cube-edge",
-        id=f"cube-edge-{i}{j}-{pos}{k}",
-        pattern=tuple(l for l, _ in word_map(0.5).arcs),
-        dim=1,
-        word_map=word_map,
-    )
-
-
-def _diagonal_patch(i: int, j: int) -> FacePatch:
-    k = 6 - i - j
-
-    def word_map(a):
-        return Word(((k, a), (i, 1.0), (j, 1.0), (k, 1.0 - a)))
-
-    return FacePatch(
-        kind="diagonal-edge",
-        id=f"diagonal-{i}{j}",
-        pattern=(k, i, j, k),
-        dim=1,
-        word_map=word_map,
-    )
+    return [FacePatch("vertex", label, pattern, (0, 0, 0)) for pattern, label in table.items()]
 
 
 def edge_families() -> list[FacePatch]:
-    """Twelve one-parameter families: six cube edges, six facet diagonals."""
+    """Twelve one-parameter families: six cube edges, the block (i, s),
+    (j, 1), (i, 1 - s) with the third letter k after ("post") or before
+    ("pre") it, and six facet diagonals (k, a), (i, 1), (j, 1), (k, 1 - a)."""
     patches = []
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        patches.append(_cube_edge_patch(i, j, after=True))
-        patches.append(_cube_edge_patch(i, j, after=False))
-    for i, j in ((1, 2), (2, 1), (2, 3), (3, 2), (3, 1), (1, 3)):
-        patches.append(_diagonal_patch(i, j))
+    for i, j, k in ((1, 2, 3), (1, 3, 2), (2, 3, 1)):
+        patches.append(FacePatch("cube-edge", f"cube-edge-{i}{j}-post{k}", (i, j, i, k), (1, 0, -1, 0)))
+        patches.append(FacePatch("cube-edge", f"cube-edge-{i}{j}-pre{k}", (k, i, j, i), (0, 1, 0, -1)))
+    for i, j, k in ((1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 2, 1), (3, 1, 2), (1, 3, 2)):
+        patches.append(FacePatch("diagonal-edge", f"diagonal-{i}{j}", (k, i, j, k), (1, 0, 0, -1)))
     return patches
 
 
-def _flat_triangle_patch(u: int, w: int, v: int) -> FacePatch:
-    axis, sign = pair_axis(u, v)  # the patch lies on the facet P(u before v) = 1
-    value = 1.0 if sign > 0 else 0.0
-
-    def word_map(a, b):
-        # a {u, w} block times a {w, v} block, so u always precedes v;
-        # FacePatch.word canonicalizes
-        return Word(((u, a), (w, b), (u, 1.0 - a), (v, 1.0), (w, 1.0 - b)))
-
-    def equation(x):
-        return sign * (x[axis] - value)
-
-    def outward(x):
-        n = np.zeros(3)
-        n[axis] = sign
-        return n
-
-    return FacePatch(
-        kind="flat-triangle",
-        id=f"flat-{u}{w}{v}",
-        pattern=(u, w, u, v, w),
-        dim=2,
-        word_map=word_map,
-        equation=equation,
-        outward=outward,
-    )
-
-
 def flat_triangles() -> list[FacePatch]:
-    """Six facet triangles, one per cube facet, from two-block words."""
+    """Six facet triangles, one per cube facet, from two-block words: a
+    {u, w} block times a {w, v} block, (u, a), (w, b), (u, 1 - a), (v, 1),
+    (w, 1 - b), so u always precedes v."""
     perms = [(1, 2, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1), (2, 1, 3), (1, 3, 2)]
-    return [_flat_triangle_patch(u, w, v) for u, w, v in perms]
+    return [FacePatch("flat-triangle", f"flat-{u}{w}{v}", (u, w, u, v, w), (1, 2, -1, 0, -2)) for u, w, v in perms]
 
 
+@lru_cache(maxsize=None)
 def _quadric(pattern):
     """Equation and gradient of the quadric of pattern (i, j, k, i, j):
     P(i before j) + P(j before k) P(k before i) - 1."""
@@ -208,30 +183,9 @@ def _quadric(pattern):
     return equation, gradient
 
 
-def _quadric_patch(pattern) -> FacePatch:
-    equation, gradient = _quadric(pattern)
-
-    def word_map(a, b):
-        l0, l1, l2, l3, l4 = pattern
-        return Word(((l0, a), (l1, b), (l2, 1.0), (l3, 1.0 - a), (l4, 1.0 - b)))
-
-    def outward(x):
-        g = gradient(x)
-        return g / np.linalg.norm(g)
-
-    return FacePatch(
-        kind="quadric",
-        id="quadric-" + "".join(map(str, pattern)),
-        pattern=tuple(pattern),
-        dim=2,
-        word_map=word_map,
-        equation=equation,
-        outward=outward,
-    )
-
-
 def quadric_patches() -> list[FacePatch]:
-    """Six quadric patches from 4-switch patterns.
+    """Six quadric patches from the 4-switch words (i, a), (j, b), (k, 1),
+    (i, 1 - a), (j, 1 - b).
 
     The cyclic patterns i j k i j give p + qr = 1 and its cyclic images;
     their reversals, which map x to 1 - x, give (1-p) + (1-q)(1-r) = 1 and
@@ -239,7 +193,10 @@ def quadric_patches() -> list[FacePatch]:
     exactly.
     """
     cyclic = [(i, j, 6 - i - j, i, j) for i, j in PQR_PAIRS]
-    return [_quadric_patch(pattern) for pattern in cyclic + [p[::-1] for p in cyclic]]
+    return [
+        FacePatch("quadric", "quadric-" + "".join(map(str, p)), p, (1, 2, 0, -1, -2))
+        for p in cyclic + [p[::-1] for p in cyclic]
+    ]
 
 
 SampledStratum = tuple[FacePatch, list[tuple[tuple[float, ...], Word, PqrPoint]]]
@@ -248,11 +205,16 @@ SampledStratum = tuple[FacePatch, list[tuple[tuple[float, ...], Word, PqrPoint]]
 def sample_strata(resolution: int) -> list[SampledStratum]:
     """Every stratum with its `sample_grid(resolution)` rows: the six
     vertices, the twelve edge families, the six flat triangles and the six
-    quadric patches, in that order."""
-    return [
-        (patch, list(patch.sample_grid(resolution)))
-        for patch in vertices() + edge_families() + flat_triangles() + quadric_patches()
-    ]
+    quadric patches, in that order.
+
+    A table of more than MAX_SAMPLE_ROWS rows raises "resolution" before
+    anything is sampled."""
+    require_int("resolution", resolution, 2)
+    patches = vertices() + edge_families() + flat_triangles() + quadric_patches()
+    rows = sum(resolution**patch.dim for patch in patches)
+    if rows > MAX_SAMPLE_ROWS:
+        raise InvariantViolation("resolution", f"resolution {resolution} samples {rows} rows, over {MAX_SAMPLE_ROWS}")
+    return [(patch, list(patch.sample_grid(resolution))) for patch in patches]
 
 
 @dataclass

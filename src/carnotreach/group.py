@@ -4,9 +4,16 @@ Points are pairs (x, y) where x is a 3-vector and y stores the strict
 upper triangle (y12, y13, y23) of a skew-symmetric matrix.  All group
 operations are low-degree polynomials, so everything here is exact up to
 floating-point rounding; no integrators are involved.
+
+The package's named input checks (`InvariantViolation`, `require_int`,
+`require_real`) live here, at the bottom of the import graph, and `words`
+re-exports them.
 """
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -18,6 +25,58 @@ __all__ = [
     "dilate",
     "flow_const",
 ]
+
+
+class InvariantViolation(ValueError):
+    """A named domain invariant failed; `name` is machine-readable."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
+def require_int(name: str, value, minimum: int) -> int:
+    """An integer argument of at least `minimum`, else InvariantViolation
+    `name`; floats, bools and strings are rejected, numpy ints pass."""
+    if not isinstance(value, bool):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if value < minimum:
+                raise InvariantViolation(name, f"{name} must be >= {minimum}, got {value}")
+            return value
+    raise InvariantViolation(name, f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value) -> float:
+    """A real number as a float, else InvariantViolation `name`; bools,
+    strings and integers too large for a float are rejected, numpy numbers pass.
+
+    A float (numpy float64 and other float subclasses included) returns
+    `float(value)` at once; every other value takes the slower `numbers.Real`
+    check. Both paths accept and reject the same values."""
+    if isinstance(value, float):
+        return float(value)
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise InvariantViolation(name, f"{name} must be a real number, got {value!r}")
+
+
+def _three_reals(name: str, values) -> tuple[float, float, float]:
+    """Three reals as floats, else InvariantViolation `name`; a float skips
+    require_real."""
+    try:
+        vec = tuple(v if type(v) is float else require_real(name, v) for v in values)
+    except TypeError:  # values is not iterable
+        vec = ()
+    if len(vec) != 3:
+        raise InvariantViolation(name, f"{name} must be 3 reals, got {values!r}")
+    return vec
 
 
 @dataclass(frozen=True)
@@ -33,10 +92,12 @@ class GroupElement:
 
     @staticmethod
     def of(x, y) -> "GroupElement":
-        x = tuple(float(v) for v in x)
-        y = tuple(float(v) for v in y)
-        if len(x) != 3 or len(y) != 3:
-            raise ValueError("GroupElement needs a 3-vector x and a 3-vector y")
+        """The element of two iterables of three finite reals, kept as Python
+        floats; the raw constructor, the result type of the group
+        operations, checks nothing."""
+        x, y = _three_reals("group-element", x), _three_reals("group-element", y)
+        if not all(map(math.isfinite, x + y)):
+            raise InvariantViolation("group-element", f"x and y must be finite, got {x} and {y}")
         return GroupElement(x, y)
 
 
@@ -47,10 +108,9 @@ class DilationWeights:
     c: tuple[float, float, float]
 
     def __post_init__(self):
-        if len(self.c) != 3:
-            raise ValueError("DilationWeights needs exactly 3 entries")
-        if any(ci <= 0.0 for ci in self.c):
-            raise ValueError(f"dilation weights must be strictly positive, got {self.c}")
+        # checked as floats; the field keeps the values as given
+        if not all(0.0 < ci < math.inf for ci in _three_reals("dilation-weights", self.c)):
+            raise InvariantViolation("dilation-weights", f"weights must be finite and positive, got {self.c}")
 
 
 def identity() -> GroupElement:
@@ -92,11 +152,11 @@ def flow_const(g: GroupElement, u, t: float) -> GroupElement:
     Equals right translation by (t*u, 0): along the flow the rates
     x_i u_j - x_j u_i are constant in time, so the endpoint is exact.
     """
-    if t < 0:
-        raise ValueError(f"duration must be nonnegative, got {t}")
-    u = tuple(float(v) for v in u)
-    if len(u) != 3:
-        raise ValueError("control must be a 3-vector")
-    if any(ui < 0 for ui in u):
-        raise ValueError(f"controls must be componentwise nonnegative, got {u}")
-    return multiply(g, GroupElement((t * u[0], t * u[1], t * u[2]), (0.0, 0.0, 0.0)))
+    if type(t) is not float:
+        t = require_real("flow-duration", t)
+    if not 0.0 <= t < math.inf:
+        raise InvariantViolation("flow-duration", f"duration must be finite and nonnegative, got {t}")
+    u0, u1, u2 = _three_reals("flow-control", u)
+    if not (0.0 <= u0 < math.inf and 0.0 <= u1 < math.inf and 0.0 <= u2 < math.inf):
+        raise InvariantViolation("flow-control", f"controls must be finite and nonnegative, got {u}")
+    return multiply(g, GroupElement((t * u0, t * u1, t * u2), (0.0, 0.0, 0.0)))

@@ -16,14 +16,12 @@ conversion (the cyclic index r = p31 is the only sign flip).
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import group
-from .group import DilationWeights, GroupElement
+from .group import DilationWeights, GroupElement, InvariantViolation, require_int, require_real
 
 __all__ = [
     "Word",
@@ -61,46 +59,6 @@ def precedence(x, i: int, j: int):
     """P(i before j) at the section point x = (p, q, r)."""
     axis, sign = pair_axis(i, j)
     return x[axis] if sign > 0 else 1.0 - x[axis]
-
-
-class InvariantViolation(ValueError):
-    """A named domain invariant failed; `name` is machine-readable."""
-
-    def __init__(self, name: str, message: str):
-        super().__init__(message)
-        self.name = name
-
-
-def require_int(name: str, value, minimum: int) -> int:
-    """An integer argument of at least `minimum`, else InvariantViolation
-    `name`; floats, bools and strings are rejected, numpy ints pass."""
-    if not isinstance(value, bool):
-        try:
-            value = operator.index(value)
-        except TypeError:
-            pass
-        else:
-            if value < minimum:
-                raise InvariantViolation(name, f"{name} must be >= {minimum}, got {value}")
-            return value
-    raise InvariantViolation(name, f"{name} must be an integer, got {value!r}")
-
-
-def require_real(name: str, value) -> float:
-    """A real number as a float, else InvariantViolation `name`; bools,
-    strings and integers too large for a float are rejected, numpy numbers pass.
-
-    A float (numpy float64 and other float subclasses included) returns
-    `float(value)` at once; every other value takes the slower `numbers.Real`
-    check. Both paths accept and reject the same values."""
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise InvariantViolation(name, f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -203,15 +161,15 @@ def pqr(w: Word) -> PqrPoint:
     two routes are cross-checked in tests.
     """
     _require_section(w)
-    sums = {pair: 0.0 for pair in PQR_PAIRS}
+    # letter i starts exactly one pair of PQR_PAIRS, (i, i % 3 + 1), on axis i - 1
+    sums = [0.0, 0.0, 0.0]
     arcs = w.arcs
-    for l in range(len(arcs)):
-        li, ti = arcs[l]
-        for m in range(l + 1, len(arcs)):
-            mj, tm = arcs[m]
-            if (li, mj) in sums:
-                sums[(li, mj)] += ti * tm
-    return PqrPoint(sums[(1, 2)], sums[(2, 3)], sums[(3, 1)])
+    for l, (li, ti) in enumerate(arcs):
+        successor = li % 3 + 1
+        for mj, tm in arcs[l + 1:]:
+            if mj == successor:
+                sums[li - 1] += ti * tm
+    return PqrPoint(*sums)
 
 
 def pqr_from_endpoint(g: GroupElement) -> PqrPoint:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -21,6 +22,22 @@ def test_vertices_table():
     assert got == expected
     for v in atlas.vertices():
         assert pqr(v.word()) == v.point()
+
+
+def test_strata_are_plain_data():
+    assert [f.name for f in dataclasses.fields(atlas.FacePatch)] == ["kind", "id", "pattern", "durations"]
+    patches = [patch for patch, _ in atlas.sample_strata(2)]
+    assert len(set(patches)) == len(patches) == 30
+    assert patches == [patch for patch, _ in atlas.sample_strata(2)]
+
+
+@pytest.mark.parametrize("patch", [atlas.vertices()[0], *atlas.edge_families()[::6]], ids=lambda p: p.kind)
+def test_only_surface_strata_have_an_equation(patch):
+    x = np.full(3, 0.5)
+    for surface_map in (patch.equation, patch.outward):
+        with pytest.raises(InvariantViolation) as exc:
+            surface_map(x)
+        assert exc.value.name == "stratum-kind"
 
 
 def test_vertices_are_zero_parameter_patches():
@@ -314,6 +331,7 @@ def test_each_surface_patch_is_the_first_of_its_kind_renamed(patches):
         sigma = dict(zip(first.pattern, patch.pattern))
         assert [sigma[letter] for letter in first.pattern] == list(patch.pattern), patch.id
         assert sorted(sigma.values()) == [1, 2, 3], patch.id
+        assert patch.durations == first.durations, patch.id
         renamings.add(tuple(sorted(sigma.items())))
         for a in grid:
             for b in grid:
@@ -354,6 +372,22 @@ def test_sample_grid_rejects_a_non_integer_resolution():
             list(patch.sample_grid(resolution))
         assert exc.value.name == "resolution"
     assert len(list(patch.sample_grid(np.int64(2)))) == 4
+
+
+def test_sample_strata_bounds_its_rows_before_sampling(monkeypatch):
+    class Sampled(Exception):
+        pass
+
+    def refuse(patch, resolution):
+        raise Sampled(patch.id)
+
+    monkeypatch.setattr(atlas.FacePatch, "sample_grid", refuse)
+    # 12 r^2 + 12 r + 6 rows: 264630 at r = 148, 261078 at r = 147
+    with pytest.raises(InvariantViolation) as exc:
+        atlas.sample_strata(148)
+    assert exc.value.name == "resolution"
+    with pytest.raises(Sampled):
+        atlas.sample_strata(147)
 
 
 def test_write_obj_format():

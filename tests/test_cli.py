@@ -319,6 +319,17 @@ def test_atlas_samples_each_stratum_once(tmp_path, capsys, monkeypatch, resoluti
     assert len(sampled) == len(set(sampled)) == 30
 
 
+def test_atlas_rejects_an_oversized_resolution(tmp_path, capsys):
+    obj_path, csv_path = tmp_path / "mesh.obj", tmp_path / "strata.csv"
+    code, out, err = run(
+        capsys, "atlas", "--resolution", "148", "--out-obj", str(obj_path), "--out-csv", str(csv_path)
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "resolution"
+    assert not obj_path.exists() and not csv_path.exists()
+
+
 @pytest.mark.parametrize("letters", [[1.5, 2, 3], [True, 2, 3]])
 def test_pqr_rejects_non_integer_letters(tmp_path, capsys, letters):
     code, out, err = run(capsys, "pqr", write_word(tmp_path, letters, [1, 1, 1]))

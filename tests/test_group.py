@@ -11,6 +11,7 @@ from carnotreach.group import (
     inverse,
     multiply,
 )
+from carnotreach.words import InvariantViolation
 
 coord = st.floats(min_value=-10, max_value=10, allow_nan=False)
 element = st.builds(
@@ -97,6 +98,27 @@ def test_flow_const_rejects_bad_input():
         flow_const(identity(), (1, 0, 0), -1.0)
     with pytest.raises(ValueError):
         flow_const(identity(), (1, -1, 0), 1.0)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: GroupElement.of((1.0, 2.0), (0, 0, 0)), "group-element"),
+        (lambda: GroupElement.of((0, 0, 0), (1, 2, 3, 4)), "group-element"),
+        (lambda: GroupElement.of(None, (0, 0, 0)), "group-element"),
+        (lambda: DilationWeights((1.0, 2.0)), "dilation-weights"),
+        (lambda: DilationWeights((1, -2, 1)), "dilation-weights"),
+        (lambda: flow_const(identity(), (1, 0), 1.0), "flow-control"),
+        (lambda: flow_const(identity(), 1.0, 1.0), "flow-control"),
+        (lambda: flow_const(identity(), (1, -1, 0), 1.0), "flow-control"),
+        (lambda: flow_const(identity(), (1, 0, 0), -1.0), "flow-duration"),
+    ],
+)
+def test_group_rejections_name_the_bad_input(build, name):
+    # mistyped and non-finite entries: tests/test_package.py, every public constructor
+    with pytest.raises(InvariantViolation) as exc:
+        build()
+    assert exc.value.name == name
 
 
 def test_flow_semigroup_exact():

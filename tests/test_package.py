@@ -11,6 +11,7 @@ import pytest
 
 import carnotreach
 from carnotreach.adjoint import AdjointCovector
+from carnotreach.group import DilationWeights, GroupElement, flow_const, identity
 from carnotreach.probability import DiscreteDistribution
 from carnotreach.words import InvariantViolation, PqrPoint, Word
 
@@ -67,7 +68,7 @@ def test_runtime_needs_no_scipy():
     assert done.stdout == "0.6180339887498949\n0\n"
 
 
-def _covector_slot(k):
+def _vector_pair_slot(k):
     def build(make, bad):
         entries = [1.0, 0.5, 0.25, 1.0, -1.0, 1.0]
         entries[k] = bad
@@ -103,19 +104,42 @@ def _pqr_slot(k):
     return build
 
 
+def _dilation_slot(k):
+    def build(make, bad):
+        weights = [1.0, 2.0, 0.5]
+        weights[k] = bad
+        return make(tuple(weights))
+
+    return build
+
+
+def _flow_slot(k):
+    # slots 0-2 are the control, slot 3 the duration
+    def build(make, bad):
+        entries = [1.0, 0.0, 0.0, 0.5]
+        entries[k] = bad
+        return make(identity(), tuple(entries[:3]), entries[3])
+
+    return build
+
+
 # (id, constructors, how to put a value in the slot, the names it may raise)
 NUMERIC_SLOTS = [
     ("word-letter", (Word, Word.of), _word_slot(0), {"word-letter"}),
     ("word-duration", (Word, Word.of), _word_slot(1), {"word-duration"}),
     *((f"pqr-{k}", (PqrPoint,), _pqr_slot(k), {"pqr", "pqr-finite"}) for k in range(3)),
     *(
-        (f"covector-{k}", (AdjointCovector, AdjointCovector.of), _covector_slot(k), {"covector"})
+        (f"covector-{k}", (AdjointCovector, AdjointCovector.of), _vector_pair_slot(k), {"covector"})
         for k in range(6)
     ),
     *(
         (f"atom-{k}", (DiscreteDistribution, DiscreteDistribution.of), _atom_slot(k), {"dice-json", "dice-finite"})
         for k in range(2)
     ),
+    *((f"group-element-{k}", (GroupElement.of,), _vector_pair_slot(k), {"group-element"}) for k in range(6)),
+    *((f"dilation-{k}", (DilationWeights,), _dilation_slot(k), {"dilation-weights"}) for k in range(3)),
+    *((f"flow-control-{k}", (flow_const,), _flow_slot(k), {"flow-control"}) for k in range(3)),
+    ("flow-duration", (flow_const,), _flow_slot(3), {"flow-duration"}),
 ]
 BAD_NUMBERS = [True, "1", None, float("nan"), float("inf"), 10**400]
 
