@@ -1,15 +1,21 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from carnotreach.adjoint import AdjointCovector, synthesize
+from carnotreach.adjoint import AdjointCovector, normalize, switching_times, synthesize
 from carnotreach.second_order import (
+    NULLSPACE_CUTOFF,
+    POSITIVE_EIG_TOL,
     AlgebraElement,
+    SecondOrderReport,
+    _check_consistency,
     ag_test,
     basis_field,
     bracket,
     conjugated_fields,
 )
-from carnotreach.words import InvariantViolation, Word
+from carnotreach.words import InvariantViolation, Word, canonicalize
 
 from test_adjoint import random_triangle_covector
 
@@ -109,3 +115,76 @@ def test_three_arc_word_inconclusive():
     report = ag_test(word, a)
     assert report.verdict == "inconclusive"
     assert report.W_basis.shape[1] == 0
+
+
+def pairwise_ag_test(w: Word, a: AdjointCovector) -> SecondOrderReport:
+    """Reference second-order test: the Gram matrix from the bracket of
+    every pair of conjugated fields, one pair at a time."""
+    w = canonicalize(w)
+    k = len(w.arcs) - 1
+    if k < 2:
+        raise InvariantViolation("switch-count", f"need at least 2 switchings, got {k}")
+    _check_consistency(w, a)
+    z = conjugated_fields(w)
+    n = k + 1
+    hvec = -np.array(a.skew)
+    g = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            gij = float(np.dot(hvec, bracket(z[i], z[j]).b))
+            g[i, j] = g[j, i] = gij / 2.0
+    rows = np.zeros((7, n))
+    rows[0, :] = 1.0
+    for i in range(n):
+        rows[1:, i] = z[i].as_array()
+    _, s, vt = np.linalg.svd(rows)
+    cutoff = NULLSPACE_CUTOFF * (s[0] if s.size else 1.0)
+    rank = int(np.sum(s > cutoff))
+    basis = vt[rank:].T
+    if basis.shape[1] == 0:
+        return SecondOrderReport(basis, np.zeros((0, 0)), "inconclusive")
+    restricted = basis.T @ g @ basis
+    restricted = (restricted + restricted.T) / 2.0
+    eigs = np.linalg.eigvalsh(restricted)
+    verdict = "not-optimal" if eigs.max() > POSITIVE_EIG_TOL else "inconclusive"
+    return SecondOrderReport(basis, restricted, verdict)
+
+
+def assert_same_report(report, reference):
+    assert report.verdict == reference.verdict
+    for got, want in ((report.W_basis, reference.W_basis), (report.G_restricted, reference.G_restricted)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
+
+
+def test_ag_test_matches_the_pairwise_reference_on_triangle_words():
+    # triangle-regime words of 8-40 arcs, normalized and synthesized as the
+    # extremals benchmark workload builds them
+    rng = np.random.default_rng(24)
+    arc_counts = set()
+    while len(arc_counts) < 33:
+        a = normalize(random_triangle_covector(rng))
+        target = int(rng.integers(8, 41))
+        word, report = synthesize(a, (target - 0.5) * sum(switching_times(a)) / 3.0)
+        if not 8 <= len(word.arcs) <= 40:
+            continue
+        assert report.kind == "bang-bang"
+        arc_counts.add(len(word.arcs))
+        assert_same_report(ag_test(word, a), pairwise_ag_test(word, a))
+
+
+def test_ag_test_matches_the_pairwise_reference_on_every_skew_sign():
+    # each skew entry negative, zero or positive: a zero entry, and every
+    # same-letter pair, gives a signed-zero Gram entry
+    rng = np.random.default_rng(25)
+    seen = set()
+    for signs in itertools.product((-1, 0, 1), repeat=3):
+        for _ in range(48):
+            skew = tuple(float(s * rng.uniform(0.3, 2.0)) for s in signs)
+            a = normalize(AdjointCovector.of(rng.uniform(0.5, 1.0, 3), skew))
+            word, _ = synthesize(a, float(rng.uniform(2.0, 10.0)))
+            if len(word.arcs) < 3:
+                continue
+            assert_same_report(ag_test(word, a), pairwise_ag_test(word, a))
+            seen.update(enumerate(signs))
+    assert seen == set(itertools.product(range(3), (-1, 0, 1)))
