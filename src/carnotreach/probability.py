@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 TIE_TOL = 1e-12
+# cap on atoms_max: random_dice_triple draws up to 3 * atoms_max values, and
+# dice_pqr is a double sum, O(atoms^2) per pair.  Three dice of 1024 atoms
+# take dice_pqr about 0.09 s (4096 atoms: 1.4 s) on a 2-vCPU x86_64 host, so
+# a larger --atoms-max is rejected before it draws without limit
+MAX_DICE_ATOMS = 1024
 
 
 def _pairs(atoms) -> list[tuple]:
@@ -163,9 +168,13 @@ def random_dice_check(
     **fit_kwargs,
 ) -> CheckReport:
     """Sample dice triples, compute their (p, q, r), and run the solver on
-    each with its default seed."""
+    each with its default seed.
+
+    An atoms_max over MAX_DICE_ATOMS raises "atoms-max" before any draw."""
     require_int("n-trials", n_trials, 1)
     require_int("atoms-max", atoms_max, 1)
+    if atoms_max > MAX_DICE_ATOMS:
+        raise InvariantViolation("atoms-max", f"atoms_max {atoms_max} is over {MAX_DICE_ATOMS}")
     require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     trials = ((dice_pqr(*random_dice_triple(atoms_max, rng)), 0) for _ in range(n_trials))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import AdjointCovector, synthesize
-from .words import InvariantViolation, Word, canonicalize
+from .words import LETTERS, InvariantViolation, Word, canonicalize
 
 __all__ = [
     "AlgebraElement",
@@ -122,6 +122,11 @@ def ag_test(w: Word, a: AdjointCovector) -> SecondOrderReport:
     it to the subspace W cut out by sum alpha_i = 0 and
     sum alpha_i Z_i = 0, and reports "not-optimal" iff the restriction has
     a positive eigenvalue.
+
+    In step 2, [Z_i, Z_j] = [X_{l_i}, X_{l_j}] exactly, where l_i is the
+    letter of arc i: conjugation adds only second-layer terms to Z_i, and
+    a bracket reads only first layers.  So each entry of G is read from a
+    3x3 table indexed by the letters of the pair.
     """
     w = canonicalize(w)
     k = len(w.arcs) - 1
@@ -137,11 +142,14 @@ def ag_test(w: Word, a: AdjointCovector) -> SecondOrderReport:
     # pairing with Y_ij = [X_i, X_j] is -h_ij.
     hvec = -np.array(a.skew)
 
+    fields = [basis_field(l) for l in LETTERS]
+    table = np.array([[float(np.dot(hvec, bracket(u, v).b)) / 2.0 for v in fields] for u in fields])
+    letters = np.array([l - 1 for l, _ in w.arcs])
+    i, j = np.triu_indices(n, 1)
     g = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            gij = float(np.dot(hvec, bracket(z[i], z[j]).b))
-            g[i, j] = g[j, i] = gij / 2.0  # alpha^T g alpha reproduces the double sum
+    # both triangles take the same values, signed zeros included, so that
+    # alpha^T g alpha reproduces the double sum
+    g[i, j] = g[j, i] = table[letters[i], letters[j]]
 
     # constraint rows: sum alpha_i = 0 and sum alpha_i Z_i = 0 (6 components)
     rows = np.zeros((7, n))

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -149,7 +150,7 @@ def test_simulate_adjoint(tmp_path, capsys):
     data = json.loads(out)
     assert data["regime"] == "bang-bang"
     assert data["word"]["letters"][0] == 3
-    header = open(csv_path).readline().strip()
+    header = Path(csv_path).read_text().splitlines()[0]
     assert header == "t,h1,h2,h3"
 
 
@@ -237,7 +238,7 @@ def test_mc_verify(tmp_path, capsys):
     assert data["roundtrip_recovered"] == 5
     assert data["dice_attained"] == 5
     assert data["dice_failures"] == []
-    assert len(open(csv_path).read().strip().splitlines()) == 6
+    assert len(Path(csv_path).read_text().strip().splitlines()) == 6
 
 
 def test_mc_verify_golden_output(tmp_path, capsys):
@@ -248,9 +249,9 @@ def test_mc_verify_golden_output(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert (data["roundtrip_recovered"], data["dice_attained"], data["dice_failures"]) == (6, 6, [])
-    rows = open(csv_path).read().splitlines()[1:]
+    rows = Path(csv_path).read_text().splitlines()[1:]
     assert [row.split(",")[3] for row in rows] == ["attained"] * 6
-    text = out + open(csv_path).read()
+    text = out + Path(csv_path).read_text()
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "ac5cb48858370b5e26528707081b5bf75ffcc7a0640e05bf380966d4c0e73d58"
     )
@@ -270,8 +271,8 @@ def test_atlas_subcommand(tmp_path, capsys):
     data = json.loads(out)
     assert data["vertices"] > 0
     assert data["prober_failures"] == 0
-    assert open(obj_path).readline().startswith("v ")
-    assert open(csv_path).readline().strip() == "label,params,p,q,r,witness"
+    assert Path(obj_path).read_text().splitlines()[0].startswith("v ")
+    assert Path(csv_path).read_text().splitlines()[0] == "label,params,p,q,r,witness"
 
 
 def test_atlas_files_are_pinned(tmp_path, capsys):
@@ -422,6 +423,19 @@ def test_mc_verify_checks_atoms_max_before_any_solve(capsys, monkeypatch):
     assert json.loads(err)["error"] == "atoms-max"
 
 
+def test_mc_verify_rejects_an_oversized_atoms_max(tmp_path, capsys):
+    from carnotreach.probability import MAX_DICE_ATOMS
+
+    csv_path = tmp_path / "dice.csv"
+    code, out, err = run(
+        capsys, "mc-verify", "--n", "2", "--atoms-max", str(MAX_DICE_ATOMS + 1), "--out-csv", str(csv_path)
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "atoms-max"
+    assert not csv_path.exists()
+
+
 def test_mc_verify_names_a_negative_seed_before_any_solve(capsys, monkeypatch):
     from carnotreach import attainability
 
@@ -495,7 +509,7 @@ def test_simulate_adjoint_golden_output(tmp_path, capsys):
         "--out-csv", csv_path,
     )
     assert code == 0
-    text = out + open(csv_path).read()
+    text = out + Path(csv_path).read_text()
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "6965f9b1b4ac66f0d822b0cb3a6e4d6e9af392ea51ad4b0967a7a3a20b99d86c"
     )

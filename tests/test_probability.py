@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from carnotreach import attainability
+from carnotreach import attainability, probability
 from carnotreach.probability import (
+    MAX_DICE_ATOMS,
     DiscreteDistribution,
     dice_from_json,
     dice_pqr,
@@ -128,6 +129,21 @@ def test_random_dice_check_validates_atoms_max():
         with pytest.raises(InvariantViolation) as exc:
             random_dice_check(2, atoms_max=atoms_max)
         assert exc.value.name == "atoms-max"
+
+
+def test_random_dice_check_bounds_atoms_max_before_any_draw(monkeypatch):
+    class Drawn(Exception):
+        pass
+
+    def refuse(atoms_max, rng):
+        raise Drawn(atoms_max)
+
+    monkeypatch.setattr(probability, "random_dice_triple", refuse)
+    with pytest.raises(InvariantViolation) as exc:
+        random_dice_check(2, atoms_max=MAX_DICE_ATOMS + 1)
+    assert exc.value.name == "atoms-max"
+    with pytest.raises(Drawn):
+        random_dice_check(2, atoms_max=MAX_DICE_ATOMS)
 
 
 def test_random_word_check_recovers_every_word():

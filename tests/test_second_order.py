@@ -15,7 +15,7 @@ from carnotreach.second_order import (
     bracket,
     conjugated_fields,
 )
-from carnotreach.words import InvariantViolation, Word, canonicalize
+from carnotreach.words import InvariantViolation, Word, canonicalize, random_word
 
 from test_adjoint import random_triangle_covector
 
@@ -62,6 +62,18 @@ def test_conjugated_fields_ignore_outer_durations():
     z2 = conjugated_fields(Word.of(rescaled))
     for u, v in zip(z1, z2):
         assert np.allclose(u.as_array(), v.as_array(), atol=1e-15)
+
+
+def test_brackets_of_conjugated_fields_are_brackets_of_their_letters():
+    # conjugation adds only second-layer terms, and a bracket reads only
+    # first layers, so [Z_i, Z_j] = [X_{l_i}, X_{l_j}] bit for bit
+    for n_arcs in range(3, 31):
+        for seed in range(4):
+            w = random_word(n_arcs, 100 * n_arcs + seed)
+            z = conjugated_fields(w)
+            x = [basis_field(l) for l, _ in w.arcs]
+            for i, j in itertools.product(range(len(z)), repeat=2):
+                assert repr(bracket(z[i], z[j])) == repr(bracket(x[i], x[j]))
 
 
 def test_ag_test_requires_two_switchings():
