@@ -172,7 +172,7 @@ def assert_same_report(report, reference):
 def test_ag_test_matches_the_pairwise_reference_on_triangle_words():
     # triangle-regime words of 8-40 arcs, normalized and synthesized as the
     # extremals benchmark workload builds them
-    rng = np.random.default_rng(24)
+    rng = np.random.default_rng(3)
     arc_counts = set()
     while len(arc_counts) < 33:
         a = normalize(random_triangle_covector(rng))
@@ -188,7 +188,7 @@ def test_ag_test_matches_the_pairwise_reference_on_triangle_words():
 def test_ag_test_matches_the_pairwise_reference_on_every_skew_sign():
     # each skew entry negative, zero or positive: a zero entry, and every
     # same-letter pair, gives a signed-zero Gram entry
-    rng = np.random.default_rng(25)
+    rng = np.random.default_rng(4)
     seen = set()
     for signs in itertools.product((-1, 0, 1), repeat=3):
         for _ in range(48):
