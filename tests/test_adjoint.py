@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from carnotreach.adjoint import (
+    TIE_TOL,
     AdjointCovector,
+    RegimeReport,
+    _edge_bang_letter,
+    _edge_is_singular,
     adjoint_flow,
     casimir,
     cyclic_k,
@@ -12,7 +16,7 @@ from carnotreach.adjoint import (
     switching_times,
     synthesize,
 )
-from carnotreach.words import InvariantViolation, Word
+from carnotreach.words import InvariantViolation, Word, canonicalize
 
 
 def random_triangle_covector(rng) -> AdjointCovector:
@@ -217,3 +221,187 @@ def test_synthesize_bounds_the_number_of_arcs():
     rng = np.random.default_rng(2)
     lengths = [len(synthesize(random_triangle_covector(rng), 20.0)[0].arcs) for _ in range(50)]
     assert 10 < max(lengths) <= 40
+
+
+# ---------------------------------------------------------------- numpy references
+# The numpy forms of synthesize, adjoint_flow and switch_events_csv, kept as
+# references: the module computes on Python floats and must match them bit
+# for bit, signed zeros included.
+
+
+def reference_skew_matrix(a: AdjointCovector) -> np.ndarray:
+    h12, h13, h23 = a.skew
+    return np.array([[0.0, h12, h13], [-h12, 0.0, h23], [-h13, -h23, 0.0]])
+
+
+def reference_adjoint_flow(a: AdjointCovector, w: Word) -> AdjointCovector:
+    h = np.array(a.h)
+    R = reference_skew_matrix(a)
+    for letter, t in w.arcs:
+        h = h + t * R[:, letter - 1]
+    return AdjointCovector(tuple(h), a.skew)
+
+
+def reference_synthesize(a: AdjointCovector, horizon: float):
+    horizon = float(horizon)
+    C = casimir(a)
+    K = cyclic_k(a)
+    h = np.array(a.h)
+    R = reference_skew_matrix(a)
+    arcs = []
+    remaining = horizon
+
+    def report(kind, letters=()):
+        if kind == "singular" and arcs:
+            kind = "mixed"
+        elif kind == "singular":
+            kind = "singular-edge" if len(letters) == 2 else "singular-vertex"
+        return RegimeReport(kind, C, K, tuple(letters))
+
+    while remaining > TIE_TOL:
+        active = tuple(i + 1 for i in range(3) if h[i] >= 1.0 - TIE_TOL)
+        if len(active) == 3:
+            return canonicalize(Word.of(arcs)), report("singular", active)
+        if len(active) == 2:
+            i, j = active
+            if _edge_is_singular(a, i, j):
+                return canonicalize(Word.of(arcs)), report("singular", active)
+            letter = _edge_bang_letter(a, i, j)
+        else:
+            (letter,) = active
+        col = R[:, letter - 1]
+        t_switch = np.inf
+        nxt = None
+        for jdx in range(3):
+            if jdx == letter - 1 or col[jdx] <= TIE_TOL:
+                continue
+            s = (1.0 - h[jdx]) / col[jdx]
+            if s < t_switch:
+                t_switch = s
+                nxt = jdx
+        step = min(t_switch, remaining)
+        if step > 0:
+            arcs.append((letter, step))
+            h = h + step * col
+        remaining -= step
+        if step == t_switch and nxt is not None:
+            h[nxt] = 1.0
+    return canonicalize(Word.of(arcs)), report("bang-bang")
+
+
+def reference_switch_events_csv(a: AdjointCovector, word: Word) -> str:
+    h = np.array(a.h)
+    R = reference_skew_matrix(a)
+    t = 0.0
+    lines = [f"t,h1,h2,h3\n{t!r},{float(h[0])!r},{float(h[1])!r},{float(h[2])!r}\n"]
+    for letter, dur in word.arcs:
+        h = h + dur * R[:, letter - 1]
+        t += dur
+        lines.append(f"{t!r},{float(h[0])!r},{float(h[1])!r},{float(h[2])!r}\n")
+    return "".join(lines)
+
+
+def triangle_cases(rng):
+    """Normalized triangle-regime covectors with horizons that synthesize
+    every arc count from 8 to 40."""
+    cases, arc_counts = [], set()
+    while len(arc_counts) < 33:
+        a = normalize(random_triangle_covector(rng))
+        target = int(rng.integers(8, 41))
+        horizon = (target - 0.5) * sum(switching_times(a)) / 3.0
+        n = len(reference_synthesize(a, horizon)[0].arcs)
+        if 8 <= n <= 40 and n not in arc_counts:
+            arc_counts.add(n)
+            cases.append((a, horizon))
+    return cases
+
+
+def regime_cases(rng):
+    """Covectors whose synthesis ends in each regime: skew entries drawn
+    negative, zero (both signs) or positive, the three h entries often tied,
+    and mixed words that reach the quadrant vertex after one arc."""
+    cases = []
+    for _ in range(300):
+        skew = tuple(float(rng.choice([-1.0, -0.0, 0.0, 1.0]) * rng.uniform(0.3, 2.0)) for _ in range(3))
+        h = tuple(float(rng.choice([1.0, rng.uniform(0.2, 1.0)])) for _ in range(3))
+        cases.append((normalize(AdjointCovector.of(h, skew)), float(rng.uniform(0.5, 10.0))))
+    for _ in range(20):
+        # on F1, control e1 raises h2 and h3 at rates -h12 and -h13; both
+        # reach 1 after tau, up to rounding within TIE_TOL
+        tau, r2, r3 = rng.uniform(0.2, 2.0, 3)
+        h = (1.0, float(1.0 - r2 * tau), float(1.0 - r3 * tau))
+        cases.append((AdjointCovector.of(h, (-r2, -r3, rng.uniform(-2.0, 2.0))), tau + float(rng.uniform(0.1, 5.0))))
+    return cases
+
+
+def raw_cases(rng):
+    """Raw covectors that keep numpy float64 or int entries as given."""
+    cases = []
+    for a, horizon in triangle_cases(rng)[::4] + regime_cases(rng)[::4]:
+        raw = AdjointCovector(tuple(np.float64(v) for v in a.h), tuple(np.float64(v) for v in a.skew))
+        cases.append((raw, horizon))
+    cases += [
+        (AdjointCovector((1, 1, 1), (0, 0, 0)), 5.0),
+        (AdjointCovector((1, 1, 0), (0, -1, 1)), 5.0),
+        (AdjointCovector((1, -0.0, 0.5), (0, -1, 1)), 5.0),
+        (AdjointCovector((1.0, 0.5, 0.5), (-1, -1, 0.7)), 10.0),
+        (AdjointCovector((np.float64(0.5), np.float64(0.8), np.float64(1.0)), (1, -1, 1)), 7.0),
+    ]
+    return cases
+
+
+def all_reference_cases():
+    rng = np.random.default_rng(11)
+    cases = triangle_cases(rng) + regime_cases(rng) + raw_cases(rng)
+    # horizon 0 synthesizes the empty word in every regime
+    cases += [(a, 0.0) for a, _ in cases[::7]]
+    return cases
+
+
+def reference_words(rng):
+    """Words for the flows: section and non-section words, zero-duration
+    arcs of both signs, and raw words that keep int or float64 durations."""
+    ws = [Word(()), Word(((2, 0.0),)), Word(((1, -0.0), (3, 0.0), (1, 0.25)))]
+    for n in range(1, 25):
+        letters = rng.integers(1, 4, n)
+        durs = rng.uniform(0.0, 3.0, n)
+        durs[rng.random(n) < 0.2] = 0.0
+        durs[rng.random(n) < 0.1] = -0.0
+        ws.append(Word.of(zip(letters, durs)))
+        ws.append(Word(tuple((int(l), np.float64(t)) for l, t in zip(letters, durs))))
+        ws.append(Word(tuple((int(l), int(round(t))) for l, t in zip(letters, durs))))
+    return ws
+
+
+def test_synthesize_matches_the_numpy_reference():
+    kinds = set()
+    for a, horizon in all_reference_cases():
+        got = synthesize(a, horizon)
+        assert repr(got) == repr(reference_synthesize(a, horizon))
+        assert all(type(t) is float for _, t in got[0].arcs)
+        kinds.add(got[1].kind)
+    assert kinds == {"bang-bang", "singular-edge", "singular-vertex", "mixed"}
+
+
+def test_adjoint_flow_matches_the_numpy_reference():
+    rng = np.random.default_rng(12)
+    covectors = [a for a, _ in all_reference_cases()]
+    ws = reference_words(rng) + [synthesize(a, horizon)[0] for a, horizon in all_reference_cases()[::3]]
+    for w in ws:
+        for a in covectors[:: max(1, len(covectors) // 12)]:
+            got, want = adjoint_flow(a, w), reference_adjoint_flow(a, w)
+            assert repr([float(v) for v in got.h]) == repr([float(v) for v in want.h])
+            assert got.skew is a.skew
+
+
+def test_switch_events_csv_matches_the_numpy_reference():
+    for a, horizon in all_reference_cases():
+        word, _ = synthesize(a, horizon)
+        assert switch_events_csv(a, word) == reference_switch_events_csv(a, word)
+    rng = np.random.default_rng(13)
+    a = random_triangle_covector(rng)
+    # raw words with float64 durations are left out: the reference's running
+    # time becomes a numpy scalar there
+    for w in reference_words(rng):
+        if all(type(t) is not np.float64 for _, t in w.arcs):
+            assert switch_events_csv(a, w) == reference_switch_events_csv(a, w)

@@ -284,3 +284,30 @@ def test_random_word_rejects_bad_seeds(seed):
     with pytest.raises(InvariantViolation) as exc:
         random_word(4, seed)
     assert exc.value.name == "seed"
+
+
+def reference_endpoint(w: Word) -> group.GroupElement:
+    """The fold of `group.flow_const` from the identity, kept as a reference
+    for `endpoint`, which folds the same group law on local floats."""
+    g = group.identity()
+    for letter, t in w.arcs:
+        u = [0.0, 0.0, 0.0]
+        u[letter - 1] = 1.0
+        g = group.flow_const(g, u, t)
+    return g
+
+
+def test_endpoint_matches_the_flow_const_fold():
+    from test_adjoint import all_reference_cases, reference_words
+    from carnotreach.adjoint import synthesize
+
+    rng = np.random.default_rng(14)
+    ws = reference_words(rng) + [synthesize(a, horizon)[0] for a, horizon in all_reference_cases()]
+    ws += [random_word(n, n) for n in range(3, 41)]
+    ws += [to_section(w) for w in ws if all(T > 0.0 for T in w.letter_totals().values())][:60]
+    # split words as the extremals workload splits them, signed zeros and all
+    ws += [Word(w.arcs[k:]) for w in ws[:40] for k in range(len(w.arcs))]
+    for w in ws:
+        got = endpoint(w)
+        assert repr(got) == repr(reference_endpoint(w))  # bit for bit, signed zeros included
+        assert all(type(v) is float for v in got.x + got.y)
