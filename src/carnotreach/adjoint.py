@@ -10,11 +10,8 @@ portraits.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .words import InvariantViolation, Word, canonicalize, require_real
 
@@ -80,14 +77,6 @@ class AdjointCovector:
     def h31(self) -> float:
         return -self.skew[1]
 
-    def skew_matrix(self) -> np.ndarray:
-        h12, h13, h23 = self.skew
-        return np.array([
-            [0.0, h12, h13],
-            [-h12, 0.0, h23],
-            [-h13, -h23, 0.0],
-        ])
-
 
 @dataclass(frozen=True)
 class RegimeReport:
@@ -112,13 +101,29 @@ def cyclic_k(a: AdjointCovector) -> float:
     return a.h12 + a.h23 + a.h31 - casimir(a)
 
 
+def _columns(a: AdjointCovector) -> tuple[tuple[float, float, float], ...]:
+    """The columns R e_1, R e_2, R e_3 of the skew matrix
+
+        R = [[0, h12, h13], [-h12, 0, h23], [-h13, -h23, 0]]
+
+    as Python floats, each entry negated before its conversion."""
+    h12, h13, h23 = a.skew
+    return (
+        (0.0, float(-h12), float(-h13)),
+        (float(h12), 0.0, float(-h23)),
+        (float(h13), float(h23), 0.0),
+    )
+
+
 def adjoint_flow(a: AdjointCovector, w: Word) -> AdjointCovector:
     """Exact endpoint of h under the word's piecewise-constant control."""
-    h = np.array(a.h)
-    R = a.skew_matrix()
+    columns = _columns(a)
+    h1, h2, h3 = (float(v) for v in a.h)
     for letter, t in w.arcs:
-        h = h + t * R[:, letter - 1]
-    return AdjointCovector(tuple(h), a.skew)
+        c1, c2, c3 = columns[letter - 1]
+        t = float(t)
+        h1, h2, h3 = h1 + t * c1, h2 + t * c2, h3 + t * c3
+    return AdjointCovector((h1, h2, h3), a.skew)
 
 
 def maximizing_controls(a: AdjointCovector) -> tuple[int, ...]:
@@ -183,8 +188,8 @@ def synthesize(a: AdjointCovector, horizon: float) -> tuple[Word, RegimeReport]:
 
     C = casimir(a)
     K = cyclic_k(a)
-    h = np.array(a.h)
-    R = a.skew_matrix()
+    h = [float(v) for v in a.h]
+    columns = _columns(a)
     arcs: list[tuple[int, float]] = []
     remaining = horizon
 
@@ -198,20 +203,20 @@ def synthesize(a: AdjointCovector, horizon: float) -> tuple[Word, RegimeReport]:
     while remaining > TIE_TOL:
         active = tuple(i + 1 for i in range(3) if h[i] >= 1.0 - TIE_TOL)
         if len(active) == 3:
-            return canonicalize(Word.of(arcs)), report("singular", active)
+            return canonicalize(Word(tuple(arcs))), report("singular", active)
         if len(active) == 2:
             i, j = active
             if _edge_is_singular(a, i, j):
-                return canonicalize(Word.of(arcs)), report("singular", active)
+                return canonicalize(Word(tuple(arcs))), report("singular", active)
             letter = _edge_bang_letter(a, i, j)
         elif len(active) == 1:
             letter = active[0]
         else:
             raise InvariantViolation("quadrant", f"covector left the quadrant boundary: {h}")
 
-        col = R[:, letter - 1]
+        col = columns[letter - 1]
         # time until another component reaches 1
-        t_switch = np.inf
+        t_switch = math.inf
         nxt = None
         for jdx in range(3):
             if jdx == letter - 1 or col[jdx] <= TIE_TOL:
@@ -227,12 +232,12 @@ def synthesize(a: AdjointCovector, horizon: float) -> tuple[Word, RegimeReport]:
                     "switches", f"horizon {horizon} needs more than {MAX_SYNTH_ARCS} arcs"
                 )
             arcs.append((letter, step))
-            h = h + step * col
+            h = [h[0] + step * col[0], h[1] + step * col[1], h[2] + step * col[2]]
         remaining -= step
         if step == t_switch and nxt is not None:
             h[nxt] = 1.0  # land exactly on the face
 
-    return canonicalize(Word.of(arcs)), report("bang-bang")
+    return canonicalize(Word(tuple(arcs))), report("bang-bang")
 
 
 def switching_times(a: AdjointCovector) -> tuple[float, float, float]:
@@ -258,14 +263,14 @@ def switching_times(a: AdjointCovector) -> tuple[float, float, float]:
 def switch_events_csv(a: AdjointCovector, word: Word) -> str:
     """CSV of (t, h1, h2, h3) along the word synthesized from a: at the
     start, each switch, and the horizon."""
-    h = np.array(a.h)
-    R = a.skew_matrix()
-    buf = io.StringIO()
-    buf.write("t,h1,h2,h3\n")
+    columns = _columns(a)
+    h1, h2, h3 = (float(v) for v in a.h)
     t = 0.0
-    buf.write(f"{t!r},{float(h[0])!r},{float(h[1])!r},{float(h[2])!r}\n")
+    lines = ["t,h1,h2,h3\n", f"{t!r},{h1!r},{h2!r},{h3!r}\n"]
     for letter, dur in word.arcs:
-        h = h + dur * R[:, letter - 1]
+        c1, c2, c3 = columns[letter - 1]
+        dur = float(dur)
+        h1, h2, h3 = h1 + dur * c1, h2 + dur * c2, h3 + dur * c3
         t += dur
-        buf.write(f"{t!r},{float(h[0])!r},{float(h[1])!r},{float(h[2])!r}\n")
-    return buf.getvalue()
+        lines.append(f"{t!r},{h1!r},{h2!r},{h3!r}\n")
+    return "".join(lines)

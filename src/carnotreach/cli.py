@@ -19,7 +19,8 @@ from .words import InvariantViolation, PqrPoint
 def _read_json(path: str):
     if path == "-":
         return json.load(sys.stdin)
-    with open(path) as fh:
+    # JSON is UTF-8 (RFC 8259), whatever the locale
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -65,9 +66,9 @@ def _cmd_member(args) -> int:
 
 def _cmd_atlas(args) -> int:
     mesh = boundary_atlas.trim_and_mesh(args.resolution)
-    with open(args.out_obj, "w") as fh:
+    with open(args.out_obj, "w", encoding="utf-8") as fh:
         fh.write(boundary_atlas.write_obj(mesh))
-    with open(args.out_csv, "w") as fh:
+    with open(args.out_csv, "w", encoding="utf-8") as fh:
         fh.write(boundary_atlas.strata_csv(mesh.strata))
     _emit(
         {
@@ -90,7 +91,7 @@ def _cmd_simulate_adjoint(args) -> int:
     a = adjoint.normalize(a)
     word, report = adjoint.synthesize(a, args.horizon)
     if args.out_csv:
-        with open(args.out_csv, "w") as fh:
+        with open(args.out_csv, "w", encoding="utf-8") as fh:
             fh.write(adjoint.switch_events_csv(a, word))
     _emit(
         {
@@ -130,7 +131,7 @@ def _cmd_mc_verify(args) -> int:
     # containment check first: it validates --atoms-max before any solve
     dice = probability.random_dice_check(args.n, atoms_max=args.atoms_max, seed=args.seed, **fit_kwargs)
     if args.out_csv:
-        with open(args.out_csv, "w") as fh:
+        with open(args.out_csv, "w", encoding="utf-8") as fh:
             fh.write(dice.to_csv())
     # identity check: hidden words are recovered by the solver
     roundtrip = probability.random_word_check(args.n, seed=args.seed, **fit_kwargs)

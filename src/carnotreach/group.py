@@ -117,16 +117,21 @@ def identity() -> GroupElement:
     return GroupElement((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
-def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Group product: first layers add, second layer picks up x x'^T - x' x^T."""
-    ax, bx = a.x, b.x
+def _product(ax, ay, bx, by) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """The group law on coordinate triples: first layers add, and the second
+    picks up x x'^T - x' x^T.  `multiply` and `words.endpoint` both use it."""
     w12 = ax[0] * bx[1] - ax[1] * bx[0]
     w13 = ax[0] * bx[2] - ax[2] * bx[0]
     w23 = ax[1] * bx[2] - ax[2] * bx[1]
-    return GroupElement(
+    return (
         (ax[0] + bx[0], ax[1] + bx[1], ax[2] + bx[2]),
-        (a.y[0] + b.y[0] + w12, a.y[1] + b.y[1] + w13, a.y[2] + b.y[2] + w23),
+        (ay[0] + by[0] + w12, ay[1] + by[1] + w13, ay[2] + by[2] + w23),
     )
+
+
+def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
+    """Group product: first layers add, second layer picks up x x'^T - x' x^T."""
+    return GroupElement(*_product(a.x, a.y, b.x, b.y))
 
 
 def inverse(g: GroupElement) -> GroupElement:

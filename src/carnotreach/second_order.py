@@ -10,12 +10,13 @@ is inconclusive.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adjoint import AdjointCovector, synthesize
-from .words import LETTERS, InvariantViolation, Word, canonicalize
+from .words import InvariantViolation, Word, canonicalize
 
 __all__ = [
     "AlgebraElement",
@@ -114,6 +115,32 @@ def _check_consistency(w: Word, a: AdjointCovector) -> None:
             )
 
 
+def _letter_table(a: AdjointCovector) -> np.ndarray:
+    """Half the pairing <lambda, [X_i, X_j]> of the covector with the
+    bracket of letters i and j, as a 3x3 table.
+
+    The flow convention h' = R u fixes R_ij = <lambda, [X_j, X_i]>, so the
+    pairing with Y_ij = [X_i, X_j] is -h_ij and that with [X_j, X_i] is
+    h_ij.  Each is formed as 0.0 -/+ h_ij, so a zero pairing is +0.0, the
+    zero of a dot product with the bracket's second layer.
+    """
+    h12, h13, h23 = (float(v) for v in a.skew)
+    return np.array([
+        [0.0, (0.0 - h12) / 2.0, (0.0 - h13) / 2.0],
+        [(0.0 + h12) / 2.0, 0.0, (0.0 - h23) / 2.0],
+        [(0.0 + h13) / 2.0, (0.0 + h23) / 2.0, 0.0],
+    ])
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), built once per size and kept read-only."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def ag_test(w: Word, a: AdjointCovector) -> SecondOrderReport:
     """Second-order test of the word against the covector that synthesizes
     it ("word-covector" otherwise: a verdict on another word means nothing).
@@ -137,15 +164,9 @@ def ag_test(w: Word, a: AdjointCovector) -> SecondOrderReport:
     z = conjugated_fields(w)
     n = k + 1
 
-    # pairing of a second-layer element with the covector.  The flow
-    # convention h' = R u fixes R_ij = <lambda, [X_j, X_i]>, so the
-    # pairing with Y_ij = [X_i, X_j] is -h_ij.
-    hvec = -np.array(a.skew)
-
-    fields = [basis_field(l) for l in LETTERS]
-    table = np.array([[float(np.dot(hvec, bracket(u, v).b)) / 2.0 for v in fields] for u in fields])
+    table = _letter_table(a)
     letters = np.array([l - 1 for l, _ in w.arcs])
-    i, j = np.triu_indices(n, 1)
+    i, j = _upper_pairs(n)
     g = np.zeros((n, n))
     # both triangles take the same values, signed zeros included, so that
     # alpha^T g alpha reproduces the double sum

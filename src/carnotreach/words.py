@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import group
-from .group import DilationWeights, GroupElement, InvariantViolation, require_int, require_real
+from .group import DilationWeights, GroupElement, InvariantViolation, _product, require_int, require_real
 
 __all__ = [
     "Word",
@@ -135,13 +134,21 @@ def concat(w1: Word, w2: Word) -> Word:
 
 
 def endpoint(w: Word) -> GroupElement:
-    """Left-to-right fold of the constant-control flow from the identity."""
-    g = group.identity()
+    """Left-to-right fold of the constant-control flow from the identity.
+
+    Arc (l, t) right-translates by (t e_l, 0), as `group.flow_const` does,
+    through the same tuple-level group law and on Python floats: the other
+    entries of t e_l are t * 0.0 and the second layer is 0.0, so even the
+    signed zeros are those of the flow_const fold.
+    """
+    x = y = zero = (0.0, 0.0, 0.0)
     for letter, t in w.arcs:
-        u = [0.0, 0.0, 0.0]
-        u[letter - 1] = 1.0
-        g = group.flow_const(g, u, t)
-    return g
+        if type(t) is not float:
+            t = float(t)  # a raw Word keeps an int or numpy duration as given
+        z = t * 0.0
+        step = (t, z, z) if letter == 1 else (z, t, z) if letter == 2 else (z, z, t)
+        x, y = _product(x, y, step, zero)
+    return GroupElement(x, y)
 
 
 def _require_section(w: Word) -> None:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -383,12 +385,20 @@ def test_synthesize_matches_the_numpy_reference():
     assert kinds == {"bang-bang", "singular-edge", "singular-vertex", "mixed"}
 
 
+def signed_zero_covectors():
+    """Raw covectors whose h entries are zeros of either sign and whose skew
+    entries include zeros of either sign and an int zero."""
+    skews = [(-0.0, 0.0, 0), (0.0, -0.0, -1.0), (1.5, 0, -0.0)]
+    return [AdjointCovector(h, skew) for h in itertools.product((0.0, -0.0), repeat=3) for skew in skews]
+
+
 def test_adjoint_flow_matches_the_numpy_reference():
     rng = np.random.default_rng(12)
     covectors = [a for a, _ in all_reference_cases()]
+    covectors = covectors[:: max(1, len(covectors) // 12)] + signed_zero_covectors()
     ws = reference_words(rng) + [synthesize(a, horizon)[0] for a, horizon in all_reference_cases()[::3]]
     for w in ws:
-        for a in covectors[:: max(1, len(covectors) // 12)]:
+        for a in covectors:
             got, want = adjoint_flow(a, w), reference_adjoint_flow(a, w)
             assert repr([float(v) for v in got.h]) == repr([float(v) for v in want.h])
             assert got.skew is a.skew
@@ -399,9 +409,22 @@ def test_switch_events_csv_matches_the_numpy_reference():
         word, _ = synthesize(a, horizon)
         assert switch_events_csv(a, word) == reference_switch_events_csv(a, word)
     rng = np.random.default_rng(13)
-    a = random_triangle_covector(rng)
+    covectors = [random_triangle_covector(rng)] + signed_zero_covectors()
     # raw words with float64 durations are left out: the reference's running
     # time becomes a numpy scalar there
     for w in reference_words(rng):
         if all(type(t) is not np.float64 for _, t in w.arcs):
-            assert switch_events_csv(a, w) == reference_switch_events_csv(a, w)
+            for a in covectors:
+                assert switch_events_csv(a, w) == reference_switch_events_csv(a, w)
+
+
+def test_adjoint_flow_and_the_switch_csv_carry_python_floats():
+    rng = np.random.default_rng(15)
+    covectors = [a for a, _ in raw_cases(rng)]
+    for w in reference_words(rng):
+        for a in covectors:
+            b = adjoint_flow(a, w)
+            assert all(type(v) is float for v in b.h)
+            assert b.skew is a.skew
+        # the running time stays a float for int and numpy durations too
+        assert "np." not in switch_events_csv(covectors[0], w)

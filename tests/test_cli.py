@@ -1,6 +1,9 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -565,3 +568,29 @@ def test_dice_names_a_malformed_payload(tmp_path, capsys, payload):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "dice-json"
+
+
+def test_commands_open_files_without_the_locale_encoding(tmp_path):
+    # -X warn_default_encoding warns at every open() that leaves the encoding
+    # to the locale, and -W error turns the warning into a failure
+    word = write_word(tmp_path, [2, 1, 3, 2, 1, 3], [1.0, 1.0, 1.0, 1.0, 1.0, 0.5])
+    dice = tmp_path / "dice.json"
+    dice.write_text(json.dumps([[[1.0, 1.0]], [[2.0, 1.0]], [[3.0, 1.0]]]))
+    commands = [
+        ["endpoint", word],
+        ["pqr", write_word(tmp_path, [1, 2, 3], [1, 1, 1], name="section.json")],
+        ["dice", str(dice)],
+        ["second-order", "--word", word, "--h", "0,1,1", "--skew", "1,-1,1"],
+        ["simulate-adjoint", "--h", "0.5,0.8,1.0", "--skew", "1,-1,1", "--out-csv", str(tmp_path / "sw.csv")],
+        ["atlas", "--resolution", "2", "--out-obj", str(tmp_path / "a.obj"), "--out-csv", str(tmp_path / "a.csv")],
+        ["mc-verify", "--n", "2", "--out-csv", str(tmp_path / "mc.csv")],
+    ]
+    src = str(Path(boundary_atlas.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONWARNINGS", None)
+    flags = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "carnotreach.cli"]
+    for argv in commands:
+        done = subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, (argv, done.stderr)
+    for name in ("sw.csv", "a.obj", "a.csv", "mc.csv"):
+        assert (tmp_path / name).is_file()

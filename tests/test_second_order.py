@@ -10,6 +10,7 @@ from carnotreach.second_order import (
     AlgebraElement,
     SecondOrderReport,
     _check_consistency,
+    _letter_table,
     ag_test,
     basis_field,
     bracket,
@@ -200,3 +201,16 @@ def test_ag_test_matches_the_pairwise_reference_on_every_skew_sign():
             assert_same_report(ag_test(word, a), pairwise_ag_test(word, a))
             seen.update(enumerate(signs))
     assert seen == set(itertools.product(range(3), (-1, 0, 1)))
+
+
+def test_letter_table_matches_the_dot_products_with_basis_brackets():
+    # the table is read from the skew entries; the dot products of the
+    # covector with the brackets of basis fields are the reference, bit for
+    # bit: zeros of both signs, subnormals, ints and numpy scalars
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.5, -3.75, 0, 2, -1, np.float64(-0.0), np.float64(0.3)]
+    fields = [basis_field(l) for l in (1, 2, 3)]
+    for skew in itertools.product(values, repeat=3):
+        a = AdjointCovector((1.0, 0.5, 0.25), skew)
+        hvec = -np.array(a.skew)
+        want = np.array([[float(np.dot(hvec, bracket(u, v).b)) / 2.0 for v in fields] for u in fields])
+        assert _letter_table(a).tobytes() == want.tobytes()
