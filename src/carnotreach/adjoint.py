@@ -7,6 +7,10 @@ maximum condition selects the vertex controls, and crossings of the
 quadrant edges are the control switchings.  The Casimir
 C = h1 h23 + h2 h31 + h3 h12 is conserved and classifies the phase
 portraits.
+
+The flows run on Python floats: h is three floats, and the columns of R
+are read from the skew entries, each converted once with float().  The
+words they synthesize carry Python floats.
 """
 from __future__ import annotations
 
@@ -106,7 +110,8 @@ def _columns(a: AdjointCovector) -> tuple[tuple[float, float, float], ...]:
 
         R = [[0, h12, h13], [-h12, 0, h23], [-h13, -h23, 0]]
 
-    as Python floats, each entry negated before its conversion."""
+    as Python floats.  A negative entry is the float of the negated skew
+    entry, so a raw int 0 gives +0.0 there."""
     h12, h13, h23 = a.skew
     return (
         (0.0, float(-h12), float(-h13)),

@@ -12,6 +12,9 @@ where p_ij is the sum of t_l * t_m over arc pairs l < m with letters
 (i, j).  The endpoint and the precedence sums are related by
 y12 = 2p - 1, y23 = 2q - 1, y13 = 1 - 2r; this module owns that
 conversion (the cyclic index r = p31 is the only sign flip).
+
+`endpoint` folds the arcs on Python floats through the group law of
+`group`, with the operations of the `group.flow_const` fold, bit for bit.
 """
 from __future__ import annotations
 
@@ -143,8 +146,7 @@ def endpoint(w: Word) -> GroupElement:
     """
     x = y = zero = (0.0, 0.0, 0.0)
     for letter, t in w.arcs:
-        if type(t) is not float:
-            t = float(t)  # a raw Word keeps an int or numpy duration as given
+        t = float(t)  # a raw Word keeps an int or numpy duration as given
         z = t * 0.0
         step = (t, z, z) if letter == 1 else (z, t, z) if letter == 2 else (z, z, t)
         x, y = _product(x, y, step, zero)

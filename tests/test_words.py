@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from carnotreach import group
+from carnotreach.adjoint import synthesize
 from carnotreach.words import (
     InvariantViolation,
     PqrPoint,
@@ -22,6 +23,8 @@ from carnotreach.words import (
     word_from_dict,
     word_to_dict,
 )
+
+from test_adjoint import all_reference_cases, reference_words
 
 
 def test_canonicalize_merges_and_drops():
@@ -298,9 +301,6 @@ def reference_endpoint(w: Word) -> group.GroupElement:
 
 
 def test_endpoint_matches_the_flow_const_fold():
-    from test_adjoint import all_reference_cases, reference_words
-    from carnotreach.adjoint import synthesize
-
     rng = np.random.default_rng(14)
     ws = reference_words(rng) + [synthesize(a, horizon)[0] for a, horizon in all_reference_cases()]
     ws += [random_word(n, n) for n in range(3, 41)]
