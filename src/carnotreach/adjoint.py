@@ -8,8 +8,8 @@ quadrant edges are the control switchings.  The Casimir
 C = h1 h23 + h2 h31 + h3 h12 is conserved and classifies the phase
 portraits.
 
-The flows run on Python floats: h is three floats, and the columns of R
-are read from the skew entries, each converted once with float().  The
+The flows run on Python floats: a covector stores six floats, and
+`_columns` is the one place that reads R from the skew entries.  The
 words they synthesize carry Python floats.
 """
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .group import _three_reals
 from .words import InvariantViolation, Word, canonicalize, require_real
 
 __all__ = [
@@ -35,8 +36,6 @@ __all__ = [
 TIE_TOL = 1e-10
 # arcs `synthesize` may generate; a horizon needing more raises "switches"
 MAX_SYNTH_ARCS = 10_000
-# index in AdjointCovector.skew of h_ij for each letter pair i < j
-_SKEW_INDEX = {(1, 2): 0, (1, 3): 1, (2, 3): 2}
 
 
 @dataclass(frozen=True)
@@ -47,39 +46,32 @@ class AdjointCovector:
     skew: tuple[float, float, float]
 
     def __post_init__(self):
-        try:
-            entries = (*self.h, *self.skew)
-            shaped = len(self.h) == len(self.skew) == 3
-        except TypeError:  # h or skew is not a sized iterable
-            shaped = False
-        if not shaped:
-            raise InvariantViolation("covector", f"h and skew must be 3-vectors, got {self.h!r} and {self.skew!r}")
-        for v in entries:
-            # a float needs only the finiteness check; the rest go through require_real
-            if not math.isfinite(v if type(v) is float else require_real("covector", v)):
+        for field in ("h", "skew"):
+            given = getattr(self, field)
+            floats = _three_reals("covector", given)
+            if not all(map(math.isfinite, floats)):
                 raise InvariantViolation("covector", f"h and skew must be finite, got {self.h} and {self.skew}")
+            # a tuple that already holds floats stays the same object
+            if type(given) is not tuple or any(type(v) is not float for v in given):
+                object.__setattr__(self, field, floats)
 
     @staticmethod
     def of(h, skew) -> "AdjointCovector":
         """The covector of two iterables of three reals, kept as Python floats."""
-        try:
-            h, skew = tuple(h), tuple(skew)
-        except TypeError:
-            raise InvariantViolation("covector", f"h and skew must be 3-vectors, got {h!r} and {skew!r}") from None
-        h, skew = (tuple(require_real("covector", v) for v in vec) for vec in (h, skew))
         return AdjointCovector(h, skew)
 
+    # h_ij = R_ij is entry i of column j
     @property
     def h12(self) -> float:
-        return self.skew[0]
+        return _columns(self)[1][0]
 
     @property
     def h23(self) -> float:
-        return self.skew[2]
+        return _columns(self)[2][1]
 
     @property
     def h31(self) -> float:
-        return -self.skew[1]
+        return _columns(self)[0][2]
 
 
 @dataclass(frozen=True)
@@ -110,25 +102,29 @@ def _columns(a: AdjointCovector) -> tuple[tuple[float, float, float], ...]:
 
         R = [[0, h12, h13], [-h12, 0, h23], [-h13, -h23, 0]]
 
-    as Python floats.  A negative entry is the float of the negated skew
-    entry, so a raw int 0 gives +0.0 there."""
+    so that columns[j - 1][i - 1] is h_ij for every pair i != j.  This is
+    the one place that reads the skew entries."""
     h12, h13, h23 = a.skew
-    return (
-        (0.0, float(-h12), float(-h13)),
-        (float(h12), 0.0, float(-h23)),
-        (float(h13), float(h23), 0.0),
-    )
+    return ((0.0, -h12, -h13), (h12, 0.0, -h23), (h13, h23, 0.0))
 
 
-def adjoint_flow(a: AdjointCovector, w: Word) -> AdjointCovector:
-    """Exact endpoint of h under the word's piecewise-constant control."""
+def _h_fold(a: AdjointCovector, w: Word):
+    """Each arc's duration with h after it, as Python floats, along w."""
     columns = _columns(a)
-    h1, h2, h3 = (float(v) for v in a.h)
+    h1, h2, h3 = a.h
     for letter, t in w.arcs:
         c1, c2, c3 = columns[letter - 1]
         t = float(t)
         h1, h2, h3 = h1 + t * c1, h2 + t * c2, h3 + t * c3
-    return AdjointCovector((h1, h2, h3), a.skew)
+        yield t, (h1, h2, h3)
+
+
+def adjoint_flow(a: AdjointCovector, w: Word) -> AdjointCovector:
+    """Exact endpoint of h under the word's piecewise-constant control."""
+    h = a.h
+    for _, h in _h_fold(a, w):
+        pass
+    return AdjointCovector(h, a.skew)
 
 
 def maximizing_controls(a: AdjointCovector) -> tuple[int, ...]:
@@ -162,19 +158,6 @@ def normalize(a: AdjointCovector) -> AdjointCovector:
     return AdjointCovector(h, skew)
 
 
-def _edge_is_singular(a: AdjointCovector, i: int, j: int) -> bool:
-    # edge {i, j} of the quadrant is invariant iff h_ij = 0
-    return abs(a.skew[_SKEW_INDEX[min(i, j), max(i, j)]]) <= TIE_TOL
-
-
-def _edge_bang_letter(a: AdjointCovector, i: int, j: int) -> int:
-    # transversal edge crossing: pick the vertex control that keeps h <= 1
-    lo, hi = min(i, j), max(i, j)
-    hij = a.skew[_SKEW_INDEX[lo, hi]]
-    # control e_lo moves h_hi at rate -h_ij; control e_hi moves h_lo at rate +h_ij
-    return lo if hij >= 0 else hi
-
-
 def synthesize(a: AdjointCovector, horizon: float) -> tuple[Word, RegimeReport]:
     """Run the closed loop "control = maximizing vertex" for the given horizon.
 
@@ -182,6 +165,8 @@ def synthesize(a: AdjointCovector, horizon: float) -> tuple[Word, RegimeReport]:
     computed in closed form.  When the covector reaches an invariant edge
     or the quadrant vertex, synthesis of the bang part stops and the regime
     is reported as singular (or mixed, if some bang arcs were generated).
+    A horizon within TIE_TOL of 0 generates no arc and reports the regime
+    at the start.
     A horizon that needs more than MAX_SYNTH_ARCS arcs raises "switches".
     """
     horizon = require_real("horizon", horizon)
@@ -193,7 +178,7 @@ def synthesize(a: AdjointCovector, horizon: float) -> tuple[Word, RegimeReport]:
 
     C = casimir(a)
     K = cyclic_k(a)
-    h = [float(v) for v in a.h]
+    h = list(a.h)
     columns = _columns(a)
     arcs: list[tuple[int, float]] = []
     remaining = horizon
@@ -205,19 +190,25 @@ def synthesize(a: AdjointCovector, horizon: float) -> tuple[Word, RegimeReport]:
             kind = "singular-edge" if len(letters) == 2 else "singular-vertex"
         return RegimeReport(kind, C, K, tuple(letters))
 
-    while remaining > TIE_TOL:
+    while True:
         active = tuple(i + 1 for i in range(3) if h[i] >= 1.0 - TIE_TOL)
         if len(active) == 3:
             return canonicalize(Word(tuple(arcs))), report("singular", active)
         if len(active) == 2:
             i, j = active
-            if _edge_is_singular(a, i, j):
+            h_ij = columns[j - 1][i - 1]
+            # edge {i, j} of the quadrant is invariant iff h_ij = 0
+            if abs(h_ij) <= TIE_TOL:
                 return canonicalize(Word(tuple(arcs))), report("singular", active)
-            letter = _edge_bang_letter(a, i, j)
+            # a transversal crossing takes the vertex control that keeps h <= 1:
+            # e_i moves h_j at rate -h_ij, and e_j moves h_i at rate +h_ij
+            letter = i if h_ij >= 0 else j
         elif len(active) == 1:
             letter = active[0]
         else:
             raise InvariantViolation("quadrant", f"covector left the quadrant boundary: {h}")
+        if horizon <= TIE_TOL:
+            break
 
         col = columns[letter - 1]
         # time until another component reaches 1
@@ -241,6 +232,8 @@ def synthesize(a: AdjointCovector, horizon: float) -> tuple[Word, RegimeReport]:
         remaining -= step
         if step == t_switch and nxt is not None:
             h[nxt] = 1.0  # land exactly on the face
+        if remaining <= TIE_TOL:
+            break
 
     return canonicalize(Word(tuple(arcs))), report("bang-bang")
 
@@ -268,14 +261,10 @@ def switching_times(a: AdjointCovector) -> tuple[float, float, float]:
 def switch_events_csv(a: AdjointCovector, word: Word) -> str:
     """CSV of (t, h1, h2, h3) along the word synthesized from a: at the
     start, each switch, and the horizon."""
-    columns = _columns(a)
-    h1, h2, h3 = (float(v) for v in a.h)
+    h1, h2, h3 = a.h
     t = 0.0
     lines = ["t,h1,h2,h3\n", f"{t!r},{h1!r},{h2!r},{h3!r}\n"]
-    for letter, dur in word.arcs:
-        c1, c2, c3 = columns[letter - 1]
-        dur = float(dur)
-        h1, h2, h3 = h1 + dur * c1, h2 + dur * c2, h3 + dur * c3
+    for dur, (h1, h2, h3) in _h_fold(a, word):
         t += dur
         lines.append(f"{t!r},{h1!r},{h2!r},{h3!r}\n")
     return "".join(lines)

@@ -75,9 +75,9 @@ def _cmd_atlas(args) -> int:
             "vertices": len(mesh.vertices),
             "groups": {k: len(v) for k, v in mesh.groups.items()},
             "samples": len(mesh.samples),
-            # a probe has two verdicts and solver errors propagate, so this key,
-            # like the empty list of mc-verify, is a constant kept so that the
-            # output bytes the benchmark and the goldens read stay the same
+            # a probe has two verdicts and solver errors propagate, so this key
+            # is a constant kept so that the output bytes the benchmark and the
+            # goldens read stay the same
             "prober_failures": 0,
             "obj": args.out_obj,
             "csv": args.out_csv,
@@ -142,7 +142,6 @@ def _cmd_mc_verify(args) -> int:
             "roundtrip_worst_residual": roundtrip.worst_residual,
             "dice_attained": dice.n_attained,
             "dice_worst_residual": dice.worst_residual,
-            "dice_failures": [],
         }
     )
     return 0
@@ -214,12 +213,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvariantViolation as exc:
-        json.dump({"error": exc.name, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
-    except (ValueError, OSError) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
+    except (ValueError, OSError) as exc:  # InvariantViolation is a ValueError
+        name = exc.name if isinstance(exc, InvariantViolation) else type(exc).__name__
+        json.dump({"error": name, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import AdjointCovector, synthesize
+from .adjoint import AdjointCovector, _columns, synthesize
 from .words import InvariantViolation, Word, canonicalize
 
 __all__ = [
@@ -120,16 +120,11 @@ def _letter_table(a: AdjointCovector) -> np.ndarray:
     bracket of letters i and j, as a 3x3 table.
 
     The flow convention h' = R u fixes R_ij = <lambda, [X_j, X_i]>, so the
-    pairing with Y_ij = [X_i, X_j] is -h_ij and that with [X_j, X_i] is
-    h_ij.  Each is formed as 0.0 -/+ h_ij, so a zero pairing is +0.0, the
-    zero of a dot product with the bracket's second layer.
+    pairing with [X_i, X_j] is R_ji, entry (i, j) of R transposed: row i of
+    the table is column i of R.  Adding 0.0 turns a zero pairing into +0.0,
+    the zero of a dot product with the bracket's second layer.
     """
-    h12, h13, h23 = (float(v) for v in a.skew)
-    return np.array([
-        [0.0, (0.0 - h12) / 2.0, (0.0 - h13) / 2.0],
-        [(0.0 + h12) / 2.0, 0.0, (0.0 - h23) / 2.0],
-        [(0.0 + h13) / 2.0, (0.0 + h23) / 2.0, 0.0],
-    ])
+    return (np.array(_columns(a)) + 0.0) / 2.0
 
 
 @functools.lru_cache(maxsize=64)

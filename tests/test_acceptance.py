@@ -1,4 +1,4 @@
-"""Acceptance gate: ten numbered criteria, one printed pass/fail line each.
+"""Acceptance gate: eleven numbered criteria, one printed pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 lines as they complete; a plain pytest run reports them as ordinary test
@@ -226,3 +226,34 @@ def test_criterion_10_counterexample_regression():
     r2 = attainability.fit(PqrPoint(0.3, 0.3, 1.0), seed=10)
     ok &= r2.status == "attained" and r2.residual <= ROUNDTRIP_TOL
     _report(10, "counterexample regression", ok)
+
+
+def _is_cyclic(letters) -> bool:
+    # i j k i j ...: three distinct letters, repeated with period 3
+    return len(set(letters[:3])) == 3 and all(l == m for l, m in zip(letters, letters[3:]))
+
+
+def test_criterion_11_switching_census():
+    # Finding G: cut the word of a cyclic-regime covector (h12, h23, h31 of
+    # one sign) inside arc n; cuts of 6+ arcs are not optimal, cuts of 3-5
+    # arcs are inconclusive, and every cut of 4+ arcs is cyclic
+    rng = np.random.default_rng(2026)
+    ok, lengths = True, set()
+    for _ in range(600):
+        h = rng.uniform(-1.0, 1.0, 3)
+        h[rng.integers(3)] = 1.0
+        h12, h23, h31 = rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 2.0, 3)
+        a = adjoint.AdjointCovector.of(h, (h12, -h31, h23))
+        n = int(rng.integers(3, 13))
+        long_word, _ = adjoint.synthesize(a, 50.0)
+        if len(long_word.arcs) < n:
+            continue
+        durs = [t for _, t in long_word.arcs]
+        word, regime = adjoint.synthesize(a, sum(durs[: n - 1]) + 0.5 * durs[n - 1])
+        ok &= regime.kind == "bang-bang" and len(word.arcs) == n
+        verdict = second_order.ag_test(word, a).verdict
+        ok &= verdict == ("not-optimal" if n >= 6 else "inconclusive")
+        ok &= n < 4 or _is_cyclic([l for l, _ in word.arcs])
+        lengths.add(n)
+    ok &= lengths == set(range(3, 13))
+    _report(11, "switching census", ok)

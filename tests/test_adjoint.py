@@ -7,8 +7,6 @@ from carnotreach.adjoint import (
     TIE_TOL,
     AdjointCovector,
     RegimeReport,
-    _edge_bang_letter,
-    _edge_is_singular,
     adjoint_flow,
     casimir,
     cyclic_k,
@@ -116,17 +114,19 @@ def test_switching_times_rejects_wrong_regime():
 
 
 def test_synthesize_singular_regimes():
-    # quadrant vertex with R = 0: the whole simplex maximizes forever
-    w, rep = synthesize(AdjointCovector.of((1, 1, 1), (0, 0, 0)), 5.0)
-    assert w.arcs == ()
-    assert rep.kind == "singular-vertex"
-    assert rep.singular_letters == (1, 2, 3)
+    # a horizon within TIE_TOL of 0 reports the start's regime too
+    for horizon in (5.0, 0.0, TIE_TOL):
+        # quadrant vertex with R = 0: the whole simplex maximizes forever
+        w, rep = synthesize(AdjointCovector.of((1, 1, 1), (0, 0, 0)), horizon)
+        assert w.arcs == ()
+        assert rep.kind == "singular-vertex"
+        assert rep.singular_letters == (1, 2, 3)
 
-    # invariant edge {1, 2}: h12 = 0
-    w, rep = synthesize(AdjointCovector.of((1, 1, 0), (0.0, -1.0, 1.0)), 5.0)
-    assert w.arcs == ()
-    assert rep.kind == "singular-edge"
-    assert rep.singular_letters == (1, 2)
+        # invariant edge {1, 2}: h12 = 0
+        w, rep = synthesize(AdjointCovector.of((1, 1, 0), (0.0, -1.0, 1.0)), horizon)
+        assert w.arcs == ()
+        assert rep.kind == "singular-edge"
+        assert rep.singular_letters == (1, 2)
 
 
 def test_synthesize_mixed_regime():
@@ -174,9 +174,17 @@ def test_covector_rejects_mistyped_entries(h, skew):
 
 
 def test_covector_accepts_numpy_numbers():
-    a = AdjointCovector.of(np.array([1.0, 0.5, 0.25]), (np.float32(1.0), np.int64(-1), 1))
-    assert a == AdjointCovector((1.0, 0.5, 0.25), (1.0, -1.0, 1.0))
-    assert all(type(v) is float for v in a.h + a.skew)
+    for make in (AdjointCovector, AdjointCovector.of):
+        a = make(np.array([1.0, 0.5, 0.25]), (np.float32(1.0), np.int64(-1), 1))
+        assert a == AdjointCovector((1.0, 0.5, 0.25), (1.0, -1.0, 1.0))
+        # the raw constructor stores floats too, so no numpy scalar reaches the report
+        _, report = synthesize(a, 3.0)
+        assert type(report.casimir) is float
+        assert type(report.K) is float
+        assert all(type(v) is float for v in a.h + a.skew)
+    # a tuple that already holds floats is kept as the same object
+    floats = (1.0, -0.0, 0.5)
+    assert AdjointCovector(floats, floats).skew is floats
 
 
 def test_switch_events_csv_shape():
@@ -260,17 +268,21 @@ def reference_synthesize(a: AdjointCovector, horizon: float):
             kind = "singular-edge" if len(letters) == 2 else "singular-vertex"
         return RegimeReport(kind, C, K, tuple(letters))
 
-    while remaining > TIE_TOL:
+    while True:
         active = tuple(i + 1 for i in range(3) if h[i] >= 1.0 - TIE_TOL)
         if len(active) == 3:
             return canonicalize(Word.of(arcs)), report("singular", active)
         if len(active) == 2:
             i, j = active
-            if _edge_is_singular(a, i, j):
+            # the edge is invariant iff R_ij = 0; else e_i keeps h_j <= 1 iff R_ij >= 0
+            if abs(R[i - 1, j - 1]) <= TIE_TOL:
                 return canonicalize(Word.of(arcs)), report("singular", active)
-            letter = _edge_bang_letter(a, i, j)
+            letter = i if R[i - 1, j - 1] >= 0 else j
         else:
             (letter,) = active
+        # a horizon of 0 reports the start's regime
+        if horizon <= TIE_TOL:
+            break
         col = R[:, letter - 1]
         t_switch = np.inf
         nxt = None
@@ -288,6 +300,8 @@ def reference_synthesize(a: AdjointCovector, horizon: float):
         remaining -= step
         if step == t_switch and nxt is not None:
             h[nxt] = 1.0
+        if remaining <= TIE_TOL:
+            break
     return canonicalize(Word.of(arcs)), report("bang-bang")
 
 
@@ -337,7 +351,7 @@ def regime_cases(rng):
 
 
 def raw_cases(rng):
-    """Raw covectors that keep numpy float64 or int entries as given."""
+    """Covectors built raw from numpy float64 or int entries."""
     cases = []
     for a, horizon in triangle_cases(rng)[::4] + regime_cases(rng)[::4]:
         raw = AdjointCovector(tuple(np.float64(v) for v in a.h), tuple(np.float64(v) for v in a.skew))
@@ -355,7 +369,7 @@ def raw_cases(rng):
 def all_reference_cases():
     rng = np.random.default_rng(11)
     cases = triangle_cases(rng) + regime_cases(rng) + raw_cases(rng)
-    # horizon 0 synthesizes the empty word in every regime
+    # horizon 0 synthesizes the empty word and reports the start's regime
     cases += [(a, 0.0) for a, _ in cases[::7]]
     return cases
 
