@@ -47,13 +47,10 @@ class AdjointCovector:
 
     def __post_init__(self):
         for field in ("h", "skew"):
-            given = getattr(self, field)
-            floats = _three_reals("covector", given)
+            floats = _three_reals("covector", getattr(self, field))
             if not all(map(math.isfinite, floats)):
                 raise InvariantViolation("covector", f"h and skew must be finite, got {self.h} and {self.skew}")
-            # a tuple that already holds floats stays the same object
-            if type(given) is not tuple or any(type(v) is not float for v in given):
-                object.__setattr__(self, field, floats)
+            object.__setattr__(self, field, floats)
 
     @staticmethod
     def of(h, skew) -> "AdjointCovector":
@@ -114,7 +111,6 @@ def _h_fold(a: AdjointCovector, w: Word):
     h1, h2, h3 = a.h
     for letter, t in w.arcs:
         c1, c2, c3 = columns[letter - 1]
-        t = float(t)
         h1, h2, h3 = h1 + t * c1, h2 + t * c2, h3 + t * c3
         yield t, (h1, h2, h3)
 

@@ -294,7 +294,7 @@ def exclusion_bound(point: PqrPoint) -> tuple[float, str | None]:
     corners min(p, q, r) > PHI and max(p, q, r) < 1 - PHI, so the distance
     to the slab, or out of a corner, bounds the distance to the set.
     """
-    x = (float(point.p), float(point.q), float(point.r))
+    x = (point.p, point.q, point.r)
     s = x[0] + x[1] + x[2]
     sum_gap = max(0.0, 1.0 - s, s - 2.0) / math.sqrt(3.0)
     golden_gap = max(0.0, min(x) - PHI, (1.0 - PHI) - max(x))
@@ -362,7 +362,7 @@ def closed_form_word(point: PqrPoint) -> Word | None:
       lies in R'(i, j) for either j when m = i, and in R'(m, i) when m != i.
     So every point that no all-positive triple E or O excludes gets a word.
     """
-    p, q, r = float(point.p), float(point.q), float(point.r)
+    p, q, r = point.p, point.q, point.r
     x = (p, q, r, 1.0 - p, 1.0 - q, 1.0 - r)
     images = []
     for perm, reversed_, (i, j, k) in _SYMMETRIES:
@@ -461,7 +461,7 @@ def fit(
 def _attained(witness: Word, target: PqrPoint, starts_used: int) -> FitResult:
     # the residual of the actual witness word, in Python floats
     point = pqr(witness)
-    residual = math.dist((point.p, point.q, point.r), (float(target.p), float(target.q), float(target.r)))
+    residual = math.dist((point.p, point.q, point.r), (target.p, target.q, target.r))
     return FitResult("attained", witness, residual, starts_used)
 
 
@@ -487,7 +487,7 @@ def probe(
     d = [require_real("direction", v) for v in components]
     if not all(map(math.isfinite, d)):
         raise InvariantViolation("direction-finite", f"direction must be finite, got {d}")
-    x = [float(c) + eps * v for c, v in zip((point.p, point.q, point.r), d)]
+    x = [c + eps * v for c, v in zip((point.p, point.q, point.r), d)]
     if any(c < -1e-12 or c > 1.0 + 1e-12 for c in x):
         return False
     return fit(PqrPoint(*(min(max(c, 0.0), 1.0) for c in x)), **fit_kwargs).status == "attained"

@@ -26,7 +26,11 @@ def _read_json(path: str):
 
 def _emit(obj) -> None:
     # strict JSON: a non-finite number is an error, not an "Infinity" token
-    sys.stdout.write(json.dumps(obj, indent=2, allow_nan=False) + "\n")
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise InvariantViolation("output-finite", f"output must be finite JSON: {exc}") from None
+    sys.stdout.write(text + "\n")
 
 
 def _triple(text: str) -> tuple[float, float, float]:

@@ -69,14 +69,14 @@ def require_real(name: str, value) -> float:
 
 def _three_reals(name: str, values) -> tuple[float, float, float]:
     """Three reals as floats, else InvariantViolation `name`; a float skips
-    require_real."""
+    require_real, and a tuple of three floats comes back as the same object."""
     try:
         vec = tuple(v if type(v) is float else require_real(name, v) for v in values)
     except TypeError:  # values is not iterable
         vec = ()
     if len(vec) != 3:
         raise InvariantViolation(name, f"{name} must be 3 reals, got {values!r}")
-    return vec
+    return values if type(values) is tuple and all(map(operator.is_, vec, values)) else vec
 
 
 @dataclass(frozen=True)
@@ -103,14 +103,15 @@ class GroupElement:
 
 @dataclass(frozen=True)
 class DilationWeights:
-    """Strictly positive anisotropic scaling weights (c1, c2, c3)."""
+    """Strictly positive anisotropic scaling weights (c1, c2, c3), in Python floats."""
 
     c: tuple[float, float, float]
 
     def __post_init__(self):
-        # checked as floats; the field keeps the values as given
-        if not all(0.0 < ci < math.inf for ci in _three_reals("dilation-weights", self.c)):
+        c = _three_reals("dilation-weights", self.c)
+        if not all(0.0 < ci < math.inf for ci in c):
             raise InvariantViolation("dilation-weights", f"weights must be finite and positive, got {self.c}")
+        object.__setattr__(self, "c", c)
 
 
 def identity() -> GroupElement:

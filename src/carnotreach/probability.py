@@ -45,12 +45,13 @@ def _pairs(atoms) -> list[tuple]:
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Finitely supported distribution: atoms (value, mass), values increasing."""
+    """Finitely supported distribution: atoms (value, mass) of floats, values increasing."""
 
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        atoms = _pairs(self.atoms)
+        given = self.atoms
+        atoms = _pairs(given)
         if not atoms:
             raise InvariantViolation("atoms", "distribution needs at least one atom")
         # a float skips require_real, which names every other mistyped entry
@@ -64,18 +65,18 @@ class DiscreteDistribution:
             raise InvariantViolation("mass-sum", f"masses must sum to 1, got {sum(masses)}")
         if any(values[i] >= values[i + 1] for i in range(len(values) - 1)):
             raise InvariantViolation("values-increasing", f"values must be strictly increasing, got {values}")
+        # a tuple of (float, float) tuples stays the same object
+        if not (type(given) is tuple and all(type(a) is tuple and type(a[0]) is type(a[1]) is float for a in given)):
+            object.__setattr__(self, "atoms", tuple(zip(values, masses)))
 
     @staticmethod
     def of(pairs) -> "DiscreteDistribution":
-        """Atoms from (value, mass) pairs of reals, kept as Python floats;
-        anything else is `dice-json`."""
-        return DiscreteDistribution(
-            tuple((require_real("dice-json", v), require_real("dice-json", m)) for v, m in _pairs(pairs))
-        )
+        """Atoms from (value, mass) pairs of reals; anything else is `dice-json`."""
+        return DiscreteDistribution(pairs)
 
     @staticmethod
     def constant(value: float) -> "DiscreteDistribution":
-        return DiscreteDistribution(((float(value), 1.0),))
+        return DiscreteDistribution(((value, 1.0),))
 
 
 def dice_from_json(payload) -> tuple[DiscreteDistribution, DiscreteDistribution, DiscreteDistribution]:
@@ -86,7 +87,7 @@ def dice_from_json(payload) -> tuple[DiscreteDistribution, DiscreteDistribution,
 
 
 def _precedence(d1: DiscreteDistribution, d2: DiscreteDistribution) -> float:
-    return float(sum(m1 * m2 for v1, m1 in d1.atoms for v2, m2 in d2.atoms if v1 < v2))
+    return sum(m1 * m2 for v1, m1 in d1.atoms for v2, m2 in d2.atoms if v1 < v2)
 
 
 def _tie_mass(d1: DiscreteDistribution, d2: DiscreteDistribution) -> tuple[float, list[float]]:

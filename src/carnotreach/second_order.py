@@ -95,7 +95,7 @@ def conjugated_fields(w: Word) -> list[AlgebraElement]:
 class SecondOrderReport:
     """Outcome of the second-order test."""
 
-    W_basis: np.ndarray  # (k+1, dim W), orthonormal columns
+    W_basis: np.ndarray  # (arcs, dim W), orthonormal columns
     G_restricted: np.ndarray  # (dim W, dim W) symmetric
     verdict: str  # "not-optimal" | "inconclusive"
 
@@ -151,13 +151,12 @@ def ag_test(w: Word, a: AdjointCovector) -> SecondOrderReport:
     3x3 table indexed by the letters of the pair.
     """
     w = canonicalize(w)
-    k = len(w.arcs) - 1
-    if k < 2:
-        raise InvariantViolation("switch-count", f"need at least 2 switchings, got {k}")
+    n = len(w.arcs)
+    if n < 3:
+        raise InvariantViolation("switch-count", f"need at least 3 arcs (2 switchings), got {n} arcs")
     _check_consistency(w, a)
 
     z = conjugated_fields(w)
-    n = k + 1
 
     table = _letter_table(a)
     letters = np.array([l - 1 for l, _ in w.arcs])

@@ -19,6 +19,7 @@ conversion (the cyclic index r = p31 is the only sign flip).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,26 +66,29 @@ def precedence(x, i: int, j: int):
 
 @dataclass(frozen=True)
 class Word:
-    """Ordered arcs (letter, duration) of a bang-bang control."""
+    """Ordered arcs (letter, duration) of a bang-bang control, as (int, float) tuples."""
 
     arcs: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        # the checks of `Word.of`; an int letter and a float duration, as the
-        # atlas and synthesis build them, skip the require_* calls
-        for letter, dur in self.arcs:
-            if type(letter) is not int:
-                letter = require_int("word-letter", letter, 1)
-            if letter not in LETTERS:
+        # a tuple of (int, float) tuples skips the require_* calls and stays the same object
+        arcs, exact = tuple(self.arcs), True
+        for arc in arcs:
+            letter, dur = arc
+            if type(arc) is not tuple or type(letter) is not int:
+                letter, exact = require_int("word-letter", letter, 1), False
+            if not 1 <= letter <= 3:
                 raise InvariantViolation("word-letter", f"letter must be 1, 2 or 3, got {letter}")
             if type(dur) is not float:
-                dur = require_real("word-duration", dur)
+                dur, exact = require_real("word-duration", dur), False
             if not 0.0 <= dur < math.inf:
                 raise InvariantViolation("word-duration", f"durations must be finite and nonnegative, got {dur}")
+        if arcs is not self.arcs or not exact:
+            object.__setattr__(self, "arcs", arcs if exact else tuple((operator.index(l), float(t)) for l, t in arcs))
 
     @staticmethod
     def of(arcs) -> "Word":
-        return Word(tuple((require_int("word-letter", l, 1), require_real("word-duration", t)) for l, t in arcs))
+        return Word(arcs)
 
     @property
     def total_duration(self) -> float:
@@ -99,7 +103,7 @@ class Word:
 
 @dataclass(frozen=True)
 class PqrPoint:
-    """A point (p, q, r) = (p12, p23, p31) of the unit cube."""
+    """A point (p, q, r) = (p12, p23, p31) of the unit cube, in Python floats."""
 
     p: float
     q: float
@@ -108,8 +112,9 @@ class PqrPoint:
     def __post_init__(self):
         tol = 1e-9
         for name, v in (("p", self.p), ("q", self.q), ("r", self.r)):
-            # checked as a float; the field keeps the value as given
-            v = require_real("pqr", v)
+            if type(v) is not float:
+                v = require_real("pqr", v)
+                object.__setattr__(self, name, v)
             if not math.isfinite(v):
                 raise InvariantViolation("pqr-finite", f"{name} = {v} is not finite")
             if v < -tol or v > 1.0 + tol:
@@ -146,7 +151,6 @@ def endpoint(w: Word) -> GroupElement:
     """
     x = y = zero = (0.0, 0.0, 0.0)
     for letter, t in w.arcs:
-        t = float(t)  # a raw Word keeps an int or numpy duration as given
         z = t * 0.0
         step = (t, z, z) if letter == 1 else (z, t, z) if letter == 2 else (z, z, t)
         x, y = _product(x, y, step, zero)

@@ -376,7 +376,7 @@ def all_reference_cases():
 
 def reference_words(rng):
     """Words for the flows: section and non-section words, zero-duration
-    arcs of both signs, and raw words that keep int or float64 durations."""
+    arcs of both signs, and raw words built from int or float64 durations."""
     ws = [Word(()), Word(((2, 0.0),)), Word(((1, -0.0), (3, 0.0), (1, 0.25)))]
     for n in range(1, 25):
         letters = rng.integers(1, 4, n)
@@ -424,12 +424,9 @@ def test_switch_events_csv_matches_the_numpy_reference():
         assert switch_events_csv(a, word) == reference_switch_events_csv(a, word)
     rng = np.random.default_rng(13)
     covectors = [random_triangle_covector(rng)] + signed_zero_covectors()
-    # raw words with float64 durations are left out: the reference's running
-    # time becomes a numpy scalar there
     for w in reference_words(rng):
-        if all(type(t) is not np.float64 for _, t in w.arcs):
-            for a in covectors:
-                assert switch_events_csv(a, w) == reference_switch_events_csv(a, w)
+        for a in covectors:
+            assert switch_events_csv(a, w) == reference_switch_events_csv(a, w)
 
 
 def test_adjoint_flow_and_the_switch_csv_carry_python_floats():

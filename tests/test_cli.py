@@ -72,6 +72,24 @@ def test_member_non_finite_is_a_domain_error(capsys):
     assert json.loads(err)["error"] == "pqr-finite"
 
 
+def test_endpoint_non_finite_output_is_a_domain_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"letters": [1, 2, 3], "durations": [1e308, 1e308, 1e308]}'))
+    code, out, err = run(capsys, "endpoint", "-")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "output-finite",
+        "message": "output must be finite JSON: Out of range float values are not JSON compliant: inf",
+    }
+
+
+def test_simulate_adjoint_non_finite_output_is_a_domain_error(capsys):
+    # the covector is finite, but K = h12 + h23 + h31 - C overflows
+    argv = ["simulate-adjoint", "--h", "1,0.5,0.2", "--skew", "1e308,-1e308,1e308", "--horizon", "0"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "output-finite"
+
+
 # exact bytes of `member --max-arcs 5 --seed 3`: below the closed form's six
 # arcs, both points are swept, so the attained bytes hold for the OpenBLAS
 # kernel they were recorded on (see tests/test_attainability.py)

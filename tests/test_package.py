@@ -1,9 +1,11 @@
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +13,10 @@ import pytest
 
 import carnotreach
 from carnotreach.adjoint import AdjointCovector
-from carnotreach.group import DilationWeights, GroupElement, flow_const, identity
-from carnotreach.probability import DiscreteDistribution
-from carnotreach.words import InvariantViolation, PqrPoint, Word
+from carnotreach.attainability import fit
+from carnotreach.group import DilationWeights, GroupElement, dilate, flow_const, identity
+from carnotreach.probability import DiscreteDistribution, dice_pqr
+from carnotreach.words import InvariantViolation, PqrPoint, Word, endpoint, pqr, word_to_dict
 
 MODULES = ["carnotreach"] + [
     f"carnotreach.{info.name}" for info in pkgutil.iter_modules(carnotreach.__path__)
@@ -156,3 +159,67 @@ def test_every_public_constructor_names_a_bad_number(slot, makers, build, names,
     for make in makers:
         build(make, good)
 
+
+class _Real(float):
+    """A float subclass, as a raw constructor may be handed one."""
+
+
+# (kind, letters, numbers): every number is held exactly by its kind, so the
+# raw value built from the kind equals the one built from Python floats
+RAW_KINDS = [
+    ("float32", np.int64, np.float32),
+    ("int64", np.int64, np.int64),
+    ("Fraction", int, Fraction),
+    ("float-subclass", int, _Real),
+]
+
+
+def _raw_values(letter, number, whole):
+    """Raw Word, PqrPoint, dice and DilationWeights with `letter` letters and
+    `number` numbers: a six-arc section word and its point, or, when `whole`,
+    the vertex word and its vertex, whose numbers are all integers."""
+    if whole:
+        arcs, point = ((1, 1), (2, 1), (3, 1)), (1, 1, 0)
+        dice, weights = [[(1, 1)], [(2, 1)], [(0, 1)]], (1, 2, 3)
+    else:
+        arcs, point = ((1, 0.5), (2, 0.75), (3, 0.25), (1, 0.5), (3, 0.75), (2, 0.25)), (0.625, 0.75, 0.125)
+        dice, weights = [[(0.25, 0.5), (0.75, 0.5)], [(0.5, 1)], [(0.125, 0.25), (0.875, 0.75)]], (0.5, 2, 4)
+    return (
+        Word(tuple((letter(l), number(t)) for l, t in arcs)),
+        PqrPoint(*map(number, point)),
+        [DiscreteDistribution(tuple((number(v), number(m)) for v, m in atoms)) for atoms in dice],
+        DilationWeights(tuple(map(number, weights))),
+    )
+
+
+@pytest.mark.parametrize("kind, letter, number", RAW_KINDS, ids=[row[0] for row in RAW_KINDS])
+def test_raw_constructors_store_python_floats(kind, letter, number):
+    # a raw constructor stores int letters and float numbers, so every result
+    # is that of the float-built value, in float64 and JSON-ready
+    whole = kind == "int64"
+    raw_word, raw_point, raw_dice, raw_weights = _raw_values(letter, number, whole)
+    word, point, dice, weights = _raw_values(int, float, whole)
+    assert repr(raw_word) == repr(word) and repr(raw_point) == repr(point)
+    assert repr(raw_dice) == repr(dice) and repr(raw_weights) == repr(weights)
+    assert all(type(l) is int and type(t) is float for l, t in raw_word.arcs)
+    assert repr(pqr(raw_word)) == repr(pqr(word)) == repr(point)
+    assert repr(endpoint(raw_word)) == repr(endpoint(word))
+    assert repr(dice_pqr(*raw_dice)) == repr(dice_pqr(*dice))
+    assert repr(dilate(raw_weights, endpoint(word))) == repr(dilate(weights, endpoint(word)))
+    assert json.dumps(fit(raw_point).to_dict()) == json.dumps(fit(point).to_dict())
+    assert json.dumps(word_to_dict(raw_word)) == json.dumps(word_to_dict(word))
+
+
+def test_checked_types_keep_an_exact_tuple_and_convert_the_rest():
+    arcs, atoms, c = ((1, 0.5), (2, 1.0)), ((0.0, 0.5), (1.0, 0.5)), (1.0, 2.0, 0.5)
+    assert Word(arcs).arcs is arcs
+    assert DiscreteDistribution(atoms).atoms is atoms
+    assert DilationWeights(c).c is c
+    assert AdjointCovector(c, c).h is c
+    # lists, iterators and ints are stored as tuples of floats (the reprs
+    # tell 1 from 1.0 and a list from a tuple), so equal words hash equal
+    for given in ([[1, 0.5], [2, 1]], iter(arcs), [(1, 0.5), (2, 1.0)]):
+        w = Word(given)
+        assert repr(w.arcs) == repr(arcs) and hash(w) == hash(Word(arcs))
+    assert repr(DiscreteDistribution([[0, 0.5], [1, 0.5]]).atoms) == repr(atoms)
+    assert repr(DilationWeights([1, 2, 0.5]).c) == repr(c)

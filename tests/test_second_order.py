@@ -84,6 +84,17 @@ def test_ag_test_requires_two_switchings():
     assert exc.value.name == "switch-count"
 
 
+# the count is that of the canonical word: a zero arc goes, and its neighbours merge
+@pytest.mark.parametrize(
+    "arcs, n",
+    [((), 0), (((2, 1.0),), 1), (((1, 1.0), (2, 0.0), (1, 1.0)), 1), (((1, 1.0), (2, 1.0)), 2)],
+)
+def test_ag_test_switch_count_message_counts_the_arcs(arcs, n):
+    with pytest.raises(InvariantViolation, match=rf"need at least 3 arcs \(2 switchings\), got {n} arcs$") as exc:
+        ag_test(Word(arcs), AdjointCovector.of((1, 0, 0), (1, 1, 1)))
+    assert exc.value.name == "switch-count"
+
+
 def test_consistency_check_rejects_mismatched_word():
     rng = np.random.default_rng(0)
     a, word = six_arc_extremal(rng)

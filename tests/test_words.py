@@ -276,9 +276,9 @@ def test_pqr_point_rejects_mistyped_coordinates(bad):
         assert exc.value.name == "pqr"
 
 
-def test_pqr_point_keeps_coordinates_as_given():
+def test_pqr_point_stores_coordinates_as_floats():
     point = PqrPoint(np.float64(0.5), 1, 0.25)
-    assert type(point.p) is np.float64 and type(point.q) is int
+    assert type(point.p) is float and type(point.q) is float
     assert point == PqrPoint(0.5, 1.0, 0.25)
 
 
