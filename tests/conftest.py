@@ -12,7 +12,10 @@ def _openblas_core() -> str:
     except OSError:
         paths = []
     for path in paths:
-        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        try:
+            corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        except OSError:  # a mapping that cannot be loaded, such as a deleted file
+            continue
         if corename is not None:
             corename.restype = ctypes.c_char_p
             return corename().decode()
