@@ -24,12 +24,17 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def _emit(obj) -> None:
-    # strict JSON: a non-finite number is an error, not an "Infinity" token
+def _emit(obj, files=()) -> None:
+    """Write each (path, text) of `files`, then `obj` as JSON on stdout."""
+    # strict JSON: a non-finite number is an error, not an "Infinity" token,
+    # and it is raised before any file is written
     try:
         text = json.dumps(obj, indent=2, allow_nan=False)
     except ValueError as exc:
         raise InvariantViolation("output-finite", f"output must be finite JSON: {exc}") from None
+    for path, body in files:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(body)
     sys.stdout.write(text + "\n")
 
 
@@ -70,10 +75,6 @@ def _cmd_member(args) -> int:
 
 def _cmd_atlas(args) -> int:
     mesh = boundary_atlas.trim_and_mesh(args.resolution)
-    with open(args.out_obj, "w", encoding="utf-8") as fh:
-        fh.write(boundary_atlas.write_obj(mesh))
-    with open(args.out_csv, "w", encoding="utf-8") as fh:
-        fh.write(boundary_atlas.strata_csv(mesh.strata))
     _emit(
         {
             "vertices": len(mesh.vertices),
@@ -85,7 +86,8 @@ def _cmd_atlas(args) -> int:
             "prober_failures": 0,
             "obj": args.out_obj,
             "csv": args.out_csv,
-        }
+        },
+        [(args.out_obj, boundary_atlas.write_obj(mesh)), (args.out_csv, boundary_atlas.strata_csv(mesh.strata))],
     )
     return 0
 
@@ -94,9 +96,6 @@ def _cmd_simulate_adjoint(args) -> int:
     a = adjoint.AdjointCovector.of(_triple(args.h), _triple(args.skew))
     a = adjoint.normalize(a)
     word, report = adjoint.synthesize(a, args.horizon)
-    if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
-            fh.write(adjoint.switch_events_csv(a, word))
     _emit(
         {
             "word": words.word_to_dict(word),
@@ -104,7 +103,8 @@ def _cmd_simulate_adjoint(args) -> int:
             "casimir": report.casimir,
             "K": report.K,
             "singular_letters": list(report.singular_letters),
-        }
+        },
+        [(args.out_csv, adjoint.switch_events_csv(a, word))] if args.out_csv else (),
     )
     return 0
 
@@ -134,9 +134,6 @@ def _cmd_mc_verify(args) -> int:
     fit_kwargs = dict(max_arcs=args.max_arcs, tol=args.tol, n_starts=args.starts)
     # containment check first: it validates --atoms-max before any solve
     dice = probability.random_dice_check(args.n, atoms_max=args.atoms_max, seed=args.seed, **fit_kwargs)
-    if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
-            fh.write(dice.to_csv())
     # identity check: hidden words are recovered by the solver
     roundtrip = probability.random_word_check(args.n, seed=args.seed, **fit_kwargs)
     _emit(
@@ -146,7 +143,8 @@ def _cmd_mc_verify(args) -> int:
             "roundtrip_worst_residual": roundtrip.worst_residual,
             "dice_attained": dice.n_attained,
             "dice_worst_residual": dice.worst_residual,
-        }
+        },
+        [(args.out_csv, dice.to_csv())] if args.out_csv else (),
     )
     return 0
 

@@ -50,8 +50,7 @@ class DiscreteDistribution:
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        given = self.atoms
-        atoms = _pairs(given)
+        atoms = _pairs(self.atoms)
         if not atoms:
             raise InvariantViolation("atoms", "distribution needs at least one atom")
         # a float skips require_real, which names every other mistyped entry
@@ -65,9 +64,7 @@ class DiscreteDistribution:
             raise InvariantViolation("mass-sum", f"masses must sum to 1, got {sum(masses)}")
         if any(values[i] >= values[i + 1] for i in range(len(values) - 1)):
             raise InvariantViolation("values-increasing", f"values must be strictly increasing, got {values}")
-        # a tuple of (float, float) tuples stays the same object
-        if not (type(given) is tuple and all(type(a) is tuple and type(a[0]) is type(a[1]) is float for a in given)):
-            object.__setattr__(self, "atoms", tuple(zip(values, masses)))
+        object.__setattr__(self, "atoms", tuple(zip(values, masses)))
 
     @staticmethod
     def of(pairs) -> "DiscreteDistribution":

@@ -19,7 +19,6 @@ conversion (the cyclic index r = p31 is the only sign flip).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +70,13 @@ class Word:
     arcs: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        # a tuple of (int, float) tuples skips the require_* calls and stays the same object
-        arcs, exact = tuple(self.arcs), True
-        for arc in arcs:
+        # a tuple of (int, float) tuples skips the require_* calls and stays the
+        # same object; from the first other arc on, the checked arcs are collected
+        arcs, checked = tuple(self.arcs), None
+        for i, arc in enumerate(arcs):
             letter, dur = arc
-            if type(arc) is not tuple or type(letter) is not int:
+            exact = type(arc) is tuple
+            if type(letter) is not int:
                 letter, exact = require_int("word-letter", letter, 1), False
             if not 1 <= letter <= 3:
                 raise InvariantViolation("word-letter", f"letter must be 1, 2 or 3, got {letter}")
@@ -83,8 +84,12 @@ class Word:
                 dur, exact = require_real("word-duration", dur), False
             if not 0.0 <= dur < math.inf:
                 raise InvariantViolation("word-duration", f"durations must be finite and nonnegative, got {dur}")
-        if arcs is not self.arcs or not exact:
-            object.__setattr__(self, "arcs", arcs if exact else tuple((operator.index(l), float(t)) for l, t in arcs))
+            if checked is not None:
+                checked.append((letter, dur))
+            elif not exact:
+                checked = [*arcs[:i], (letter, dur)]
+        if arcs is not self.arcs or checked is not None:
+            object.__setattr__(self, "arcs", arcs if checked is None else tuple(checked))
 
     @staticmethod
     def of(arcs) -> "Word":

@@ -1,25 +1,18 @@
 import ctypes
+import glob
+import os
 
 import numpy as np
 
 
 def _openblas_core() -> str:
-    """The kernel core OpenBLAS picked for this CPU, or "unknown" when no
-    loaded OpenBLAS reports one."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
-    except OSError:
-        paths = []
-    for path in paths:
-        try:
-            corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
-        except OSError:  # a mapping that cannot be loaded, such as a deleted file
-            continue
-        if corename is not None:
-            corename.restype = ctypes.c_char_p
-            return corename().decode()
-    return "unknown"
+    """The kernel core that numpy's bundled OpenBLAS picked for this CPU, or "unknown"."""
+    libs = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas*")
+    corename = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None) if libs else None
+    if corename is None:
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def pytest_report_header(config):

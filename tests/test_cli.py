@@ -82,12 +82,15 @@ def test_endpoint_non_finite_output_is_a_domain_error(capsys, monkeypatch):
     }
 
 
-def test_simulate_adjoint_non_finite_output_is_a_domain_error(capsys):
-    # the covector is finite, but K = h12 + h23 + h31 - C overflows
+def test_simulate_adjoint_non_finite_output_is_a_domain_error(tmp_path, capsys):
+    # the covector is finite, but K = h12 + h23 + h31 - C overflows; the
+    # error is raised before the switch CSV is written
+    csv_path = tmp_path / "events.csv"
     argv = ["simulate-adjoint", "--h", "1,0.5,0.2", "--skew", "1e308,-1e308,1e308", "--horizon", "0"]
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--out-csv", str(csv_path))
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == "output-finite"
+    assert not csv_path.exists()
 
 
 # exact bytes of `member --max-arcs 5 --seed 3`: below the closed form's six

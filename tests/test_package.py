@@ -213,7 +213,6 @@ def test_raw_constructors_store_python_floats(kind, letter, number):
 def test_checked_types_keep_an_exact_tuple_and_convert_the_rest():
     arcs, atoms, c = ((1, 0.5), (2, 1.0)), ((0.0, 0.5), (1.0, 0.5)), (1.0, 2.0, 0.5)
     assert Word(arcs).arcs is arcs
-    assert DiscreteDistribution(atoms).atoms is atoms
     assert DilationWeights(c).c is c
     assert AdjointCovector(c, c).h is c
     # lists, iterators and ints are stored as tuples of floats (the reprs
