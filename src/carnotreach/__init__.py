@@ -4,7 +4,7 @@ step-2 Carnot group: exact group and word arithmetic, the adjoint
 attainability solver, and a boundary-face atlas with mesh export."""
 
 from .adjoint import AdjointCovector, RegimeReport, casimir, synthesize, switching_times
-from .attainability import FitResult, fit, probe
+from .attainability import FitResult, fit
 from .group import DilationWeights, GroupElement, dilate, flow_const, identity, inverse, multiply
 from .probability import DiscreteDistribution, dice_pqr, random_dice_check
 from .second_order import SecondOrderReport, ag_test, conjugated_fields
@@ -46,7 +46,6 @@ __all__ = [
     "inverse",
     "multiply",
     "pqr",
-    "probe",
     "random_dice_check",
     "random_word",
     "reverse",

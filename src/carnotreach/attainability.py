@@ -76,7 +76,6 @@ __all__ = [
     "enumerate_patterns",
     "exclusion_bound",
     "fit",
-    "probe",
     "max_min_coordinate",
 ]
 
@@ -463,34 +462,6 @@ def _attained(witness: Word, target: PqrPoint, starts_used: int) -> FitResult:
     point = pqr(witness)
     residual = math.dist((point.p, point.q, point.r), (target.p, target.q, target.r))
     return FitResult("attained", witness, residual, starts_used)
-
-
-def probe(
-    point: PqrPoint,
-    direction,
-    eps: float = 1e-3,
-    **fit_kwargs,
-) -> bool:
-    """Whether the point eps further along the direction is attainable.
-
-    Points leaving the unit cube are unattainable outright; otherwise the
-    answer is whether `fit` attains the point, and any error `fit` raises
-    propagates.  The point and its clip to the cube are computed in Python
-    floats, coordinate by coordinate, as c + eps d and min(max(c, 0), 1).
-    """
-    eps = require_real("eps", eps)
-    if not 0 < eps < math.inf:
-        raise InvariantViolation("eps", f"eps must be finite and positive, got {eps}")
-    components = np.asarray(direction, dtype=object)
-    if components.shape != (3,):
-        raise InvariantViolation("direction-shape", f"direction must be 3 numbers, got shape {components.shape}")
-    d = [require_real("direction", v) for v in components]
-    if not all(map(math.isfinite, d)):
-        raise InvariantViolation("direction-finite", f"direction must be finite, got {d}")
-    x = [c + eps * v for c, v in zip((point.p, point.q, point.r), d)]
-    if any(c < -1e-12 or c > 1.0 + 1e-12 for c in x):
-        return False
-    return fit(PqrPoint(*(min(max(c, 0.0), 1.0) for c in x)), **fit_kwargs).status == "attained"
 
 
 def max_min_coordinate(max_arcs: int = DEFAULT_MAX_ARCS) -> tuple[float, Word]:

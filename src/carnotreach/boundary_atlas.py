@@ -12,8 +12,8 @@ equations follow from the letter-pair rule `words.pair_axis`.
 
 The quadric patches, generated in full, overlap the interior of the
 attainable body; `trim_and_mesh` samples every stratum once
-(`sample_strata`), probes each surface sample with `attainability.probe`
-at a fixed step PROBE_EPS along its normal, keeps the samples whose
+(`sample_strata`), asks `attainability.fit` about the points a fixed step
+PROBE_EPS along the normal of each surface sample, keeps the samples whose
 outward side is unattainable and inward side attainable, and assembles a
 triangle mesh exported as OBJ; `strata_csv` formats the sampled strata
 the mesh keeps.
@@ -32,7 +32,7 @@ import io
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,7 +54,7 @@ __all__ = [
     "strata_csv",
 ]
 
-# the step and the `fit` settings of every `trim_and_mesh` probe
+# the step and the `fit` settings of every `trim_and_mesh` probe (`_attainable_beyond`)
 PROBE_EPS = 1e-3
 PROBE_MAX_ARCS = 6
 PROBE_STARTS = 6
@@ -236,18 +236,30 @@ class AtlasMesh:
     strata: list[SampledStratum] = field(default_factory=list)
 
 
+def _attainable_beyond(point: PqrPoint, direction: list[float]) -> bool:
+    """Whether the point PROBE_EPS along `direction` is attainable: not if it
+    leaves the unit cube by more than 1e-12, else iff `attainability.fit`,
+    called through the module so that a wrapper of it sees every probe,
+    attains its clip to the cube with PROBE_MAX_ARCS arcs, PROBE_STARTS
+    starts and seed 0.  The point and its clip are c + PROBE_EPS d and
+    min(max(c, 0), 1) in Python floats; errors of `fit` propagate."""
+    x = [c + PROBE_EPS * v for c, v in zip((point.p, point.q, point.r), direction)]
+    if any(c < -1e-12 or c > 1.0 + 1e-12 for c in x):
+        return False
+    target = PqrPoint(*(min(max(c, 0.0), 1.0) for c in x))
+    return attainability.fit(target, max_arcs=PROBE_MAX_ARCS, n_starts=PROBE_STARTS, seed=0).status == "attained"
+
+
 def trim_and_mesh(resolution: int) -> AtlasMesh:
     """Sample every stratum once (`sample_strata`, kept as `mesh.strata`),
     keep the certified boundary samples of the quadric patches and then the
     flat triangles, and triangulate them.
 
-    A sample is boundary iff `attainability.probe` finds the point
+    A sample is boundary iff `_attainable_beyond` finds the point
     PROBE_EPS outward unattainable and the point PROBE_EPS inward
     attainable.  The inward probe runs only when the outward verdict is
-    unattainable, since no other sample can be boundary.  Every probe fits
-    with PROBE_MAX_ARCS arcs, PROBE_STARTS starts per pattern and seed 0,
-    so a point that `attainability.closed_form_word` reaches is settled
-    without a sweep.
+    unattainable, since no other sample can be boundary, and a point that
+    `attainability.closed_form_word` reaches is settled without a sweep.
 
     Only the first patch of each kind is probed; every other patch of that
     kind takes its verdict at the same grid index.  The verdicts agree
@@ -260,7 +272,6 @@ def trim_and_mesh(resolution: int) -> AtlasMesh:
     patch keeps its own points, `SampleRecord`s, vertices and face
     orientation.
     """
-    probe_kwargs = dict(eps=PROBE_EPS, max_arcs=PROBE_MAX_ARCS, n_starts=PROBE_STARTS, seed=0)
     mesh = AtlasMesh(strata=sample_strata(resolution))
     vertex_index: dict[tuple[float, float, float], int] = {}
 
@@ -272,12 +283,8 @@ def trim_and_mesh(resolution: int) -> AtlasMesh:
         return vertex_index[key]
 
     def probed(patch: FacePatch, rows) -> list[bool]:
-        verdicts = []
-        for _, _, point in rows:
-            n = patch.outward(point.as_array()).tolist()
-            attainable_beyond = partial(attainability.probe, point, **probe_kwargs)
-            verdicts.append(not attainable_beyond(n) and attainable_beyond([-v for v in n]))
-        return verdicts
+        normals = [(point, patch.outward(point.as_array()).tolist()) for _, _, point in rows]
+        return [not _attainable_beyond(point, n) and _attainable_beyond(point, [-v for v in n]) for point, n in normals]
 
     orbit_verdicts: dict[str, list[bool]] = {}  # kind -> verdicts of its first patch
     surfaces = [(p, rows) for kind in ("quadric", "flat-triangle") for p, rows in mesh.strata if p.kind == kind]

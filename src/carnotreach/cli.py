@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import adjoint, attainability, boundary_atlas, probability, second_order, words
@@ -25,16 +26,26 @@ def _read_json(path: str):
 
 
 def _emit(obj, files=()) -> None:
-    """Write each (path, text) of `files`, then `obj` as JSON on stdout."""
-    # strict JSON: a non-finite number is an error, not an "Infinity" token,
-    # and it is raised before any file is written
+    """Write each (path, text) of `files`, then `obj` as JSON on stdout; an
+    OSError removes the files this call wrote before it propagates."""
+    # strict JSON: a non-finite number is an error, not an "Infinity" token;
+    # it and a path given twice are raised before any file is written
     try:
         text = json.dumps(obj, indent=2, allow_nan=False)
     except ValueError as exc:
         raise InvariantViolation("output-finite", f"output must be finite JSON: {exc}") from None
-    for path, body in files:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(body)
+    if len({os.path.realpath(path) for path, _ in files}) < len(files):
+        raise InvariantViolation("output-path", f"each output file needs its own path, got {[p for p, _ in files]}")
+    written = []
+    try:
+        for path, body in files:
+            with open(path, "w", encoding="utf-8") as fh:
+                written.append(path)
+                fh.write(body)
+    except OSError:
+        for path in written:
+            os.remove(path)
+        raise
     sys.stdout.write(text + "\n")
 
 

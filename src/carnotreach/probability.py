@@ -114,11 +114,18 @@ def dice_pqr(
     return PqrPoint(_precedence(d1, d2), _precedence(d2, d3), _precedence(d3, d1))
 
 
+def _require_atoms_max(atoms_max) -> None:
+    if require_int("atoms-max", atoms_max, 1) > MAX_DICE_ATOMS:
+        raise InvariantViolation("atoms-max", f"atoms_max {atoms_max} is over {MAX_DICE_ATOMS}")
+
+
 def random_dice_triple(
     atoms_max: int,
     rng: np.random.Generator,
 ) -> tuple[DiscreteDistribution, DiscreteDistribution, DiscreteDistribution]:
-    """Independent triple with disjoint supports (no ties by construction)."""
+    """Independent triple with disjoint supports (no ties by construction);
+    an atoms_max not in 1..MAX_DICE_ATOMS raises "atoms-max" before any draw."""
+    _require_atoms_max(atoms_max)
     counts = rng.integers(1, atoms_max + 1, size=3)
     values = np.sort(rng.uniform(0.0, 1.0, size=int(counts.sum())))
     owner = rng.permutation(np.repeat([0, 1, 2], counts))
@@ -168,11 +175,9 @@ def random_dice_check(
     """Sample dice triples, compute their (p, q, r), and run the solver on
     each with its default seed.
 
-    An atoms_max over MAX_DICE_ATOMS raises "atoms-max" before any draw."""
+    A bad atoms_max raises "atoms-max", as in `random_dice_triple`, before any draw."""
     require_int("n-trials", n_trials, 1)
-    require_int("atoms-max", atoms_max, 1)
-    if atoms_max > MAX_DICE_ATOMS:
-        raise InvariantViolation("atoms-max", f"atoms_max {atoms_max} is over {MAX_DICE_ATOMS}")
+    _require_atoms_max(atoms_max)
     require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     trials = ((dice_pqr(*random_dice_triple(atoms_max, rng)), 0) for _ in range(n_trials))

@@ -72,9 +72,15 @@ class Word:
     def __post_init__(self):
         # a tuple of (int, float) tuples skips the require_* calls and stays the
         # same object; from the first other arc on, the checked arcs are collected
-        arcs, checked = tuple(self.arcs), None
+        try:
+            arcs, checked = tuple(self.arcs), None
+        except TypeError:
+            raise InvariantViolation("word-arc", f"arcs must be (letter, duration) pairs, got {self.arcs!r}") from None
         for i, arc in enumerate(arcs):
-            letter, dur = arc
+            try:
+                letter, dur = arc
+            except (TypeError, ValueError):
+                raise InvariantViolation("word-arc", f"an arc must be a (letter, duration) pair, got {arc!r}") from None
             exact = type(arc) is tuple
             if type(letter) is not int:
                 letter, exact = require_int("word-letter", letter, 1), False

@@ -125,9 +125,9 @@ def test_criterion_05_golden_point():
     val, _ = attainability.max_min_coordinate(max_arcs=8)
     ok &= abs(val - 0.6180340) <= MAXMIN_TOL
 
-    outward = np.ones(3) / np.sqrt(3.0)
-    verdict = attainability.probe(PqrPoint(PHI, PHI, PHI), outward, eps=1e-3)
-    ok &= verdict is False
+    # the point 1e-3 outward along the diagonal is certified unattainable
+    outward = attainability.fit(PqrPoint(*(PHI + 1e-3 / np.sqrt(3.0) * np.ones(3))))
+    ok &= outward.status == "not-found" and outward.certificate == "golden-bound"
     _report(5, "golden ratio point", ok)
 
 

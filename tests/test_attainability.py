@@ -20,7 +20,6 @@ from carnotreach.attainability import (
     exclusion_bound,
     fit,
     max_min_coordinate,
-    probe,
 )
 from carnotreach.probability import dice_pqr, random_dice_triple
 from carnotreach.words import (
@@ -160,34 +159,20 @@ def test_fit_bounds_the_solver_size():
 
 
 def test_probe_directions():
-    inward = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-    center = PqrPoint(0.5, 0.5, 0.5)
-    assert probe(center, inward, eps=0.05, max_arcs=6, n_starts=8) is True
+    inward = (np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)).tolist()
+    assert boundary_atlas._attainable_beyond(PqrPoint(0.5, 0.5, 0.5), inward) is True
     golden = PqrPoint(PHI, PHI, PHI)
-    assert probe(golden, inward, eps=1e-3, max_arcs=8) is False
+    assert boundary_atlas._attainable_beyond(golden, inward) is False
     # leaving the cube is unattainable outright
-    assert probe(PqrPoint(1.0, 0.5, 0.5), (1, 0, 0)) is False
-    with pytest.raises(InvariantViolation):
-        probe(center, inward, eps=0.0)
-
-
-def test_probe_names_a_mistyped_eps():
-    center = PqrPoint(0.5, 0.5, 0.5)
-    for eps in (True, "0.1", None, -1e-3, np.inf, np.nan):
-        with pytest.raises(InvariantViolation) as exc:
-            probe(center, (1, 0, 0), eps=eps)
-        assert exc.value.name == "eps"
-    # a numpy float passes; this step leaves the cube, so no search runs
-    assert probe(PqrPoint(1.0, 0.5, 0.5), (1, 0, 0), eps=np.float64(1e-3)) is False
+    assert boundary_atlas._attainable_beyond(PqrPoint(1.0, 0.5, 0.5), [1.0, 0.0, 0.0]) is False
 
 
 def test_interior_point_both_sides_attainable():
-    x = PqrPoint(0.75, 0.5, 0.5)
+    x = np.array([0.75, 0.5, 0.5])
     n = np.array([1.0, 0.5, 0.5])
     n = n / np.linalg.norm(n)
-    kwargs = dict(max_arcs=6, n_starts=8, seed=0)
-    assert probe(x, n, eps=1e-3, **kwargs) is True
-    assert probe(x, -n, eps=1e-3, **kwargs) is True
+    for y in (x + 1e-3 * n, x - 1e-3 * n):
+        assert fit(PqrPoint(*y), max_arcs=6, n_starts=8, seed=0).status == "attained"
 
 
 @pytest.mark.parametrize("max_arcs", [3, 4, 5, 8])
@@ -203,38 +188,6 @@ def test_max_min_coordinate_rejects_fewer_than_three_arcs():
     with pytest.raises(InvariantViolation) as exc:
         max_min_coordinate(2)
     assert exc.value.name == "max-arcs"
-
-
-def test_probe_rejects_a_direction_of_the_wrong_shape():
-    center = PqrPoint(0.5, 0.5, 0.5)
-    for direction in ((1, 0), (1, 0, 0, 0), ((1, 0, 0),), 1.0):
-        with pytest.raises(InvariantViolation) as exc:
-            probe(center, direction)
-        assert exc.value.name == "direction-shape"
-
-
-def test_probe_names_a_mistyped_direction():
-    center = PqrPoint(0.5, 0.5, 0.5)
-    for direction in (["1", "0", "0"], [True, False, False], (1.0, None, 0.0), np.array([True, False, False])):
-        with pytest.raises(InvariantViolation) as exc:
-            probe(center, direction)
-        assert exc.value.name == "direction"
-    # a string is not three numbers
-    with pytest.raises(InvariantViolation) as exc:
-        probe(center, "abc")
-    assert exc.value.name == "direction-shape"
-    # numpy numbers and integers pass; these steps leave the cube, so no search runs
-    edge = PqrPoint(1.0, 0.5, 0.5)
-    assert probe(edge, np.array([1, 0, 0])) is False
-    assert probe(edge, [np.float32(1.0), 0, np.int64(0)]) is False
-
-
-def test_probe_rejects_non_finite_direction():
-    center = PqrPoint(0.5, 0.5, 0.5)
-    for direction in ((np.nan, 0.0, 0.0), (np.nan, 1e3, 0.0), (np.inf, 0.0, 0.0)):
-        with pytest.raises(InvariantViolation) as exc:
-            probe(center, direction)
-        assert exc.value.name == "direction-finite"
 
 
 @given(st.integers(3, 10), st.integers(0, 2**31 - 1))
@@ -313,7 +266,7 @@ def test_probe_propagates_solver_errors(monkeypatch):
 
         monkeypatch.setattr(attainability, "fit", broken)
         with pytest.raises(error):
-            probe(center, (1, 0, 0))
+            boundary_atlas._attainable_beyond(center, [1.0, 0.0, 0.0])
 
 
 def _digest(results) -> str:

@@ -236,20 +236,20 @@ def test_trim_obj_matches_its_pins(resolution):
 
 def test_trim_fits_the_clipped_probe_points_bytewise(monkeypatch):
     # every target `fit` receives is the probe point clip(x + eps d, 0, 1) in numpy float64 arithmetic
-    probe, fit = attainability.probe, attainability.fit
+    beyond, fit = atlas._attainable_beyond, attainability.fit
     expected, received = [], []
 
-    def watched_probe(point, direction, eps, **kwargs):
-        y = point.as_array() + eps * np.asarray(direction, dtype=float)
+    def watched_beyond(point, direction):
+        y = point.as_array() + atlas.PROBE_EPS * np.asarray(direction, dtype=float)
         if (y >= -1e-12).all() and (y <= 1.0 + 1e-12).all():
             expected.append(np.clip(y, 0.0, 1.0).tobytes())
-        return probe(point, direction, eps=eps, **kwargs)
+        return beyond(point, direction)
 
     def watched_fit(target, **kwargs):
         received.append(np.array([target.p, target.q, target.r], dtype=float).tobytes())
         return fit(target, **kwargs)
 
-    monkeypatch.setattr(attainability, "probe", watched_probe)
+    monkeypatch.setattr(atlas, "_attainable_beyond", watched_beyond)
     monkeypatch.setattr(attainability, "fit", watched_fit)
     atlas.trim_and_mesh(5)
     assert len(received) == 42
@@ -264,18 +264,36 @@ def test_atlas_path_carries_python_floats(monkeypatch):
             assert all(type(t) is float for _, t in word.arcs)
             assert all(type(v) is float for v in (point.p, point.q, point.r))
 
-    probe, directions = attainability.probe, []
+    beyond, directions = atlas._attainable_beyond, []
 
-    def watched_probe(point, direction, eps, **kwargs):
+    def watched_beyond(point, direction):
         directions.append(direction)
-        return probe(point, direction, eps=eps, **kwargs)
+        return beyond(point, direction)
 
-    monkeypatch.setattr(attainability, "probe", watched_probe)
+    monkeypatch.setattr(atlas, "_attainable_beyond", watched_beyond)
     mesh = atlas.trim_and_mesh(3)
     assert len(directions) == 35
     assert all(type(v) is float for d in directions for v in d)
     assert all(type(v) is float for rec in mesh.samples for v in rec.params + rec.point)
     assert mesh.vertices and all(type(v) is float for x in mesh.vertices for v in x)
+
+
+def test_trim_asks_fit_at_the_atlas_settings_for_both_verdicts(monkeypatch):
+    # the traced atlas benchmark needs fit.attained and fit.not_found spans under
+    # trim_and_mesh, so the trim must reach `fit` through the module attribute
+    fit, calls, statuses = attainability.fit, [], []
+
+    def counted(target, **kwargs):
+        calls.append(kwargs)
+        result = fit(target, **kwargs)
+        statuses.append(result.status)
+        return result
+
+    monkeypatch.setattr(attainability, "fit", counted)
+    atlas.trim_and_mesh(3)
+    assert "attained" in statuses and "not-found" in statuses
+    assert all(kw == dict(max_arcs=6, n_starts=6, seed=0) for kw in calls)
+    assert atlas.PROBE_EPS == 1e-3
 
 
 def test_trim_propagates_prober_bugs(monkeypatch):
@@ -303,11 +321,11 @@ def test_trim_probes_inward_only_beyond_an_unattainable_outward_point(monkeypatc
     )
     calls = []
 
-    def scripted(point, direction, eps, **kwargs):
-        calls.append(dict(kwargs, eps=eps))
+    def scripted(point, direction):
+        calls.append(direction)
         return next(verdicts)
 
-    monkeypatch.setattr(attainability, "probe", scripted)
+    monkeypatch.setattr(atlas, "_attainable_beyond", scripted)
     mesh = atlas.trim_and_mesh(2)
     # the first quadric patch and the first flat triangle are probed, 4 samples
     # each: one probe for each of the first two samples, two for every other
@@ -315,7 +333,6 @@ def test_trim_probes_inward_only_beyond_an_unattainable_outward_point(monkeypatc
     # every quadric patch shares the verdicts of the first one
     for i, rec in enumerate(mesh.samples):
         assert rec.boundary == (not rec.patch_id.startswith("quadric-") or i % 4 >= 2)
-    assert all(kw == dict(eps=atlas.PROBE_EPS, max_arcs=6, n_starts=6, seed=0) for kw in calls)
 
 
 def _renamed(word, sigma):
@@ -341,7 +358,6 @@ def test_each_surface_patch_is_the_first_of_its_kind_renamed(patches):
 
 def _probe_every_sample(resolution):
     # the trim without the shared verdicts: every surface sample of every patch probed
-    kwargs = dict(eps=atlas.PROBE_EPS, max_arcs=atlas.PROBE_MAX_ARCS, n_starts=atlas.PROBE_STARTS, seed=0)
     records = []
     strata = atlas.sample_strata(resolution)
     for kind in ("quadric", "flat-triangle"):
@@ -350,7 +366,7 @@ def _probe_every_sample(resolution):
                 continue
             for params, _, point in rows:
                 n = patch.outward(point.as_array()).tolist()
-                beyond = [attainability.probe(point, d, **kwargs) for d in (n, [-v for v in n])]
+                beyond = [atlas._attainable_beyond(point, d) for d in (n, [-v for v in n])]
                 records.append(atlas.SampleRecord(patch.id, params, (point.p, point.q, point.r), beyond == [False, True]))
     return records
 

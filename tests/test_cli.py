@@ -355,6 +355,28 @@ def test_atlas_rejects_an_oversized_resolution(tmp_path, capsys):
     assert not obj_path.exists() and not csv_path.exists()
 
 
+def test_atlas_removes_its_written_files_when_a_later_one_fails(tmp_path, capsys):
+    obj_path, csv_path = tmp_path / "mesh.obj", tmp_path / "nodir" / "strata.csv"
+    code, out, err = run(
+        capsys, "atlas", "--resolution", "2", "--out-obj", str(obj_path), "--out-csv", str(csv_path)
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "FileNotFoundError"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atlas_rejects_one_path_for_both_outputs(tmp_path, capsys):
+    path = tmp_path / "out"
+    code, out, err = run(
+        capsys, "atlas", "--resolution", "2", "--out-obj", str(path), "--out-csv", os.path.join(tmp_path, ".", "out")
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "output-path"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("letters", [[1.5, 2, 3], [True, 2, 3]])
 def test_pqr_rejects_non_integer_letters(tmp_path, capsys, letters):
     code, out, err = run(capsys, "pqr", write_word(tmp_path, letters, [1, 1, 1]))

@@ -146,6 +146,30 @@ def test_random_dice_check_bounds_atoms_max_before_any_draw(monkeypatch):
         random_dice_check(2, atoms_max=MAX_DICE_ATOMS)
 
 
+class _NoDraws:
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} called before atoms_max was checked")
+
+
+def test_both_dice_samplers_check_atoms_max_before_any_draw(monkeypatch):
+    bad = (0, -1, True, 2.5, "3", None, MAX_DICE_ATOMS + 1, MAX_DICE_ATOMS + 1000)
+    for atoms_max in bad:
+        with pytest.raises(InvariantViolation) as exc:
+            random_dice_triple(atoms_max, _NoDraws())
+        assert exc.value.name == "atoms-max"
+    # the cap itself and a numpy integer pass
+    assert len(random_dice_triple(np.int64(MAX_DICE_ATOMS), np.random.default_rng(0))) == 3
+
+    def refuse(atoms_max, rng):
+        raise AssertionError("dice drawn before atoms_max was checked")
+
+    monkeypatch.setattr(probability, "random_dice_triple", refuse)
+    for atoms_max in bad:
+        with pytest.raises(InvariantViolation) as exc:
+            random_dice_check(2, atoms_max=atoms_max)
+        assert exc.value.name == "atoms-max"
+
+
 def test_random_word_check_recovers_every_word():
     report = random_word_check(6, max_arcs=6, seed=2, n_starts=8)
     assert (report.n_trials, report.n_attained) == (6, 6)

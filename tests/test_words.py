@@ -261,6 +261,18 @@ def test_word_rejects_non_integer_letters():
     assert all(type(letter) is int for letter, _ in w.arcs)
 
 
+def test_word_names_a_malformed_arc():
+    for build in (
+        lambda: Word(((1, 1.0, 5),)),
+        lambda: Word((5,)),
+        lambda: Word(None),
+        lambda: Word.of([(1,)]),
+    ):
+        with pytest.raises(InvariantViolation) as exc:
+            build()
+        assert exc.value.name == "word-arc"
+
+
 def test_pqr_point_rejects_non_finite():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(InvariantViolation) as exc:
