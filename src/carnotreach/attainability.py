@@ -15,13 +15,14 @@ then a witness-word search.
    of the problem, in Python floats.  A word whose point lies within tol
    of the target is the witness; no search runs.
 3. Sweep.  The solver enumerates canonical switching patterns (no
-   adjacent repeats, all three letters present) up to the cap, and for
-   each pattern minimizes the squared distance of the precedence
-   coordinates to the target over the per-letter duration simplices.  The
-   objective is a fixed quadratic form in the durations, so residuals and
-   Jacobians are exact; the optimizer is a projected, damped Gauss-Newton
-   run from multiple deterministic starts, batched over patterns with
-   numpy.
+   adjacent repeats, all three letters present) up to the cap, by length
+   and then in lexicographic order, an order that is part of the sweep's
+   byte contract.  For each pattern it minimizes the squared distance of
+   the precedence coordinates to the target over the per-letter duration
+   simplices.  The objective is a fixed quadratic form in the durations,
+   so residuals and Jacobians are exact; the optimizer is a projected,
+   damped Gauss-Newton run from multiple deterministic starts, batched
+   over patterns with numpy.
 
 The Jacobian of the three coordinates has three rows, so each damped
 step solves a 3x3 system in closed form (`_damped_step`) rather than the
@@ -52,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 
@@ -86,7 +87,8 @@ GN_ITERS = 70
 # Levenberg-Marquardt damping range; a start rejected at LAM_MAX is frozen
 LAM_MIN, LAM_MAX = 1e-14, 1e10
 # cap on the largest array of the longest batch, max(P * S * 3n, P * 3n^2):
-# the Jacobians of an iteration or the pattern maps; admits max_arcs 11 with 20 starts
+# the Jacobians of an iteration or the pattern maps; admits max_arcs 11 with 20 starts,
+# and enumerate_patterns up to 12 arcs, the longest batch that fits at one start
 MAX_BATCH_ENTRIES = 2**22
 
 # golden bound: min(p, q, r) <= PHI and max(p, q, r) >= 1 - PHI on the attainable set
@@ -122,19 +124,45 @@ class FitResult:
 
 @lru_cache(maxsize=None)
 def _patterns_of_length(n: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for seq in product(LETTERS, repeat=n):
-        if any(seq[i] == seq[i + 1] for i in range(n - 1)):
-            continue
-        if set(seq) != set(LETTERS):
-            continue
-        out.append(seq)
-    return tuple(out)
+    """The canonical patterns of n arcs, 3 * 2^(n-1) - 6 of them, in
+    lexicographic order.  The sweep draws its starts pattern by pattern and
+    keeps the first best one, so this order is part of its byte contract.
+
+    Each no-repeat sequence of k letters is extended by every letter other
+    than its last, in letter order, which keeps the sequences sorted; of
+    the 3 * 2^(n-1) sequences, the 6 that alternate two letters are dropped.
+    """
+    seqs = [(letter,) for letter in LETTERS]
+    for _ in range(n - 1):
+        seqs = [seq + (letter,) for seq in seqs for letter in LETTERS if letter != seq[-1]]
+    return tuple(seq for seq in seqs if len(set(seq)) == len(LETTERS))
+
+
+def _require_solver_size(max_arcs: int, n_starts: int) -> None:
+    """Raise "solver-size" when the longest batch of a sweep up to max_arcs
+    needs an array of more than MAX_BATCH_ENTRIES entries: the Jacobians of
+    an iteration, P * S * 3n, or the pattern maps, P * 3n^2."""
+    # the longest patterns make the largest batch: 3 * 2^(n-1) - 6 patterns
+    n = max_arcs
+    P, S = 3 * 2 ** (n - 1) - 6, 1 if n == 3 else n_starts
+    entries = max(P * S * 3 * n, P * 3 * n * n)
+    if entries > MAX_BATCH_ENTRIES:
+        raise InvariantViolation(
+            "solver-size",
+            f"max_arcs={max_arcs} with n_starts={n_starts} needs {entries} entries in its "
+            f"largest Gauss-Newton array (Jacobians or pattern maps), above {MAX_BATCH_ENTRIES}",
+        )
 
 
 def enumerate_patterns(max_arcs: int) -> list[tuple[int, ...]]:
-    """All canonical patterns with 3..max_arcs arcs, ordered by length."""
+    """All canonical patterns with 3..max_arcs arcs, ordered by length and
+    then lexicographically.
+
+    A max_arcs whose longest batch could not run at one start (pattern maps
+    of more than MAX_BATCH_ENTRIES entries, so above 12 arcs) raises
+    "solver-size" before any pattern is built."""
     require_int("max-arcs", max_arcs, 3)
+    _require_solver_size(max_arcs, 1)
     pats: list[tuple[int, ...]] = []
     for n in range(3, max_arcs + 1):
         pats.extend(_patterns_of_length(n))
@@ -415,16 +443,7 @@ def fit(
     tol = require_real("tol", tol)
     if not 0 < tol < math.inf:
         raise InvariantViolation("tol", f"tol must be finite and positive, got {tol}")
-    # the longest patterns make the largest batch: 3 * 2^(n-1) - 6 patterns
-    n = max_arcs
-    P, S = 3 * 2 ** (n - 1) - 6, 1 if n == 3 else n_starts
-    entries = max(P * S * 3 * n, P * 3 * n * n)
-    if entries > MAX_BATCH_ENTRIES:
-        raise InvariantViolation(
-            "solver-size",
-            f"max_arcs={max_arcs} with n_starts={n_starts} needs {entries} entries in its "
-            f"largest Gauss-Newton array (Jacobians or pattern maps), above {MAX_BATCH_ENTRIES}",
-        )
+    _require_solver_size(max_arcs, n_starts)
     bound, certificate = exclusion_bound(target)
     if bound > tol + SCREEN_SLACK:
         return FitResult("not-found", None, bound, 0, certificate)

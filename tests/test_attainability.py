@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,36 @@ def test_enumerate_patterns_counts():
         assert all(a != b for a, b in zip(p, p[1:]))
     with pytest.raises(InvariantViolation):
         enumerate_patterns(2)
+
+
+def _scanned_patterns(n):
+    # the reference: every 3^n letter sequence, filtered
+    return tuple(
+        seq
+        for seq in product(LETTERS, repeat=n)
+        if all(seq[i] != seq[i + 1] for i in range(n - 1)) and set(seq) == set(LETTERS)
+    )
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_pattern_tables_equal_the_full_scan(n):
+    patterns = attainability._patterns_of_length(n)
+    assert patterns == _scanned_patterns(n)
+    assert len(patterns) == 3 * 2 ** (n - 1) - 6
+
+
+def test_enumerate_patterns_is_bounded_before_it_builds(monkeypatch):
+    # the pattern maps of the longest batch, P * 3n^2 entries at one start:
+    # 6138 * 432 = 2,651,616 at 12 arcs, 12282 * 507 = 6,226,974 at 13
+    built = []
+    monkeypatch.setattr(attainability, "_patterns_of_length", lambda n: built.append(n) or ())
+    for max_arcs in (13, 20, 64):
+        with pytest.raises(InvariantViolation) as exc:
+            enumerate_patterns(max_arcs)
+        assert exc.value.name == "solver-size"
+    assert built == []
+    enumerate_patterns(12)
+    assert built == list(range(3, 13))
 
 
 def test_fit_vertices_exactly():

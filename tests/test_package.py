@@ -71,6 +71,29 @@ def test_runtime_needs_no_scipy():
     assert done.stdout == "0.6180339887498949\n0\n"
 
 
+def test_closed_form_answers_build_no_pattern_table():
+    # a fresh process pays for a pattern table and for numpy.random (about
+    # 15 ms) only when it sweeps; the import, a closed-form answer and a
+    # screened one do neither
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import carnotreach, carnotreach.cli",
+        "from carnotreach import attainability",
+        "def state():",
+        "    return attainability._patterns_of_length.cache_info().currsize, 'numpy.random' in sys.modules",
+        "print(state())",
+        "for p, q, r in ((0.6, 0.5, 0.4), (0.9, 0.9, 0.9)):",
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:",
+        "        assert carnotreach.cli.main(['member', '--p', str(p), '--q', str(q), '--r', str(r)]) == 0",
+        "    print(state(), '\"starts_used\": 0' in out.getvalue())",
+    ])
+    src = str(Path(carnotreach.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "(0, False)\n(0, False) True\n(0, False) True\n"
+
+
 def _vector_pair_slot(k):
     def build(make, bad):
         entries = [1.0, 0.5, 0.25, 1.0, -1.0, 1.0]
