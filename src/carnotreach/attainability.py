@@ -138,20 +138,14 @@ def _patterns_of_length(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(seq for seq in seqs if len(set(seq)) == len(LETTERS))
 
 
-def _require_solver_size(max_arcs: int, n_starts: int) -> None:
-    """Raise "solver-size" when the longest batch of a sweep up to max_arcs
-    needs an array of more than MAX_BATCH_ENTRIES entries: the Jacobians of
-    an iteration, P * S * 3n, or the pattern maps, P * 3n^2."""
+def _largest_batch(max_arcs: int, n_starts: int) -> int:
+    """Entries of the largest array of the longest batch of a sweep up to
+    max_arcs: the Jacobians of an iteration, P * S * 3n, or the pattern
+    maps, P * 3n^2."""
     # the longest patterns make the largest batch: 3 * 2^(n-1) - 6 patterns
     n = max_arcs
     P, S = 3 * 2 ** (n - 1) - 6, 1 if n == 3 else n_starts
-    entries = max(P * S * 3 * n, P * 3 * n * n)
-    if entries > MAX_BATCH_ENTRIES:
-        raise InvariantViolation(
-            "solver-size",
-            f"max_arcs={max_arcs} with n_starts={n_starts} needs {entries} entries in its "
-            f"largest Gauss-Newton array (Jacobians or pattern maps), above {MAX_BATCH_ENTRIES}",
-        )
+    return max(P * S * 3 * n, P * 3 * n * n)
 
 
 def enumerate_patterns(max_arcs: int) -> list[tuple[int, ...]]:
@@ -162,7 +156,13 @@ def enumerate_patterns(max_arcs: int) -> list[tuple[int, ...]]:
     of more than MAX_BATCH_ENTRIES entries, so above 12 arcs) raises
     "solver-size" before any pattern is built."""
     require_int("max-arcs", max_arcs, 3)
-    _require_solver_size(max_arcs, 1)
+    entries = _largest_batch(max_arcs, 1)
+    if entries > MAX_BATCH_ENTRIES:
+        raise InvariantViolation(
+            "solver-size",
+            f"enumerate_patterns(max_arcs={max_arcs}) lists patterns whose pattern maps "
+            f"(P * 3n^2 entries) hold {entries} entries, above {MAX_BATCH_ENTRIES}",
+        )
     pats: list[tuple[int, ...]] = []
     for n in range(3, max_arcs + 1):
         pats.extend(_patterns_of_length(n))
@@ -443,7 +443,13 @@ def fit(
     tol = require_real("tol", tol)
     if not 0 < tol < math.inf:
         raise InvariantViolation("tol", f"tol must be finite and positive, got {tol}")
-    _require_solver_size(max_arcs, n_starts)
+    entries = _largest_batch(max_arcs, n_starts)
+    if entries > MAX_BATCH_ENTRIES:
+        raise InvariantViolation(
+            "solver-size",
+            f"max_arcs={max_arcs} with n_starts={n_starts} needs {entries} entries in its "
+            f"largest Gauss-Newton array (Jacobians or pattern maps), above {MAX_BATCH_ENTRIES}",
+        )
     bound, certificate = exclusion_bound(target)
     if bound > tol + SCREEN_SLACK:
         return FitResult("not-found", None, bound, 0, certificate)

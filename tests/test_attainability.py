@@ -75,6 +75,7 @@ def test_enumerate_patterns_is_bounded_before_it_builds(monkeypatch):
         with pytest.raises(InvariantViolation) as exc:
             enumerate_patterns(max_arcs)
         assert exc.value.name == "solver-size"
+        assert str(exc.value).startswith(f"enumerate_patterns(max_arcs={max_arcs}) ")
     assert built == []
     enumerate_patterns(12)
     assert built == list(range(3, 13))

@@ -72,8 +72,8 @@ def test_runtime_needs_no_scipy():
 
 
 def test_closed_form_answers_build_no_pattern_table():
-    # a fresh process pays for a pattern table and for numpy.random (about
-    # 15 ms) only when it sweeps; the import, a closed-form answer and a
+    # a fresh process pays for a pattern table and for numpy.random (9 to
+    # 14 ms) only when it sweeps; the import, a closed-form answer and a
     # screened one do neither
     script = "\n".join([
         "import contextlib, io, sys",

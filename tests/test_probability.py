@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from carnotreach import attainability, probability
 from carnotreach.probability import (
@@ -12,7 +11,7 @@ from carnotreach.probability import (
     random_dice_triple,
     random_word_check,
 )
-from carnotreach.words import InvariantViolation, PqrPoint
+from carnotreach.words import InvariantViolation
 
 
 def test_distribution_validation():
@@ -95,39 +94,6 @@ def test_pair_complement_law():
         assert abs(pt.p + rev.q - 1.0) <= 1e-12
         assert abs(pt.q + rev.p - 1.0) <= 1e-12
         assert abs(pt.r + rev.r - 1.0) <= 1e-12
-
-
-def _double_sum_precedence(d1, d2):
-    # the reference: every atom pair, in the order of the two loops
-    return sum(m1 * m2 for v1, m1 in d1.atoms for v2, m2 in d2.atoms if v1 < v2)
-
-
-def _die(values, weights):
-    total = sum(weights)
-    return DiscreteDistribution.of(zip(sorted(values), (w / total for w in weights)))
-
-
-# small integer values, so that the two dice share values and ties occur
-_die_atoms = st.lists(st.integers(0, 30), min_size=1, max_size=12, unique=True).flatmap(
-    lambda values: st.tuples(
-        st.just([float(v) for v in values]),
-        st.lists(st.floats(0.01, 1.0), min_size=len(values), max_size=len(values)),
-    )
-)
-
-
-@given(_die_atoms, _die_atoms)
-def test_precedence_equals_the_double_sum(a1, a2):
-    d1, d2 = _die(*a1), _die(*a2)
-    assert repr(probability._precedence(d1, d2)) == repr(_double_sum_precedence(d1, d2))
-
-
-def test_dice_pqr_equals_the_double_sum_on_large_dice():
-    rng = np.random.default_rng(3)
-    for atoms_max in (1, 7, 200):
-        d1, d2, d3 = random_dice_triple(atoms_max, rng)
-        pairs = ((d1, d2), (d2, d3), (d3, d1))
-        assert repr(dice_pqr(d1, d2, d3)) == repr(PqrPoint(*(_double_sum_precedence(a, b) for a, b in pairs)))
 
 
 def test_random_dice_triple_disjoint_supports():
