@@ -32,13 +32,13 @@ import io
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import attainability
 from .words import (
-    PQR_PAIRS, InvariantViolation, PqrPoint, Word, canonicalize, pair_axis, pqr, precedence, require_int, word_to_dict
+    PQR_PAIRS, InvariantViolation, PqrPoint, Word, canonicalize, pair_axis, pqr, precedence, require_int, require_real,
+    word_to_dict,
 )
 
 __all__ = [
@@ -80,13 +80,16 @@ class FacePatch:
     pattern: tuple[int, ...]
     durations: tuple[int, ...]
 
-    @cached_property
+    @property
     def dim(self) -> int:
         return max(map(abs, self.durations))
 
     def word(self, *params) -> Word:
+        """The witness word at `params`: `dim` real numbers, else
+        InvariantViolation "stratum-params"; a float skips require_real."""
         if len(params) != self.dim:
-            raise TypeError(f"{self.id} takes {self.dim} parameters, got {len(params)}")
+            raise InvariantViolation("stratum-params", f"{self.id} takes {self.dim} parameters, got {len(params)}")
+        params = [t if type(t) is float else require_real("stratum-params", t) for t in params]
         values = (1.0, *params, *[1.0 - t for t in reversed(params)])
         return canonicalize(Word(tuple([(l, values[d]) for l, d in zip(self.pattern, self.durations)])))
 
@@ -97,7 +100,7 @@ class FacePatch:
         """Vanishes on a flat triangle or a quadric patch and is nonpositive
         on the body side."""
         if self.kind == "quadric":
-            return _quadric(self.pattern)[0](x)
+            return _quadric(self.pattern, x)[0]
         axis, sign = self._facet()
         return sign * (x[axis] - (1.0 if sign > 0 else 0.0))
 
@@ -105,7 +108,7 @@ class FacePatch:
         """The unit normal at x of a flat triangle or a quadric patch,
         pointing away from the body."""
         if self.kind == "quadric":
-            g = _quadric(self.pattern)[1](x)
+            g = _quadric(self.pattern, x)[1]
             return g / np.linalg.norm(g)
         axis, sign = self._facet()
         n = np.zeros(3)
@@ -163,24 +166,17 @@ def flat_triangles() -> list[FacePatch]:
     return [FacePatch("flat-triangle", f"flat-{u}{w}{v}", (u, w, u, v, w), (1, 2, -1, 0, -2)) for u, w, v in perms]
 
 
-@lru_cache(maxsize=None)
-def _quadric(pattern):
-    """Equation and gradient of the quadric of pattern (i, j, k, i, j):
+def _quadric(pattern, x) -> tuple[float, np.ndarray]:
+    """Value and gradient at x of the quadric of pattern (i, j, k, i, j):
     P(i before j) + P(j before k) P(k before i) - 1."""
     i, j, k = pattern[:3]
     (a_ij, s_ij), (a_jk, s_jk), (a_ki, s_ki) = pair_axis(i, j), pair_axis(j, k), pair_axis(k, i)
-
-    def equation(x):
-        return precedence(x, i, j) + precedence(x, j, k) * precedence(x, k, i) - 1.0
-
-    def gradient(x):
-        g = np.empty(3)
-        g[a_ij] = s_ij
-        g[a_jk] = s_jk * precedence(x, k, i)
-        g[a_ki] = s_ki * precedence(x, j, k)
-        return g
-
-    return equation, gradient
+    equation = precedence(x, i, j) + precedence(x, j, k) * precedence(x, k, i) - 1.0
+    g = np.empty(3)
+    g[a_ij] = s_ij
+    g[a_jk] = s_jk * precedence(x, k, i)
+    g[a_ki] = s_ki * precedence(x, j, k)
+    return equation, g
 
 
 def quadric_patches() -> list[FacePatch]:

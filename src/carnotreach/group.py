@@ -68,15 +68,15 @@ def require_real(name: str, value) -> float:
 
 
 def _three_reals(name: str, values) -> tuple[float, float, float]:
-    """Three reals as floats, else InvariantViolation `name`; a float skips
-    require_real, and a tuple of three floats comes back as the same object."""
+    """Three reals as a new tuple of floats, else InvariantViolation `name`;
+    a float skips require_real."""
     try:
         vec = tuple(v if type(v) is float else require_real(name, v) for v in values)
     except TypeError:  # values is not iterable
         vec = ()
     if len(vec) != 3:
         raise InvariantViolation(name, f"{name} must be 3 reals, got {values!r}")
-    return values if type(values) is tuple and all(map(operator.is_, vec, values)) else vec
+    return vec
 
 
 @dataclass(frozen=True)

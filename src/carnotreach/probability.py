@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attainability
-from .words import InvariantViolation, PqrPoint, pqr, random_word, require_int, require_real
+from .words import PQR_PAIRS, InvariantViolation, PqrPoint, pqr, random_word, require_int, require_real
 
 __all__ = [
     "DiscreteDistribution",
@@ -104,14 +104,14 @@ def dice_pqr(
     have complementary probabilities.
     """
     dice = (d1, d2, d3)
-    for i, j in ((1, 2), (2, 3), (3, 1)):
+    for i, j in PQR_PAIRS:
         mass, values = _tie_mass(dice[i - 1], dice[j - 1])
         if mass > TIE_TOL:
             raise InvariantViolation(
                 "tie-mass",
                 f"dice pair ({i}, {j}) has tie mass {mass} at shared values {values}",
             )
-    return PqrPoint(_precedence(d1, d2), _precedence(d2, d3), _precedence(d3, d1))
+    return PqrPoint(*(_precedence(dice[i - 1], dice[j - 1]) for i, j in PQR_PAIRS))
 
 
 def _require_atoms_max(atoms_max) -> None:

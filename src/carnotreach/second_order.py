@@ -10,7 +10,6 @@ is inconclusive.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,15 +126,6 @@ def _letter_table(a: AdjointCovector) -> np.ndarray:
     return (np.array(_columns(a)) + 0.0) / 2.0
 
 
-@functools.lru_cache(maxsize=64)
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n, 1), built once per size and kept read-only."""
-    pairs = np.triu_indices(n, 1)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
-
-
 def ag_test(w: Word, a: AdjointCovector) -> SecondOrderReport:
     """Second-order test of the word against the covector that synthesizes
     it ("word-covector" otherwise: a verdict on another word means nothing).
@@ -160,7 +150,7 @@ def ag_test(w: Word, a: AdjointCovector) -> SecondOrderReport:
 
     table = _letter_table(a)
     letters = np.array([l - 1 for l, _ in w.arcs])
-    i, j = _upper_pairs(n)
+    i, j = np.triu_indices(n, 1)
     g = np.zeros((n, n))
     # both triangles take the same values, signed zeros included, so that
     # alpha^T g alpha reproduces the double sum
@@ -173,7 +163,7 @@ def ag_test(w: Word, a: AdjointCovector) -> SecondOrderReport:
         rows[1:, i] = z[i].as_array()
 
     _, s, vt = np.linalg.svd(rows)
-    cutoff = NULLSPACE_CUTOFF * (s[0] if s.size else 1.0)
+    cutoff = NULLSPACE_CUTOFF * s[0]
     rank = int(np.sum(s > cutoff))
     basis = vt[rank:].T  # orthonormal columns spanning W
 

@@ -186,10 +186,10 @@ def test_quadrics_match_the_reference_table_bit_for_bit():
     assert patterns == list(REFERENCE_QUADRICS)
     points = np.random.default_rng(7).uniform(0.0, 1.0, size=(2000, 3))
     for pattern, (ref_equation, ref_gradient) in REFERENCE_QUADRICS.items():
-        equation, gradient = atlas._quadric(pattern)
         for x in points:
-            assert equation(x).tobytes() == ref_equation(x).tobytes()
-            assert gradient(x).tobytes() == ref_gradient(x).tobytes()
+            equation, gradient = atlas._quadric(pattern, x)
+            assert equation.tobytes() == ref_equation(x).tobytes()
+            assert gradient.tobytes() == ref_gradient(x).tobytes()
 
 
 def test_reversal_sends_each_cyclic_quadric_to_its_reversed_pattern():
@@ -388,6 +388,19 @@ def test_sample_grid_rejects_a_non_integer_resolution():
             list(patch.sample_grid(resolution))
         assert exc.value.name == "resolution"
     assert len(list(patch.sample_grid(np.int64(2)))) == 4
+
+
+def test_patch_word_names_bad_parameters():
+    patch = atlas.quadric_patches()[0]
+    for params in ((0.5,), (0.5, 0.5, 0.5), ("a", 0.5), (0.5, None), (True, 0.5)):
+        with pytest.raises(InvariantViolation) as exc:
+            patch.word(*params)
+        assert exc.value.name == "stratum-params"
+    with pytest.raises(InvariantViolation) as exc:
+        atlas.vertices()[0].point(0.5)
+    assert exc.value.name == "stratum-params"
+    # other real numbers give the word of their floats
+    assert repr(patch.word(1, np.float32(0.5))) == repr(patch.word(1.0, 0.5))
 
 
 def test_sample_strata_bounds_its_rows_before_sampling(monkeypatch):

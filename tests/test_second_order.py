@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -129,6 +131,94 @@ def test_variation_ratios_match_closed_form():
         )
         expected = expected * (alpha[5] / expected[5])
         assert np.abs(alpha - expected).max() <= 1e-8
+
+
+def _exact_rank(rows) -> int:
+    """Rank of a matrix of Fractions by exact Gaussian elimination."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_six_arc_cycles_have_an_exact_positive_variation():
+    """For a rational covector of a cyclic regime (h12, h23, h31 > 0 with
+    K > 0, or h12, h23, h31 < 0 with K < 0) and its 6-arc cyclic word
+    starting i j k (a rotation of 1 3 2 1 3 2 or 1 2 3 1 2 3 respectively),
+    whose interior arcs last |K / (h31 h12)|, |K / (h12 h23)| and
+    |K / (h23 h31)| for letters 1, 2 and 3 and whose outer arcs last any
+    positive rational, exactly:
+
+    - the 7 x 6 constraint rows (all ones, then Z_0 .. Z_5 as
+      `conjugated_fields` builds them) have rank 5;
+    - criterion 07's alpha = (-t4/t3, -t2/t3, -1, t4/t3, t2/t3, 1) spans
+      their kernel;
+    - alpha^T g alpha = 2 |h_jk h_ki / h_ij|, with g read from the letter
+      table as `ag_test` reads it, so alpha certifies non-optimality.
+
+    Fractions make every step exact; this is the algebraic half of the
+    switching bound behind criterion 07."""
+    rng = random.Random(5)
+
+    def rational(lo, hi):
+        return Fraction(rng.randint(lo * 24, hi * 24), 24)
+
+    cases = 0
+    while cases < 300:
+        sign = 1 if cases % 2 == 0 else -1
+        h = [rational(-2, 2) for _ in range(3)]
+        h12, h23, h31 = (sign * Fraction(rng.randint(1, 48), 24) for _ in range(3))
+        K = h12 + h23 + h31 - (h[0] * h23 + h[1] * h31 + h[2] * h12)
+        if sign * K <= 0:
+            continue
+        cases += 1
+        # columns[j - 1][i - 1] is h_ij, as in `adjoint._columns`
+        columns = ((0, -h12, h31), (h12, 0, -h23), (-h31, h23, 0))
+        table = [[Fraction(v) / 2 for v in column] for column in columns]
+        skew = (h12, -h31, h23)
+        a = AdjointCovector(tuple(map(float, h)), tuple(map(float, skew)))
+        assert _letter_table(a).tolist() == [[float(v) for v in row] for row in table]
+        interior = {1: abs(K / (h31 * h12)), 2: abs(K / (h12 * h23)), 3: abs(K / (h23 * h31))}
+        cycle = (1, 3, 2) if sign > 0 else (1, 2, 3)
+        for shift in range(3):
+            i, j, k = cycle[shift:] + cycle[:shift]
+            letters = (i, j, k, i, j, k)
+            outer = [rational(0, 3) + Fraction(1, 24) for _ in range(2)]
+            taus = [outer[0], *(interior[l] for l in letters[1:5]), outer[1]]
+            # Z_n = X_{l_n} + sum over interior arcs 1 <= m < n of tau_m [X_{l_m}, X_{l_n}]
+            rows = [[Fraction(1)] * 6] + [[Fraction(0)] * 6 for _ in range(6)]
+            for n, ln in enumerate(letters):
+                rows[ln][n] += 1
+                for m in range(1, n):
+                    lm = letters[m]
+                    if lm != ln:
+                        # the (y12, y13, y23) slot of {lm, ln}, +1 when lm < ln
+                        slot = {(1, 2): 4, (1, 3): 5, (2, 3): 6}[tuple(sorted((lm, ln)))]
+                        rows[slot][n] += taus[m] if lm < ln else -taus[m]
+            z = conjugated_fields(Word(tuple((l, float(t)) for l, t in zip(letters, taus))))
+            assert np.allclose(np.array(rows[1:], dtype=float).T, [zi.as_array() for zi in z], rtol=1e-12, atol=1e-12)
+
+            t2, t3, t4 = taus[1], taus[2], taus[3]
+            alpha = (-t4 / t3, -t2 / t3, Fraction(-1), t4 / t3, t2 / t3, Fraction(1))
+            assert all(sum(r * x for r, x in zip(row, alpha)) == 0 for row in rows)
+            assert _exact_rank(rows) == 5
+            # g has zero diagonal and both triangles equal to the table entry of the upper one
+            quad = sum(
+                2 * alpha[p] * alpha[q] * table[letters[p] - 1][letters[q] - 1]
+                for p in range(6)
+                for q in range(p + 1, 6)
+            )
+            h_jk, h_ki, h_ij = columns[k - 1][j - 1], columns[i - 1][k - 1], columns[j - 1][i - 1]
+            assert quad == 2 * abs(h_jk * h_ki / h_ij)
+            assert quad > 0
 
 
 def test_three_arc_word_inconclusive():
