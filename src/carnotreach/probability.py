@@ -1,37 +1,40 @@
 """Precedence probabilities of independent discrete random variables.
 
-For independent dice with pairwise tie-free supports, the point
-(P(x1 < x2), P(x2 < x3), P(x3 < x1)) is computed by exact double sums,
-and the Monte Carlo checks confront such points, and the points of random
-section words, with the witness-word solver: every one should be reported
-attained.
+Three dice with no shared value are a section word: sorted by value, their
+atoms are the arcs (die index, mass) of `dice_word`, and the point
+(P(x1 < x2), P(x2 < x3), P(x3 < x1)) is `pqr` of that word.  The Monte
+Carlo checks report the Conjecture-Q margin (`words.q_margin`) of random
+dice points and of the points of random section words; every such point
+is attained by its own word, so no margin should be positive.
 """
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import attainability
-from .words import PQR_PAIRS, InvariantViolation, PqrPoint, pqr, random_word, require_int, require_real
+from .words import PQR_PAIRS, InvariantViolation, PqrPoint, Word, pqr, q_margin, random_word, require_int, require_real
 
 __all__ = [
     "DiscreteDistribution",
     "CheckReport",
+    "checks_csv",
     "dice_from_json",
     "dice_pqr",
+    "dice_word",
     "random_dice_triple",
     "random_dice_check",
     "random_word_check",
 ]
 
-TIE_TOL = 1e-12
-# cap on atoms_max: random_dice_triple draws up to 3 * atoms_max values, and
-# dice_pqr is a double sum, O(atoms^2) per pair.  Three dice of 1024 atoms
-# take dice_pqr about 0.09 s (4096 atoms: 1.4 s) on a 2-vCPU x86_64 host, so
-# a larger --atoms-max is rejected before it draws without limit
+MASS_TOL = 1e-12
+# cap on atoms_max and on the atoms of a die read from JSON: random_dice_triple
+# draws up to 3 * atoms_max values, and dice_pqr is `pqr` of the merged word,
+# a double sum over all the atoms, O(atoms^2).  Three dice of 1024 atoms take
+# dice_pqr 0.18-0.24 s (4096 atoms: 3.6-4.1 s), about twice the pairwise sums
+# it replaced, on one CPU of a 2-vCPU x86_64 host, so a larger atoms_max or
+# die is rejected before anything is drawn or built
 MAX_DICE_ATOMS = 1024
 
 
@@ -60,7 +63,7 @@ class DiscreteDistribution:
             raise InvariantViolation("dice-finite", f"values and masses must be finite, got {self.atoms}")
         if any(m <= 0 for m in masses):
             raise InvariantViolation("mass-positive", f"masses must be positive, got {masses}")
-        if abs(sum(masses) - 1.0) > TIE_TOL:
+        if abs(sum(masses) - 1.0) > MASS_TOL:
             raise InvariantViolation("mass-sum", f"masses must sum to 1, got {sum(masses)}")
         if any(values[i] >= values[i + 1] for i in range(len(values) - 1)):
             raise InvariantViolation("values-increasing", f"values must be strictly increasing, got {values}")
@@ -77,41 +80,39 @@ class DiscreteDistribution:
 
 
 def dice_from_json(payload) -> tuple[DiscreteDistribution, DiscreteDistribution, DiscreteDistribution]:
-    """The three distributions of the JSON form [[[value, mass], ...] x 3]."""
+    """The three distributions of the JSON form [[[value, mass], ...] x 3];
+    a die of more than MAX_DICE_ATOMS atoms raises "atoms-max" before any is built."""
     if not (isinstance(payload, list) and len(payload) == 3):
         raise InvariantViolation("dice-json", "expected a list of three lists of [value, mass] pairs")
+    for die in payload:
+        if isinstance(die, list) and len(die) > MAX_DICE_ATOMS:
+            raise InvariantViolation("atoms-max", f"a die of {len(die)} atoms is over {MAX_DICE_ATOMS}")
     return tuple(DiscreteDistribution.of(d) for d in payload)
 
 
-def _precedence(d1: DiscreteDistribution, d2: DiscreteDistribution) -> float:
-    return sum(m1 * m2 for v1, m1 in d1.atoms for v2, m2 in d2.atoms if v1 < v2)
+def dice_word(d1: DiscreteDistribution, d2: DiscreteDistribution, d3: DiscreteDistribution) -> Word:
+    """The section word of three dice: their atoms sorted by value, each read
+    as an arc (die index, mass).
 
-
-def _tie_mass(d1: DiscreteDistribution, d2: DiscreteDistribution) -> tuple[float, list[float]]:
-    m2 = dict(d2.atoms)
-    shared = [(v, m * m2[v]) for v, m in d1.atoms if v in m2]
-    return sum(m for _, m in shared), [v for v, _ in shared]
-
-
-def dice_pqr(
-    d1: DiscreteDistribution,
-    d2: DiscreteDistribution,
-    d3: DiscreteDistribution,
-) -> PqrPoint:
-    """Exact (P(x1 < x2), P(x2 < x3), P(x3 < x1)).
-
-    Each cyclic pair must be tie-free, so that the two orderings of a pair
-    have complementary probabilities.
+    An atom of die i below an atom of die j is an arc of letter i before an
+    arc of letter j, so `pqr` of the word is the dice's precedence triple.
+    A value shared by two dice has no order and raises "tie-mass".
     """
-    dice = (d1, d2, d3)
-    for i, j in PQR_PAIRS:
-        mass, values = _tie_mass(dice[i - 1], dice[j - 1])
-        if mass > TIE_TOL:
-            raise InvariantViolation(
-                "tie-mass",
-                f"dice pair ({i}, {j}) has tie mass {mass} at shared values {values}",
-            )
-    return PqrPoint(*(_precedence(dice[i - 1], dice[j - 1]) for i, j in PQR_PAIRS))
+    atoms = sorted((v, i, m) for i, d in enumerate((d1, d2, d3), 1) for v, m in d.atoms)
+    for (v, i, m), (u, j, n) in zip(atoms, atoms[1:]):
+        if v == u:
+            pair = (i, j) if (i, j) in PQR_PAIRS else (j, i)
+            raise InvariantViolation("tie-mass", f"dice pair {pair} has tie mass {m * n} at shared value {v}")
+    return Word(tuple((i, m) for _, i, m in atoms))
+
+
+def dice_pqr(d1: DiscreteDistribution, d2: DiscreteDistribution, d3: DiscreteDistribution) -> PqrPoint:
+    """Exact (P(x1 < x2), P(x2 < x3), P(x3 < x1)), the `pqr` of `dice_word`.
+
+    No two dice may share a value, so that the two orderings of a pair have
+    complementary probabilities.
+    """
+    return pqr(dice_word(d1, d2, d3))
 
 
 def _require_atoms_max(atoms_max) -> None:
@@ -139,67 +140,47 @@ def random_dice_triple(
 
 @dataclass
 class CheckReport:
-    """Solver verdicts on sampled points, each of which should be attained."""
+    """The Conjecture-Q margin of sampled points of one kind.
 
-    n_trials: int
-    n_attained: int
-    worst_residual: float
-    rows: list[tuple[float, float, float, str, float]] = field(default_factory=list)
+    Each point is attained by its own section word (the dice's `dice_word`,
+    or the hidden word), so a positive margin would refute the half of
+    Conjecture Q that says every attainable point is admitted.
+    """
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("p,q,r,status,residual\n")
-        for p, q, r, status, res in self.rows:
-            buf.write(f"{p!r},{q!r},{r!r},{status},{res!r}\n")
-        return buf.getvalue()
+    kind: str
+    rows: list[tuple[float, float, float, float]]  # p, q, r, q_margin
 
-
-def _check(n_trials: int, trials, fit_kwargs: dict) -> CheckReport:
-    """Run the solver on each (point, fit seed) of `trials` and tally it."""
-    report = CheckReport(n_trials, 0, 0.0)
-    for point, seed in trials:
-        result = attainability.fit(point, seed=seed, **fit_kwargs)
-        if result.status == "attained":
-            report.n_attained += 1
-            report.worst_residual = max(report.worst_residual, result.residual)
-        report.rows.append((point.p, point.q, point.r, result.status, result.residual))
-    return report
+    @property
+    def max_q_margin(self) -> float:
+        return max(margin for *_, margin in self.rows)
 
 
-def random_dice_check(
-    n_trials: int,
-    atoms_max: int = 4,
-    seed: int = 0,
-    **fit_kwargs,
-) -> CheckReport:
-    """Sample dice triples, compute their (p, q, r), and run the solver on
-    each with its default seed.
+def _check(kind: str, points) -> CheckReport:
+    return CheckReport(kind, [(x.p, x.q, x.r, q_margin(x)) for x in points])
+
+
+def checks_csv(*reports: CheckReport) -> str:
+    """One CSV row per trial of `reports`, in order: kind,p,q,r,q_margin."""
+    rows = (f"{report.kind},{p!r},{q!r},{r!r},{margin!r}\n" for report in reports for p, q, r, margin in report.rows)
+    return "kind,p,q,r,q_margin\n" + "".join(rows)
+
+
+def random_dice_check(n_trials: int, atoms_max: int = 4, seed: int = 0) -> CheckReport:
+    """The Q margins of the (p, q, r) of sampled dice triples.
 
     A bad atoms_max raises "atoms-max", as in `random_dice_triple`, before any draw."""
     require_int("n-trials", n_trials, 1)
     _require_atoms_max(atoms_max)
     require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    trials = ((dice_pqr(*random_dice_triple(atoms_max, rng)), 0) for _ in range(n_trials))
-    return _check(n_trials, trials, fit_kwargs)
+    return _check("dice", (dice_pqr(*random_dice_triple(atoms_max, rng)) for _ in range(n_trials)))
 
 
-def random_word_check(
-    n_trials: int,
-    max_arcs: int = attainability.DEFAULT_MAX_ARCS,
-    seed: int = 0,
-    **fit_kwargs,
-) -> CheckReport:
-    """Hide random section words of 3 to max_arcs arcs and run the solver,
-    with a drawn seed, on the (p, q, r) of each."""
+def random_word_check(n_trials: int, seed: int = 0) -> CheckReport:
+    """The Q margins of the (p, q, r) of random section words of 3 to 8 arcs."""
     require_int("n-trials", n_trials, 1)
-    require_int("max-arcs", max_arcs, 3)
     require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
-
-    def trials():
-        for _ in range(n_trials):
-            w = random_word(int(rng.integers(3, max_arcs + 1)), int(rng.integers(2**31)))
-            yield pqr(w), int(rng.integers(2**31))
-
-    return _check(n_trials, trials(), dict(fit_kwargs, max_arcs=max_arcs))
+    return _check(
+        "word", (pqr(random_word(int(rng.integers(3, 9)), int(rng.integers(2**31)))) for _ in range(n_trials))
+    )

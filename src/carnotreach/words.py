@@ -34,6 +34,7 @@ __all__ = [
     "endpoint",
     "pqr",
     "pqr_from_endpoint",
+    "q_margin",
     "reverse",
     "to_section",
     "random_word",
@@ -198,6 +199,20 @@ def pqr_from_endpoint(g: GroupElement) -> PqrPoint:
         raise InvariantViolation("section-endpoint", f"endpoint x must be (1,1,1), got {g.x}")
     y12, y13, y23 = g.y
     return PqrPoint((1.0 + y12) / 2.0, (1.0 + y23) / 2.0, (1.0 - y13) / 2.0)
+
+
+def q_margin(x: PqrPoint) -> float:
+    """Conjecture Q's margin max(min E, min O) at x.
+
+    E = (p + qr - 1, q + rp - 1, r + pq - 1) are the quadrics of the even
+    atlas patches and O the same at 1 - x.  Q says that x is attainable iff
+    the margin is <= 0; a positive margin at an attained point refutes it.
+    """
+    p, q, r = x.p, x.q, x.r
+    a, b, c = 1.0 - p, 1.0 - q, 1.0 - r
+    even = min(p + q * r - 1.0, q + r * p - 1.0, r + p * q - 1.0)
+    odd = min(a + b * c - 1.0, b + c * a - 1.0, c + a * b - 1.0)
+    return max(even, odd)
 
 
 def reverse(w: Word) -> Word:

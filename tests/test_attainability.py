@@ -30,6 +30,7 @@ from carnotreach.words import (
     Word,
     precedence,
     pqr,
+    q_margin,
     random_word,
     reverse,
     word_to_dict,
@@ -664,6 +665,18 @@ def test_quadrics_are_the_atlas_patch_equations():
         equations = [patch.equation(x) for patch in boundary_atlas.quadric_patches()]
         assert np.allclose(even, equations[:3], rtol=0, atol=1e-15)
         assert np.allclose(odd, equations[3:], rtol=0, atol=1e-15)
+
+
+def test_q_margin_is_the_larger_quadric_minimum():
+    rng = np.random.default_rng(13)
+    points = list(rng.uniform(0.0, 1.0, size=(200, 3))) + [(PHI, PHI, PHI), (0.5, 0.5, 0.5), (0.7, 0.7, 0.7)]
+    for x in points:
+        even, odd = _quadrics(x)
+        assert q_margin(PqrPoint(*x)) == max(even.min(), odd.min())
+    assert abs(q_margin(PqrPoint(PHI, PHI, PHI))) <= 1e-15
+    assert q_margin(PqrPoint(0.5, 0.5, 0.5)) == -0.25
+    assert abs(q_margin(PqrPoint(0.7, 0.7, 0.7)) - 0.19) <= 1e-15
+    assert abs(q_margin(PqrPoint(0.3, 0.3, 0.3)) - 0.19) <= 1e-15
 
 
 def test_conjecture_q_separates_the_reference_pool():

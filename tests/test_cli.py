@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -10,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from carnotreach import boundary_atlas
-from carnotreach.cli import main
+from carnotreach.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -259,26 +263,37 @@ def test_mc_verify(tmp_path, capsys):
     )
     assert code == 0
     data = json.loads(out)
-    assert data["roundtrip_recovered"] == 5
-    assert data["dice_attained"] == 5
-    assert "dice_failures" not in data
-    assert len(Path(csv_path).read_text().strip().splitlines()) == 6
+    assert sorted(data) == ["dice_max_q_margin", "n", "words_max_q_margin"]
+    assert data["dice_max_q_margin"] <= 1e-12 and data["words_max_q_margin"] <= 1e-12
+    lines = Path(csv_path).read_text().strip().splitlines()
+    assert lines[0] == "kind,p,q,r,q_margin"
+    assert [line.split(",")[0] for line in lines[1:]] == ["dice"] * 5 + ["word"] * 5
 
 
 def test_mc_verify_golden_output(tmp_path, capsys):
-    # sha256 of stdout followed by the CSV; every trial is attained by the
-    # closed-form word in Python floats, so the bytes hold on any BLAS kernel
+    # sha256 of stdout followed by the CSV; the margins are Python-float
+    # arithmetic on exact double sums, so the bytes hold on any BLAS kernel
     csv_path = str(tmp_path / "mc.csv")
     code, out, _ = run(capsys, "mc-verify", "--n", "6", "--seed", "1", "--out-csv", csv_path)
     assert code == 0
-    data = json.loads(out)
-    assert (data["roundtrip_recovered"], data["dice_attained"]) == (6, 6)
     rows = Path(csv_path).read_text().splitlines()[1:]
-    assert [row.split(",")[3] for row in rows] == ["attained"] * 6
+    assert len(rows) == 12 and all(float(row.split(",")[4]) <= 1e-12 for row in rows)
     text = out + Path(csv_path).read_text()
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "ed49da338d30697867562503c067c98bc3ea137ad8020cb8e4f029d3ce84e92b"
+        "0626e1562564f17ed36b3646e7535197b91e5588d7ac5107f65e058f53ef1e1b"
     )
+
+
+def test_mc_verify_calls_no_solver(capsys, monkeypatch):
+    from carnotreach import attainability
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("mc-verify called the solver")
+
+    monkeypatch.setattr(attainability, "fit", no_solve)
+    code, out, err = run(capsys, "mc-verify", "--n", "20", "--atoms-max", "6")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n"] == 20
 
 
 def test_atlas_subcommand(tmp_path, capsys):
@@ -456,13 +471,13 @@ def test_mc_verify_rejects_zero_atoms_max(capsys):
     assert json.loads(err)["error"] == "atoms-max"
 
 
-def test_mc_verify_checks_atoms_max_before_any_solve(capsys, monkeypatch):
-    from carnotreach import attainability
+def test_mc_verify_checks_atoms_max_before_any_draw(capsys, monkeypatch):
+    from carnotreach import probability
 
-    def no_solve(*args, **kwargs):
-        raise AssertionError("fit called before --atoms-max was checked")
+    def no_draw(*args, **kwargs):
+        raise AssertionError("dice drawn before --atoms-max was checked")
 
-    monkeypatch.setattr(attainability, "fit", no_solve)
+    monkeypatch.setattr(probability, "random_dice_triple", no_draw)
     code, out, err = run(capsys, "mc-verify", "--n", "30", "--atoms-max", "0")
     assert code == 1
     assert out == ""
@@ -482,17 +497,36 @@ def test_mc_verify_rejects_an_oversized_atoms_max(tmp_path, capsys):
     assert not csv_path.exists()
 
 
-def test_mc_verify_names_a_negative_seed_before_any_solve(capsys, monkeypatch):
-    from carnotreach import attainability
+def test_mc_verify_names_a_negative_seed_before_any_draw(capsys, monkeypatch):
+    from carnotreach import probability
 
-    def no_solve(*args, **kwargs):
-        raise AssertionError("fit called before --seed was checked")
+    def no_draw(*args, **kwargs):
+        raise AssertionError("dice drawn before --seed was checked")
 
-    monkeypatch.setattr(attainability, "fit", no_solve)
+    monkeypatch.setattr(probability, "random_dice_triple", no_draw)
     code, out, err = run(capsys, "mc-verify", "--n", "1", "--seed", "-1")
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "seed"
+
+
+def test_readme_command_lines_parse():
+    # every `carnotreach ...` line of the README's shell blocks, with `\`
+    # continuations joined and comments dropped, is a valid command line, so
+    # a removed flag cannot stay documented
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    commands = []
+    for line in "".join(blocks).replace("\\\n", " ").splitlines():
+        tokens = shlex.split(line, comments=True)
+        if "carnotreach" in tokens:
+            commands.append(tokens[tokens.index("carnotreach") + 1 :])
+    assert len(commands) >= 9
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README: carnotreach {shlex.join(argv)} is a usage error")
 
 
 def test_usage_error_exit_code(capsys):

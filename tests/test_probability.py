@@ -1,17 +1,40 @@
 import numpy as np
 import pytest
 
-from carnotreach import attainability, probability
+from carnotreach import probability
 from carnotreach.probability import (
     MAX_DICE_ATOMS,
     DiscreteDistribution,
+    checks_csv,
     dice_from_json,
     dice_pqr,
+    dice_word,
     random_dice_check,
     random_dice_triple,
     random_word_check,
 )
-from carnotreach.words import InvariantViolation
+from carnotreach.words import PQR_PAIRS, InvariantViolation, PqrPoint, Word, pqr, q_margin, random_word
+
+
+def reference_dice_pqr(d1, d2, d3) -> PqrPoint:
+    """The pairwise double sum that `dice_pqr` replaced: for each cyclic pair
+    (i, j), die i's atoms outside and die j's larger atoms inside."""
+    dice = (d1, d2, d3)
+    return PqrPoint(
+        *(
+            sum(m1 * m2 for v1, m1 in dice[i - 1].atoms for v2, m2 in dice[j - 1].atoms if v1 < v2)
+            for i, j in PQR_PAIRS
+        )
+    )
+
+
+def word_dice(w: Word) -> tuple[DiscreteDistribution, DiscreteDistribution, DiscreteDistribution]:
+    """The dice of a section word: die l has an atom at the index of each
+    arc of letter l, with the arc's duration as its mass."""
+    return tuple(
+        DiscreteDistribution.of([(float(k), t) for k, (l, t) in enumerate(w.arcs) if l == letter])
+        for letter in (1, 2, 3)
+    )
 
 
 def test_distribution_validation():
@@ -55,6 +78,22 @@ def test_dice_from_json():
         assert exc.value.name == "dice-json"
 
 
+def test_dice_from_json_bounds_the_atoms_before_building_a_die(monkeypatch):
+    die = [[float(k), 1.0 / (MAX_DICE_ATOMS + 1)] for k in range(MAX_DICE_ATOMS + 1)]
+
+    def refuse(self):
+        raise AssertionError("a distribution was built before the atom count was checked")
+
+    monkeypatch.setattr(DiscreteDistribution, "__post_init__", refuse)
+    for payload in ([[[0.5, 1.0]], [[0.25, 1.0]], die], [die, 5, "x"]):
+        with pytest.raises(InvariantViolation) as exc:
+            dice_from_json(payload)
+        assert exc.value.name == "atoms-max"
+    monkeypatch.undo()
+    at_cap = [[float(k), 1.0 / MAX_DICE_ATOMS] for k in range(MAX_DICE_ATOMS)]
+    assert len(dice_from_json([at_cap, [[0.5, 1.0]], [[1.5, 1.0]]])[0].atoms) == MAX_DICE_ATOMS
+
+
 def test_dice_pqr_constants():
     d1 = DiscreteDistribution.constant(1.0)
     d2 = DiscreteDistribution.constant(2.0)
@@ -84,6 +123,35 @@ def test_dice_pqr_rejects_ties():
     assert "(1, 2)" in str(exc.value)
 
 
+def test_dice_pqr_rejects_any_shared_value():
+    # a tie mass of 1e-14 has no order either; it names its cyclic pair
+    small = 1e-7
+    d1 = DiscreteDistribution.of([(0.0, small), (1.0, 1.0 - small)])
+    d3 = DiscreteDistribution.of([(0.0, small), (2.0, 1.0 - small)])
+    for dice, pair in (((d1, DiscreteDistribution.constant(5.0), d3), "(3, 1)"), ((d1, d3, d1), "(1, 2)")):
+        with pytest.raises(InvariantViolation) as exc:
+            dice_pqr(*dice)
+        assert exc.value.name == "tie-mass"
+        assert pair in str(exc.value)
+
+
+@pytest.mark.parametrize("atoms_max, n", [(1, 3000), (4, 3000), (16, 3000), (64, 300)])
+def test_dice_pqr_is_the_pairwise_double_sum(atoms_max, n):
+    rng = np.random.default_rng(atoms_max)
+    for _ in range(n):
+        dice = random_dice_triple(atoms_max, rng)
+        assert repr(dice_pqr(*dice)) == repr(reference_dice_pqr(*dice))
+
+
+def test_section_words_are_dice():
+    rng = np.random.default_rng(31)
+    for _ in range(3000):
+        w = random_word(int(rng.integers(3, 13)), int(rng.integers(2**31)))
+        dice = word_dice(w)
+        assert dice_word(*dice) == w
+        assert repr(dice_pqr(*dice)) == repr(pqr(w))
+
+
 def test_pair_complement_law():
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -105,15 +173,18 @@ def test_random_dice_triple_disjoint_supports():
 
 
 def test_random_dice_check_all_attained():
-    report = random_dice_check(20, seed=0, n_starts=8, tol=1e-7)
-    assert report.n_trials == 20
-    assert report.n_attained == 20
-    assert report.worst_residual <= 1e-7
-    csv = report.to_csv()
-    lines = csv.strip().splitlines()
-    assert lines[0] == "p,q,r,status,residual"
+    # each dice point is attained by its dice word, and Q admits it
+    report = random_dice_check(20, seed=0)
+    rng = np.random.default_rng(0)
+    words = [dice_word(*random_dice_triple(4, rng)) for _ in range(20)]
+    assert [row[:3] for row in report.rows] == [(x.p, x.q, x.r) for x in map(pqr, words)]
+    assert [row[3] for row in report.rows] == [q_margin(pqr(w)) for w in words]
+    assert report.kind == "dice"
+    assert report.max_q_margin == max(row[3] for row in report.rows) <= 1e-12
+    lines = checks_csv(report).strip().splitlines()
+    assert lines[0] == "kind,p,q,r,q_margin"
     assert len(lines) == 21
-    assert all(line.split(",")[3] == "attained" for line in lines[1:])
+    assert all(line.split(",")[0] == "dice" for line in lines[1:])
 
 
 def test_random_dice_check_validates_n():
@@ -170,18 +241,22 @@ def test_both_dice_samplers_check_atoms_max_before_any_draw(monkeypatch):
         assert exc.value.name == "atoms-max"
 
 
-def test_random_word_check_recovers_every_word():
-    report = random_word_check(6, max_arcs=6, seed=2, n_starts=8)
-    assert (report.n_trials, report.n_attained) == (6, 6)
-    assert report.worst_residual <= 1e-7
-    assert len(report.rows) == 6
+def test_random_word_check_admits_every_word():
+    report = random_word_check(50, seed=2)
+    assert report.kind == "word" and len(report.rows) == 50
+    assert report.max_q_margin <= 1e-12
+    rng = np.random.default_rng(2)
+    for p, q, r, margin in report.rows:
+        w = random_word(int(rng.integers(3, 9)), int(rng.integers(2**31)))
+        assert 3 <= len(w.arcs) <= 8
+        assert (p, q, r, margin) == (pqr(w).p, pqr(w).q, pqr(w).r, q_margin(pqr(w)))
 
 
 def test_random_word_check_validates_its_sizes():
-    for kwargs, name in (({"n_trials": 0}, "n-trials"), ({"n_trials": 2, "max_arcs": 2}, "max-arcs")):
+    for n_trials in (0, -1, 2.5, True):
         with pytest.raises(InvariantViolation) as exc:
-            random_word_check(**kwargs)
-        assert exc.value.name == name
+            random_word_check(n_trials)
+        assert exc.value.name == "n-trials"
 
 
 def test_random_checks_validate_the_seed():
@@ -190,16 +265,3 @@ def test_random_checks_validate_the_seed():
             with pytest.raises(InvariantViolation) as exc:
                 check(2, seed=seed)
             assert exc.value.name == "seed"
-
-
-def test_random_checks_propagate_solver_errors(monkeypatch):
-    # a trial is attained or not-found: no error of `fit` becomes an error row
-    for error in (np.linalg.LinAlgError, TypeError):
-
-        def broken(*args, **kwargs):
-            raise error("bug")
-
-        monkeypatch.setattr(attainability, "fit", broken)
-        for check in (random_dice_check, random_word_check):
-            with pytest.raises(error):
-                check(3, seed=0)
