@@ -7,8 +7,8 @@ products of two two-letter blocks, and six quadric patches from 4-switch
 words.  Every stratum is a `FacePatch`: a letter pattern and, for each
 arc, which of 1, a parameter t or 1 - t it lasts, so one rule maps the
 unit parameter cube [0, 1]^dim, with dim 0 for a vertex, to witness words
-and each sampled point is attained by construction; facets and quadric
-equations follow from the letter-pair rule `words.pair_axis`.
+and each sampled point is attained by construction; a facet follows from
+the letter-pair rule `words.pair_axis` and a quadric is `words.quadric`.
 
 The quadric patches, generated in full, overlap the interior of the
 attainable body; `trim_and_mesh` samples every stratum once
@@ -37,8 +37,8 @@ import numpy as np
 
 from . import attainability
 from .words import (
-    PQR_PAIRS, InvariantViolation, PqrPoint, Word, canonicalize, pair_axis, pqr, precedence, require_int, require_real,
-    word_to_dict,
+    QUADRIC_PATTERNS, InvariantViolation, PqrPoint, Word, canonicalize, pair_axis, pqr, quadric, require_int,
+    require_real, word_to_dict,
 )
 
 __all__ = [
@@ -96,31 +96,20 @@ class FacePatch:
     def point(self, *params) -> PqrPoint:
         return pqr(self.word(*params))
 
-    def equation(self, x) -> float:
-        """Vanishes on a flat triangle or a quadric patch and is nonpositive
-        on the body side."""
-        if self.kind == "quadric":
-            return _quadric(self.pattern, x)[0]
-        axis, sign = self._facet()
-        return sign * (x[axis] - (1.0 if sign > 0 else 0.0))
-
     def outward(self, x) -> np.ndarray:
         """The unit normal at x of a flat triangle or a quadric patch,
-        pointing away from the body."""
+        pointing away from the body: the normalized gradient of
+        `words.quadric`, or the axis of the facet P(u before v) = 1 that
+        holds a flat triangle (u, w, u, v, w)."""
         if self.kind == "quadric":
-            g = _quadric(self.pattern, x)[1]
+            g = np.array(quadric(self.pattern, x)[1])
             return g / np.linalg.norm(g)
-        axis, sign = self._facet()
+        if self.kind != "flat-triangle":
+            raise InvariantViolation("stratum-kind", f"a {self.kind} stratum has no surface normal")
+        axis, sign = pair_axis(self.pattern[0], self.pattern[3])
         n = np.zeros(3)
         n[axis] = sign
         return n
-
-    def _facet(self) -> tuple[int, float]:
-        """`pair_axis` of the facet P(u before v) = 1 that holds a flat
-        triangle (u, w, u, v, w); no other kind has a facet or a quadric."""
-        if self.kind != "flat-triangle":
-            raise InvariantViolation("stratum-kind", f"a {self.kind} stratum has no surface equation")
-        return pair_axis(self.pattern[0], self.pattern[3])
 
     def sample_grid(self, resolution: int):
         """Yield (params, word, point) over a regular grid of the cube, the
@@ -166,19 +155,6 @@ def flat_triangles() -> list[FacePatch]:
     return [FacePatch("flat-triangle", f"flat-{u}{w}{v}", (u, w, u, v, w), (1, 2, -1, 0, -2)) for u, w, v in perms]
 
 
-def _quadric(pattern, x) -> tuple[float, np.ndarray]:
-    """Value and gradient at x of the quadric of pattern (i, j, k, i, j):
-    P(i before j) + P(j before k) P(k before i) - 1."""
-    i, j, k = pattern[:3]
-    (a_ij, s_ij), (a_jk, s_jk), (a_ki, s_ki) = pair_axis(i, j), pair_axis(j, k), pair_axis(k, i)
-    equation = precedence(x, i, j) + precedence(x, j, k) * precedence(x, k, i) - 1.0
-    g = np.empty(3)
-    g[a_ij] = s_ij
-    g[a_jk] = s_jk * precedence(x, k, i)
-    g[a_ki] = s_ki * precedence(x, j, k)
-    return equation, g
-
-
 def quadric_patches() -> list[FacePatch]:
     """Six quadric patches from the 4-switch words (i, a), (j, b), (k, 1),
     (i, 1 - a), (j, 1 - b).
@@ -186,13 +162,9 @@ def quadric_patches() -> list[FacePatch]:
     The cyclic patterns i j k i j give p + qr = 1 and its cyclic images;
     their reversals, which map x to 1 - x, give (1-p) + (1-q)(1-r) = 1 and
     its cyclic images.  Every sampled witness satisfies its equation
-    exactly.
+    exactly: `words.quadric` of its pattern, one of `words.QUADRIC_PATTERNS`.
     """
-    cyclic = [(i, j, 6 - i - j, i, j) for i, j in PQR_PAIRS]
-    return [
-        FacePatch("quadric", "quadric-" + "".join(map(str, p)), p, (1, 2, 0, -1, -2))
-        for p in cyclic + [p[::-1] for p in cyclic]
-    ]
+    return [FacePatch("quadric", "quadric-" + "".join(map(str, p)), p, (1, 2, 0, -1, -2)) for p in QUADRIC_PATTERNS]
 
 
 SampledStratum = tuple[FacePatch, list[tuple[tuple[float, ...], Word, PqrPoint]]]

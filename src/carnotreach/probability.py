@@ -36,6 +36,11 @@ MASS_TOL = 1e-12
 # it replaced, on one CPU of a 2-vCPU x86_64 host, so a larger atoms_max or
 # die is rejected before anything is drawn or built
 MAX_DICE_ATOMS = 1024
+# cap on the trials of each Monte Carlo check, which keeps one row per trial,
+# and `checks_csv` one line: `mc-verify --n 262144 --out-csv` took 67 s and
+# raised peak RSS from 36 to 239 MB on one CPU of a 2-vCPU x86_64 host, so a
+# larger n is rejected before anything is drawn
+MAX_TRIALS = 2**18
 
 
 def _pairs(atoms) -> list[tuple]:
@@ -115,6 +120,11 @@ def dice_pqr(d1: DiscreteDistribution, d2: DiscreteDistribution, d3: DiscreteDis
     return pqr(dice_word(d1, d2, d3))
 
 
+def _require_trials(n_trials) -> None:
+    if require_int("n-trials", n_trials, 1) > MAX_TRIALS:
+        raise InvariantViolation("n-trials", f"n_trials {n_trials} is over {MAX_TRIALS}")
+
+
 def _require_atoms_max(atoms_max) -> None:
     if require_int("atoms-max", atoms_max, 1) > MAX_DICE_ATOMS:
         raise InvariantViolation("atoms-max", f"atoms_max {atoms_max} is over {MAX_DICE_ATOMS}")
@@ -168,8 +178,9 @@ def checks_csv(*reports: CheckReport) -> str:
 def random_dice_check(n_trials: int, atoms_max: int = 4, seed: int = 0) -> CheckReport:
     """The Q margins of the (p, q, r) of sampled dice triples.
 
-    A bad atoms_max raises "atoms-max", as in `random_dice_triple`, before any draw."""
-    require_int("n-trials", n_trials, 1)
+    An n_trials not in 1..MAX_TRIALS raises "n-trials" and a bad atoms_max
+    "atoms-max", as in `random_dice_triple`, before any draw."""
+    _require_trials(n_trials)
     _require_atoms_max(atoms_max)
     require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
@@ -177,8 +188,9 @@ def random_dice_check(n_trials: int, atoms_max: int = 4, seed: int = 0) -> Check
 
 
 def random_word_check(n_trials: int, seed: int = 0) -> CheckReport:
-    """The Q margins of the (p, q, r) of random section words of 3 to 8 arcs."""
-    require_int("n-trials", n_trials, 1)
+    """The Q margins of the (p, q, r) of random section words of 3 to 8 arcs;
+    an n_trials not in 1..MAX_TRIALS raises "n-trials" before any draw."""
+    _require_trials(n_trials)
     require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     return _check(

@@ -30,6 +30,13 @@ NULLSPACE_CUTOFF = 1e-10
 POSITIVE_EIG_TOL = 1e-10
 # largest gap between a word's durations and those its covector synthesizes
 CONSISTENCY_TOL = 1e-8
+# cap on the arcs of a word that `ag_test` accepts: it builds n^2 / 2 fields
+# and several n x n float64 arrays, so its time and memory grow as n^2 and
+# worse.  A synthesized word of 2049 arcs took 9.4 s at a peak RSS of 184 MB
+# (1003 arcs: 2.3 s, 71 MB) on one CPU of a 2-vCPU x86_64 host, so a longer
+# word, which `synthesize` allows up to adjoint.MAX_SYNTH_ARCS, is rejected
+# before any of that work
+MAX_AG_ARCS = 2048
 
 
 @dataclass(frozen=True)
@@ -129,6 +136,8 @@ def _letter_table(a: AdjointCovector) -> np.ndarray:
 def ag_test(w: Word, a: AdjointCovector) -> SecondOrderReport:
     """Second-order test of the word against the covector that synthesizes
     it ("word-covector" otherwise: a verdict on another word means nothing).
+    A word of fewer than 3 or more than MAX_AG_ARCS arcs raises
+    "switch-count" before that check.
 
     Builds G(alpha) = sum_{i<j} alpha_i alpha_j <R, [Z_i, Z_j]>, restricts
     it to the subspace W cut out by sum alpha_i = 0 and
@@ -144,6 +153,8 @@ def ag_test(w: Word, a: AdjointCovector) -> SecondOrderReport:
     n = len(w.arcs)
     if n < 3:
         raise InvariantViolation("switch-count", f"need at least 3 arcs (2 switchings), got {n} arcs")
+    if n > MAX_AG_ARCS:
+        raise InvariantViolation("switch-count", f"word has {n} arcs, over {MAX_AG_ARCS}")
     _check_consistency(w, a)
 
     z = conjugated_fields(w)

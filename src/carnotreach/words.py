@@ -34,6 +34,8 @@ __all__ = [
     "endpoint",
     "pqr",
     "pqr_from_endpoint",
+    "QUADRIC_PATTERNS",
+    "quadric",
     "q_margin",
     "reverse",
     "to_section",
@@ -201,18 +203,38 @@ def pqr_from_endpoint(g: GroupElement) -> PqrPoint:
     return PqrPoint((1.0 + y12) / 2.0, (1.0 + y23) / 2.0, (1.0 - y13) / 2.0)
 
 
+# the patterns i j k i j of the six quadric patches: the cyclic patterns of
+# PQR_PAIRS, whose quadrics E are p + qr - 1 and its cyclic images, then their
+# reversals, whose quadrics O are E at 1 - x
+_CYCLIC_QUADRICS = tuple((i, j, 6 - i - j, i, j) for i, j in PQR_PAIRS)
+QUADRIC_PATTERNS = _CYCLIC_QUADRICS + tuple(p[::-1] for p in _CYCLIC_QUADRICS)
+
+
+def quadric(pattern, x) -> tuple[float, tuple[float, float, float]]:
+    """Value and gradient at x = (p, q, r) of the quadric of the pattern
+    (i, j, k, i, j): P(i before j) + P(j before k) P(k before i) - 1, in
+    Python floats."""
+    i, j, k = pattern[:3]
+    (a_ij, s_ij), (a_jk, s_jk), (a_ki, s_ki) = pair_axis(i, j), pair_axis(j, k), pair_axis(k, i)
+    equation = precedence(x, i, j) + precedence(x, j, k) * precedence(x, k, i) - 1.0
+    g = [0.0, 0.0, 0.0]
+    g[a_ij] = s_ij
+    g[a_jk] = s_jk * precedence(x, k, i)
+    g[a_ki] = s_ki * precedence(x, j, k)
+    return float(equation), tuple(map(float, g))
+
+
 def q_margin(x: PqrPoint) -> float:
     """Conjecture Q's margin max(min E, min O) at x.
 
-    E = (p + qr - 1, q + rp - 1, r + pq - 1) are the quadrics of the even
-    atlas patches and O the same at 1 - x.  Q says that x is attainable iff
-    the margin is <= 0; a positive margin at an attained point refutes it.
+    E and O are the `quadric`s of the first three and the last three
+    QUADRIC_PATTERNS, the equations of the even and odd atlas patches.  Q
+    says that x is attainable iff the margin is <= 0; a positive margin at
+    an attained point refutes it.
     """
-    p, q, r = x.p, x.q, x.r
-    a, b, c = 1.0 - p, 1.0 - q, 1.0 - r
-    even = min(p + q * r - 1.0, q + r * p - 1.0, r + p * q - 1.0)
-    odd = min(a + b * c - 1.0, b + c * a - 1.0, c + a * b - 1.0)
-    return max(even, odd)
+    point = (x.p, x.q, x.r)
+    values = [quadric(pattern, point)[0] for pattern in QUADRIC_PATTERNS]
+    return max(min(values[:3]), min(values[3:]))
 
 
 def reverse(w: Word) -> Word:

@@ -31,6 +31,7 @@ from carnotreach.words import (
     precedence,
     pqr,
     q_margin,
+    quadric,
     random_word,
     reverse,
     word_to_dict,
@@ -662,7 +663,7 @@ def test_quadrics_are_the_atlas_patch_equations():
     rng = np.random.default_rng(12)
     for x in rng.uniform(0.0, 1.0, size=(50, 3)):
         even, odd = _quadrics(x)
-        equations = [patch.equation(x) for patch in boundary_atlas.quadric_patches()]
+        equations = [quadric(patch.pattern, x)[0] for patch in boundary_atlas.quadric_patches()]
         assert np.allclose(even, equations[:3], rtol=0, atol=1e-15)
         assert np.allclose(odd, equations[3:], rtol=0, atol=1e-15)
 

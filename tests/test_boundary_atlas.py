@@ -6,7 +6,7 @@ import pytest
 
 from carnotreach import attainability
 from carnotreach import boundary_atlas as atlas
-from carnotreach.words import InvariantViolation, Word, pair_axis, pqr, reverse
+from carnotreach.words import InvariantViolation, Word, pair_axis, pqr, precedence, quadric, reverse
 
 
 def test_vertices_table():
@@ -34,10 +34,9 @@ def test_strata_are_plain_data():
 @pytest.mark.parametrize("patch", [atlas.vertices()[0], *atlas.edge_families()[::6]], ids=lambda p: p.kind)
 def test_only_surface_strata_have_an_equation(patch):
     x = np.full(3, 0.5)
-    for surface_map in (patch.equation, patch.outward):
-        with pytest.raises(InvariantViolation) as exc:
-            surface_map(x)
-        assert exc.value.name == "stratum-kind"
+    with pytest.raises(InvariantViolation) as exc:
+        patch.outward(x)
+    assert exc.value.name == "stratum-kind"
 
 
 def test_vertices_are_zero_parameter_patches():
@@ -93,7 +92,8 @@ def test_flat_triangles_lie_on_facets():
     assert len(patches) == 6
     for patch in patches:
         for _, _, point in patch.sample_grid(7):
-            assert abs(patch.equation(point.as_array())) <= 1e-12
+            # the facet P(u before v) = 1 of the triangle (u, w, u, v, w)
+            assert abs(precedence(point.as_array(), patch.pattern[0], patch.pattern[3]) - 1.0) <= 1e-12
 
 
 def _is_subsequence(letters, pattern) -> bool:
@@ -117,7 +117,7 @@ def test_quadric_patches_satisfy_their_equations():
     assert len(patches) == 6
     for patch in patches:
         for _, _, point in patch.sample_grid(9):
-            assert abs(patch.equation(point.as_array())) <= 1e-12
+            assert abs(quadric(patch.pattern, point.as_array())[0]) <= 1e-12
             n = patch.outward(point.as_array())
             assert abs(np.linalg.norm(n) - 1.0) <= 1e-12
 
@@ -177,7 +177,7 @@ def test_facets_match_the_reference_table():
         n[axis] = 1.0 if value == 1.0 else -1.0
         x = np.full(3, 0.5)
         x[axis] = value
-        assert patch.equation(x) == 0.0
+        assert precedence(x, u, v) == 1.0
         assert np.array_equal(patch.outward(x), n)
 
 
@@ -187,9 +187,9 @@ def test_quadrics_match_the_reference_table_bit_for_bit():
     points = np.random.default_rng(7).uniform(0.0, 1.0, size=(2000, 3))
     for pattern, (ref_equation, ref_gradient) in REFERENCE_QUADRICS.items():
         for x in points:
-            equation, gradient = atlas._quadric(pattern, x)
-            assert equation.tobytes() == ref_equation(x).tobytes()
-            assert gradient.tobytes() == ref_gradient(x).tobytes()
+            equation, gradient = quadric(pattern, x)
+            assert np.float64(equation).tobytes() == ref_equation(x).tobytes()
+            assert np.array(gradient).tobytes() == ref_gradient(x).tobytes()
 
 
 def test_reversal_sends_each_cyclic_quadric_to_its_reversed_pattern():

@@ -497,6 +497,21 @@ def test_mc_verify_rejects_an_oversized_atoms_max(tmp_path, capsys):
     assert not csv_path.exists()
 
 
+def test_mc_verify_rejects_an_oversized_n_before_any_draw(tmp_path, capsys, monkeypatch):
+    from carnotreach import probability
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("dice drawn before --n was checked")
+
+    monkeypatch.setattr(probability, "random_dice_triple", no_draw)
+    csv_path = tmp_path / "mc.csv"
+    code, out, err = run(capsys, "mc-verify", "--n", str(probability.MAX_TRIALS + 1), "--out-csv", str(csv_path))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "n-trials"
+    assert not csv_path.exists()
+
+
 def test_mc_verify_names_a_negative_seed_before_any_draw(capsys, monkeypatch):
     from carnotreach import probability
 

@@ -51,6 +51,20 @@ def test_no_handler_catches_broad_or_solver_errors(name):
     assert bad == [], f"{name}: bare, broad or LinAlgError handler at lines {bad}"
 
 
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "carnotreach.words"])
+def test_only_words_calls_precedence(name):
+    # the six quadrics are written once, in `words.quadric`; a module that
+    # calls `precedence` is writing a quadric or a facet of its own
+    source = Path(importlib.import_module(name).__file__).read_text()
+    calls = [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "precedence" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert calls == [], f"{name}: calls precedence at lines {calls}"
+
+
 def test_runtime_needs_no_scipy():
     # a None entry in sys.modules makes every `import scipy...` raise ImportError
     script = "\n".join([

@@ -4,6 +4,7 @@ import pytest
 from carnotreach import probability
 from carnotreach.probability import (
     MAX_DICE_ATOMS,
+    MAX_TRIALS,
     DiscreteDistribution,
     checks_csv,
     dice_from_json,
@@ -257,6 +258,23 @@ def test_random_word_check_validates_its_sizes():
         with pytest.raises(InvariantViolation) as exc:
             random_word_check(n_trials)
         assert exc.value.name == "n-trials"
+
+
+def test_random_checks_bound_n_trials_before_any_draw(monkeypatch):
+    class Drawn(Exception):
+        pass
+
+    def refuse(*args):
+        raise Drawn
+
+    monkeypatch.setattr(probability, "random_dice_triple", refuse)
+    monkeypatch.setattr(probability, "random_word", refuse)
+    for check in (random_dice_check, random_word_check):
+        with pytest.raises(InvariantViolation, match=rf"^n_trials {MAX_TRIALS + 1} is over {MAX_TRIALS}$") as exc:
+            check(MAX_TRIALS + 1)
+        assert exc.value.name == "n-trials"
+        with pytest.raises(Drawn):
+            check(MAX_TRIALS)
 
 
 def test_random_checks_validate_the_seed():

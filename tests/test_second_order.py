@@ -5,8 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from carnotreach import second_order
 from carnotreach.adjoint import AdjointCovector, normalize, switching_times, synthesize
 from carnotreach.second_order import (
+    MAX_AG_ARCS,
     NULLSPACE_CUTOFF,
     POSITIVE_EIG_TOL,
     AlgebraElement,
@@ -95,6 +97,27 @@ def test_ag_test_switch_count_message_counts_the_arcs(arcs, n):
     with pytest.raises(InvariantViolation, match=rf"need at least 3 arcs \(2 switchings\), got {n} arcs$") as exc:
         ag_test(Word(arcs), AdjointCovector.of((1, 0, 0), (1, 1, 1)))
     assert exc.value.name == "switch-count"
+
+
+def test_ag_test_rejects_a_word_over_the_cap_before_any_work(monkeypatch):
+    # the covector check synthesizes the word and the fields are quadratic
+    # work; a word of MAX_AG_ARCS arcs reaches them, one more arc does not
+    class Reached(Exception):
+        pass
+
+    def refuse(*args):
+        raise Reached
+
+    monkeypatch.setattr(second_order, "synthesize", refuse)
+    monkeypatch.setattr(second_order, "conjugated_fields", refuse)
+    a = AdjointCovector.of((1, 0, 0), (1, 1, 1))
+    cycle = [(1, 0.5), (2, 0.25), (3, 0.125)]
+    long_word = Word((cycle * (MAX_AG_ARCS // 3 + 1))[:MAX_AG_ARCS + 1])
+    with pytest.raises(InvariantViolation, match=rf"^word has {MAX_AG_ARCS + 1} arcs, over {MAX_AG_ARCS}$") as exc:
+        ag_test(long_word, a)
+    assert exc.value.name == "switch-count"
+    with pytest.raises(Reached):
+        ag_test(Word(long_word.arcs[:MAX_AG_ARCS]), a)
 
 
 def test_consistency_check_rejects_mismatched_word():

@@ -7,6 +7,7 @@ import pytest
 from carnotreach import group
 from carnotreach.adjoint import synthesize
 from carnotreach.words import (
+    QUADRIC_PATTERNS,
     InvariantViolation,
     PqrPoint,
     Word,
@@ -15,6 +16,8 @@ from carnotreach.words import (
     endpoint,
     pqr,
     pqr_from_endpoint,
+    q_margin,
+    quadric,
     random_word,
     require_real,
     reverse,
@@ -185,6 +188,31 @@ def test_quadric_identities_exact():
             odd = Word.of([(2, a), (1, b), (3, 1), (2, 1 - a), (1, 1 - b)])
             pt = pqr(canonicalize(odd))
             assert abs((1 - pt.p) + (1 - pt.q) * (1 - pt.r) - 1.0) <= 1e-12
+
+
+def test_quadric_returns_python_floats():
+    for pattern in QUADRIC_PATTERNS:
+        value, gradient = quadric(pattern, np.array([0.3, 0.6, 0.9]))
+        assert type(value) is float and type(gradient) is tuple
+        assert [type(v) for v in gradient] == [float] * 3
+
+
+def _inline_q_margin(x: PqrPoint) -> float:
+    """The Conjecture-Q margin as it was written before `quadric` existed,
+    kept as the bit-for-bit reference of `q_margin`."""
+    p, q, r = x.p, x.q, x.r
+    a, b, c = 1.0 - p, 1.0 - q, 1.0 - r
+    even = min(p + q * r - 1.0, q + r * p - 1.0, r + p * q - 1.0)
+    odd = min(a + b * c - 1.0, b + c * a - 1.0, c + a * b - 1.0)
+    return max(even, odd)
+
+
+def test_q_margin_is_the_inline_formula_bit_for_bit():
+    grid = np.arange(17) / 16.0  # dyadic, so many quadrics tie at exactly 0.0
+    points = [PqrPoint(p, q, r) for p in grid.tolist() for q in grid.tolist() for r in grid.tolist()]
+    points += [PqrPoint(*x) for x in np.random.default_rng(21).uniform(0.0, 1.0, size=(2000, 3)).tolist()]
+    for x in points:
+        assert repr(q_margin(x)) == repr(_inline_q_margin(x))
 
 
 def test_golden_point_witness():
