@@ -26,7 +26,6 @@ __all__ = [
     "casimir",
     "cyclic_k",
     "adjoint_flow",
-    "maximizing_controls",
     "normalize",
     "synthesize",
     "switching_times",
@@ -121,16 +120,6 @@ def adjoint_flow(a: AdjointCovector, w: Word) -> AdjointCovector:
     for _, h in _h_fold(a, w):
         pass
     return AdjointCovector(h, a.skew)
-
-
-def maximizing_controls(a: AdjointCovector) -> tuple[int, ...]:
-    """Letters attaining the maximum of h over the control simplex.
-
-    One letter: a vertex control; two: an edge of the simplex; three: the
-    whole simplex (the covector sits at the quadrant vertex).
-    """
-    hmax = max(a.h)
-    return tuple(i + 1 for i, hi in enumerate(a.h) if hi >= hmax - TIE_TOL)
 
 
 def normalize(a: AdjointCovector) -> AdjointCovector:

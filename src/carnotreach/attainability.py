@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -122,7 +121,6 @@ class FitResult:
         return d
 
 
-@lru_cache(maxsize=None)
 def _patterns_of_length(n: int) -> tuple[tuple[int, ...], ...]:
     """The canonical patterns of n arcs, 3 * 2^(n-1) - 6 of them, in
     lexicographic order.  The sweep draws its starts pattern by pattern and

@@ -79,10 +79,6 @@ class DiscreteDistribution:
         """Atoms from (value, mass) pairs of reals; anything else is `dice-json`."""
         return DiscreteDistribution(pairs)
 
-    @staticmethod
-    def constant(value: float) -> "DiscreteDistribution":
-        return DiscreteDistribution(((value, 1.0),))
-
 
 def dice_from_json(payload) -> tuple[DiscreteDistribution, DiscreteDistribution, DiscreteDistribution]:
     """The three distributions of the JSON form [[[value, mass], ...] x 3];

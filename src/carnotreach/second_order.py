@@ -30,12 +30,14 @@ NULLSPACE_CUTOFF = 1e-10
 POSITIVE_EIG_TOL = 1e-10
 # largest gap between a word's durations and those its covector synthesizes
 CONSISTENCY_TOL = 1e-8
-# cap on the arcs of a word that `ag_test` accepts: it builds n^2 / 2 fields
-# and several n x n float64 arrays, so its time and memory grow as n^2 and
-# worse.  A synthesized word of 2049 arcs took 9.4 s at a peak RSS of 184 MB
-# (1003 arcs: 2.3 s, 71 MB) on one CPU of a 2-vCPU x86_64 host, so a longer
-# word, which `synthesize` allows up to adjoint.MAX_SYNTH_ARCS, is rejected
-# before any of that work
+# cap on the arcs of a word that `ag_test` and `conjugated_fields` accept:
+# the fields take n^2 / 2 bracket steps and `ag_test` adds several n x n
+# float64 arrays, so time and memory grow as n^2 and worse.  A synthesized
+# word of 2049 arcs took 9.4 s in `ag_test` at a peak RSS of 184 MB (1003
+# arcs: 2.3 s, 71 MB), and `conjugated_fields` alone took 6.9-10.2 s at 2049
+# arcs (1025: 2.8 s) on one CPU of a 2-vCPU x86_64 host, so a longer word,
+# which `synthesize` allows up to adjoint.MAX_SYNTH_ARCS, is rejected before
+# any of that work
 MAX_AG_ARCS = 2048
 
 
@@ -76,16 +78,24 @@ def _add_scaled(u: AlgebraElement, t: float, v: AlgebraElement) -> AlgebraElemen
     )
 
 
+def _require_at_most_max_arcs(n: int) -> None:
+    if n > MAX_AG_ARCS:
+        raise InvariantViolation("switch-count", f"word has {n} arcs, over {MAX_AG_ARCS}")
+
+
 def conjugated_fields(w: Word) -> list[AlgebraElement]:
     """Fields Z_i = P_i V_i along a canonical word with arcs V_0 .. V_k.
 
     P_i conjugates by the flows of the interior arcs 1 .. i-1, and in a
     step-2 algebra each conjugation contributes the single bracket term
     tau_m [V_{m-1}, V_i]; the first and last arc durations never enter.
+    A canonical word of more than MAX_AG_ARCS arcs raises "switch-count"
+    before any field is built.
     """
     w = canonicalize(w)
     if not w.arcs:
         raise InvariantViolation("empty-word", "cannot conjugate along an empty word")
+    _require_at_most_max_arcs(len(w.arcs))
     fields = [basis_field(l) for l, _ in w.arcs]
     durations = [t for _, t in w.arcs]
     out = []
@@ -153,8 +163,7 @@ def ag_test(w: Word, a: AdjointCovector) -> SecondOrderReport:
     n = len(w.arcs)
     if n < 3:
         raise InvariantViolation("switch-count", f"need at least 3 arcs (2 switchings), got {n} arcs")
-    if n > MAX_AG_ARCS:
-        raise InvariantViolation("switch-count", f"word has {n} arcs, over {MAX_AG_ARCS}")
+    _require_at_most_max_arcs(n)
     _check_consistency(w, a)
 
     z = conjugated_fields(w)

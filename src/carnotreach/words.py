@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import DilationWeights, GroupElement, InvariantViolation, _product, require_int, require_real
+from .group import GroupElement, InvariantViolation, _product, require_int, require_real
 
 __all__ = [
     "Word",
@@ -45,6 +45,12 @@ __all__ = [
 ]
 
 SECTION_TOL = 1e-9
+# cap on the arcs of a word that `pqr` accepts: its double sum runs in
+# Python and is O(n^2).  A section word of 4096 arcs took 0.36-0.51 s
+# (3072: 0.19-0.28 s, 6144: 0.88-1.1 s, 12288: 4.5 s) on one CPU of a
+# 2-vCPU x86_64 host, so a longer word is rejected before any sum.  The cap
+# admits every dice word: 3 * probability.MAX_DICE_ATOMS = 3072 arcs at most
+MAX_PQR_ARCS = 4096
 
 LETTERS = (1, 2, 3)
 
@@ -181,8 +187,11 @@ def pqr(w: Word) -> PqrPoint:
     """Pairwise precedence coordinates of a section word, by the double sum.
 
     Computed directly from the arc list, independently of `endpoint`; the
-    two routes are cross-checked in tests.
+    two routes are cross-checked in tests.  A word of more than
+    MAX_PQR_ARCS arcs raises "pqr-arcs" before its letter totals are read.
     """
+    if len(w.arcs) > MAX_PQR_ARCS:
+        raise InvariantViolation("pqr-arcs", f"word has {len(w.arcs)} arcs, over {MAX_PQR_ARCS}")
     _require_section(w)
     # letter i starts exactly one pair of PQR_PAIRS, (i, i % 3 + 1), on axis i - 1
     sums = [0.0, 0.0, 0.0]
@@ -256,12 +265,6 @@ def to_section(w: Word) -> Word:
             "to the section (its endpoint lies on a two-letter Heisenberg stratum)",
         )
     return Word(tuple((l, t / totals[l]) for l, t in w.arcs))
-
-
-def section_weights(w: Word) -> DilationWeights:
-    """Dilation weights carrying endpoint(w) to endpoint(to_section(w))."""
-    totals = w.letter_totals()
-    return DilationWeights((1.0 / totals[1], 1.0 / totals[2], 1.0 / totals[3]))
 
 
 def random_pattern(n_arcs: int, rng: np.random.Generator) -> tuple[int, ...]:

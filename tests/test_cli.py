@@ -408,6 +408,16 @@ def test_pqr_rejects_non_real_durations(tmp_path, capsys, durations):
     assert json.loads(err)["error"] == "word-duration"
 
 
+def test_pqr_rejects_a_section_word_over_the_arc_cap(tmp_path, capsys):
+    from carnotreach.words import MAX_PQR_ARCS
+
+    k = MAX_PQR_ARCS // 3 + 1
+    code, out, err = run(capsys, "pqr", write_word(tmp_path, [1, 2, 3] * k, [1 / k] * (3 * k)))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "pqr-arcs"
+
+
 def test_member_rejects_an_oversized_solver(capsys):
     code, out, err = run(capsys, "member", "--p", "0.5", "--q", "0.5", "--r", "0.5", "--max-arcs", "14")
     assert code == 1

@@ -14,7 +14,7 @@ from carnotreach.probability import (
     random_dice_triple,
     random_word_check,
 )
-from carnotreach.words import PQR_PAIRS, InvariantViolation, PqrPoint, Word, pqr, q_margin, random_word
+from carnotreach.words import MAX_PQR_ARCS, PQR_PAIRS, InvariantViolation, PqrPoint, Word, pqr, q_margin, random_word
 
 
 def reference_dice_pqr(d1, d2, d3) -> PqrPoint:
@@ -47,7 +47,7 @@ def test_distribution_validation():
         DiscreteDistribution.of([(0.0, 0.5), (1.0, -0.5), (2.0, 1.0)])
     with pytest.raises(InvariantViolation):
         DiscreteDistribution.of([(1.0, 0.5), (0.0, 0.5)])
-    assert DiscreteDistribution.constant(3.0).atoms == ((3.0, 1.0),)
+    assert DiscreteDistribution.of([(3.0, 1.0)]).atoms == ((3.0, 1.0),)
     for atoms in ([(np.nan, 1.0)], [(np.inf, 1.0)], [(0.0, np.nan)], [(0.0, 0.5), (1.0, np.inf)]):
         with pytest.raises(InvariantViolation) as exc:
             DiscreteDistribution.of(atoms)
@@ -95,10 +95,15 @@ def test_dice_from_json_bounds_the_atoms_before_building_a_die(monkeypatch):
     assert len(dice_from_json([at_cap, [[0.5, 1.0]], [[1.5, 1.0]]])[0].atoms) == MAX_DICE_ATOMS
 
 
+def test_pqr_cap_admits_every_dice_word():
+    # a dice word has one arc per atom, so three dice at the atom cap
+    assert 3 * MAX_DICE_ATOMS <= MAX_PQR_ARCS
+
+
 def test_dice_pqr_constants():
-    d1 = DiscreteDistribution.constant(1.0)
-    d2 = DiscreteDistribution.constant(2.0)
-    d3 = DiscreteDistribution.constant(3.0)
+    d1 = DiscreteDistribution.of([(1.0, 1.0)])
+    d2 = DiscreteDistribution.of([(2.0, 1.0)])
+    d3 = DiscreteDistribution.of([(3.0, 1.0)])
     pt = dice_pqr(d1, d2, d3)
     assert (pt.p, pt.q, pt.r) == (1.0, 1.0, 0.0)
 
@@ -117,7 +122,7 @@ def test_dice_pqr_intransitive_triple():
 def test_dice_pqr_rejects_ties():
     d1 = DiscreteDistribution.of([(0.0, 0.5), (1.0, 0.5)])
     d2 = DiscreteDistribution.of([(1.0, 0.5), (2.0, 0.5)])
-    d3 = DiscreteDistribution.constant(5.0)
+    d3 = DiscreteDistribution.of([(5.0, 1.0)])
     with pytest.raises(InvariantViolation) as exc:
         dice_pqr(d1, d2, d3)
     assert exc.value.name == "tie-mass"
@@ -129,7 +134,7 @@ def test_dice_pqr_rejects_any_shared_value():
     small = 1e-7
     d1 = DiscreteDistribution.of([(0.0, small), (1.0, 1.0 - small)])
     d3 = DiscreteDistribution.of([(0.0, small), (2.0, 1.0 - small)])
-    for dice, pair in (((d1, DiscreteDistribution.constant(5.0), d3), "(3, 1)"), ((d1, d3, d1), "(1, 2)")):
+    for dice, pair in (((d1, DiscreteDistribution.of([(5.0, 1.0)]), d3), "(3, 1)"), ((d1, d3, d1), "(1, 2)")):
         with pytest.raises(InvariantViolation) as exc:
             dice_pqr(*dice)
         assert exc.value.name == "tie-mass"

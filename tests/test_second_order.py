@@ -120,6 +120,23 @@ def test_ag_test_rejects_a_word_over_the_cap_before_any_work(monkeypatch):
         ag_test(Word(long_word.arcs[:MAX_AG_ARCS]), a)
 
 
+def test_conjugated_fields_rejects_a_word_over_the_cap_before_any_field(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def refuse(*args):
+        raise Reached
+
+    monkeypatch.setattr(second_order, "basis_field", refuse)
+    cycle = [(1, 0.5), (2, 0.25), (3, 0.125)]
+    long_word = Word((cycle * (MAX_AG_ARCS // 3 + 1))[:MAX_AG_ARCS + 1])
+    with pytest.raises(InvariantViolation, match=rf"^word has {MAX_AG_ARCS + 1} arcs, over {MAX_AG_ARCS}$") as exc:
+        conjugated_fields(long_word)
+    assert exc.value.name == "switch-count"
+    with pytest.raises(Reached):
+        conjugated_fields(Word(long_word.arcs[:MAX_AG_ARCS]))
+
+
 def test_consistency_check_rejects_mismatched_word():
     rng = np.random.default_rng(0)
     a, word = six_arc_extremal(rng)

@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from carnotreach import group
+from carnotreach import group, words
 from carnotreach.adjoint import synthesize
 from carnotreach.words import (
+    MAX_PQR_ARCS,
     QUADRIC_PATTERNS,
     InvariantViolation,
     PqrPoint,
@@ -21,7 +22,6 @@ from carnotreach.words import (
     random_word,
     require_real,
     reverse,
-    section_weights,
     to_section,
     word_from_dict,
     word_to_dict,
@@ -63,6 +63,25 @@ def test_pqr_requires_section_word():
     with pytest.raises(InvariantViolation) as exc:
         pqr(Word.of([(1, 1), (2, 2), (3, 1)]))
     assert "2" in str(exc.value)
+
+
+def test_pqr_rejects_a_word_over_the_cap_before_any_work(monkeypatch):
+    # the double sum is quadratic work; a word of MAX_PQR_ARCS arcs reaches
+    # the section check ahead of it, one more arc does not
+    class Reached(Exception):
+        pass
+
+    def refuse(*args):
+        raise Reached
+
+    monkeypatch.setattr(words, "_require_section", refuse)
+    cycle = [(1, 0.5), (2, 0.25), (3, 0.125)]
+    long_word = Word((cycle * (MAX_PQR_ARCS // 3 + 1))[:MAX_PQR_ARCS + 1])
+    with pytest.raises(InvariantViolation, match=rf"^word has {MAX_PQR_ARCS + 1} arcs, over {MAX_PQR_ARCS}$") as exc:
+        pqr(long_word)
+    assert exc.value.name == "pqr-arcs"
+    with pytest.raises(Reached):
+        pqr(Word(long_word.arcs[:MAX_PQR_ARCS]))
 
 
 def test_pqr_agrees_with_endpoint_conversion():
@@ -136,8 +155,9 @@ def test_to_section_endpoint_equivariance():
         w = random_word(int(rng.integers(3, 8)), int(rng.integers(2**31)))
         scaled = Word.of((l, t * [0, 2.0, 0.5, 3.0][l]) for l, t in w.arcs)
         section = to_section(scaled)
+        totals = scaled.letter_totals()
         lhs = endpoint(section)
-        rhs = group.dilate(section_weights(scaled), endpoint(scaled))
+        rhs = group.dilate(group.DilationWeights((1.0 / totals[1], 1.0 / totals[2], 1.0 / totals[3])), endpoint(scaled))
         assert np.abs(np.array(lhs.x + lhs.y) - np.array(rhs.x + rhs.y)).max() <= 1e-12
 
 
