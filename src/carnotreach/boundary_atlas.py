@@ -12,19 +12,19 @@ the letter-pair rule `words.pair_axis` and a quadric is `words.quadric`.
 
 The quadric patches, generated in full, overlap the interior of the
 attainable body; `trim_and_mesh` samples every stratum once
-(`sample_strata`), asks `attainability.fit` about the points a fixed step
-PROBE_EPS along the normal of each surface sample, keeps the samples whose
-outward side is unattainable and inward side attainable, and assembles a
-triangle mesh exported as OBJ; `strata_csv` formats the sampled strata
-the mesh keeps.
+(`sample_strata`), probes the points a fixed step PROBE_EPS along the
+normal of each surface sample, keeps the samples whose outward side is
+unattainable and inward side attainable, and assembles a triangle mesh
+exported as OBJ; `strata_csv` formats the sampled strata the mesh keeps.
+Off a band of `fit`'s tolerance along the bounds no probe searches: an
+attainable verdict rests on a closed-form witness, an unattainable one on
+the cube, the sum or golden bound, or else on Conjecture Q alone; the
+output does not say which.
 
 The six quadric patches are one orbit of the letter permutations S3, and
 so are the six flat triangles: each is the first patch of its kind with
-its `pattern` renamed and the same `durations`, so at the same parameters
-every arc keeps its duration.  Renaming maps each coordinate of the point,
-and of the outward normal, to a coordinate or its complement, and
-attainability is invariant under it, so `trim_and_mesh` probes only the
-first patch of each kind.
+its `pattern` renamed and the same `durations`, so `trim_and_mesh` probes
+only the first patch of each kind.
 """
 from __future__ import annotations
 
@@ -54,10 +54,8 @@ __all__ = [
     "strata_csv",
 ]
 
-# the step and the `fit` settings of every `trim_and_mesh` probe (`_attainable_beyond`)
+# the step of every `trim_and_mesh` probe (`_attainable_beyond`)
 PROBE_EPS = 1e-3
-PROBE_MAX_ARCS = 6
-PROBE_STARTS = 6
 # cap on the rows of `sample_strata`, 12 r^2 + 12 r + 6 at resolution r: a row
 # holds about 750 bytes, so this admits r <= 147 in about 200 MB and rejects a
 # larger --resolution before it allocates without limit
@@ -205,29 +203,31 @@ class AtlasMesh:
 
 
 def _attainable_beyond(point: PqrPoint, direction: list[float]) -> bool:
-    """Whether the point PROBE_EPS along `direction` is attainable: not if it
-    leaves the unit cube by more than 1e-12, else iff `attainability.fit`,
-    called through the module so that a wrapper of it sees every probe,
-    attains its clip to the cube with PROBE_MAX_ARCS arcs, PROBE_STARTS
-    starts and seed 0.  The point and its clip are c + PROBE_EPS d and
-    min(max(c, 0), 1) in Python floats; errors of `fit` propagate."""
+    """Whether the point PROBE_EPS along `direction` is attainable: not if
+    it leaves the unit cube by more than 1e-12, nor if its clip to the cube
+    lies in Conjecture Q's exclusion set, where `attainability.exclusion_bound`
+    certifies nothing and `attainability.closed_form_word` gives no word;
+    else iff `attainability.fit` at its defaults, called through the module
+    so that a wrapper of it sees each such probe, attains the clip.  The
+    point and its clip are c + PROBE_EPS d and min(max(c, 0), 1) in Python
+    floats; errors of `fit` propagate."""
     x = [c + PROBE_EPS * v for c, v in zip((point.p, point.q, point.r), direction)]
     if any(c < -1e-12 or c > 1.0 + 1e-12 for c in x):
         return False
     target = PqrPoint(*(min(max(c, 0.0), 1.0) for c in x))
-    return attainability.fit(target, max_arcs=PROBE_MAX_ARCS, n_starts=PROBE_STARTS, seed=0).status == "attained"
+    if attainability.exclusion_bound(target)[1] is None and attainability.closed_form_word(target) is None:
+        return False
+    return attainability.fit(target).status == "attained"
 
 
 def trim_and_mesh(resolution: int) -> AtlasMesh:
     """Sample every stratum once (`sample_strata`, kept as `mesh.strata`),
-    keep the certified boundary samples of the quadric patches and then the
+    keep the boundary samples of the quadric patches and then the
     flat triangles, and triangulate them.
 
-    A sample is boundary iff `_attainable_beyond` finds the point
-    PROBE_EPS outward unattainable and the point PROBE_EPS inward
-    attainable.  The inward probe runs only when the outward verdict is
-    unattainable, since no other sample can be boundary, and a point that
-    `attainability.closed_form_word` reaches is settled without a sweep.
+    A sample is boundary iff `_attainable_beyond` finds the point PROBE_EPS
+    outward unattainable and then the point PROBE_EPS inward attainable; no
+    other sample can be boundary, so the inward probe runs only after that.
 
     Only the first patch of each kind is probed; every other patch of that
     kind takes its verdict at the same grid index.  The verdicts agree

@@ -403,6 +403,8 @@ def test_closed_form_settles_the_attained_pool_points():
 
 
 def test_fit_bytes_on_atlas_probes():
+    # pins `fit` at the old atlas settings on the atlas's probe points; the
+    # atlas itself no longer sweeps (tests/test_boundary_atlas.py)
     results = []
     for patch in boundary_atlas.quadric_patches() + boundary_atlas.flat_triangles():
         for _, _, point in patch.sample_grid(4):
@@ -707,8 +709,29 @@ def test_conjecture_q_admits_every_strata_sample():
     assert not any(_q_excludes(point.as_array()) for point in points)
 
 
+def _swept_beyond(point, direction) -> bool:
+    """The atlas probe as the solver alone decided it: the cube rule and the
+    clip of `boundary_atlas._attainable_beyond`, then a 6-arc, 6-start fit
+    at seed 0 in place of Conjecture Q's exclusion set."""
+    x = [c + boundary_atlas.PROBE_EPS * v for c, v in zip((point.p, point.q, point.r), direction)]
+    if any(c < -1e-12 or c > 1.0 + 1e-12 for c in x):
+        return False
+    target = PqrPoint(*(min(max(c, 0.0), 1.0) for c in x))
+    return fit(target, max_arcs=6, n_starts=6, seed=0).status == "attained"
+
+
+@pytest.mark.parametrize("resolution", [5, 7, 11])
+def test_the_solver_trims_the_atlas_like_conjecture_q(monkeypatch, resolution):
+    # the atlas lets Conjecture Q decide the probes that neither a bound nor the
+    # closed form settles; a Gauss-Newton sweep there keeps every sample's verdict
+    samples = boundary_atlas.trim_and_mesh(resolution).samples
+    monkeypatch.setattr(boundary_atlas, "_attainable_beyond", _swept_beyond)
+    assert boundary_atlas.trim_and_mesh(resolution).samples == samples
+
+
 @pytest.mark.parametrize("resolution", [3, 5, 7, 11])
 def test_conjecture_q_trims_the_atlas_like_the_solver(resolution):
+    # with the test above, Q and the solver agree on every sample
     mesh = boundary_atlas.trim_and_mesh(resolution)
 
     def attainable_beyond(x, direction):

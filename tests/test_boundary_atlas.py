@@ -235,9 +235,11 @@ def test_trim_obj_matches_its_pins(resolution):
 
 
 def test_trim_fits_the_clipped_probe_points_bytewise(monkeypatch):
-    # every target `fit` receives is the probe point clip(x + eps d, 0, 1) in numpy float64 arithmetic
-    beyond, fit = atlas._attainable_beyond, attainability.fit
-    expected, received = [], []
+    # every probe point inside the cube is clipped to clip(x + eps d, 0, 1) in
+    # numpy float64 arithmetic; Conjecture Q's exclusion set keeps one of the
+    # 42 at resolution 5 from `fit`, which gets the other 41 in order
+    beyond, point_type, fit = atlas._attainable_beyond, atlas.PqrPoint, attainability.fit
+    expected, clipped, received = [], [], []
 
     def watched_beyond(point, direction):
         y = point.as_array() + atlas.PROBE_EPS * np.asarray(direction, dtype=float)
@@ -245,15 +247,23 @@ def test_trim_fits_the_clipped_probe_points_bytewise(monkeypatch):
             expected.append(np.clip(y, 0.0, 1.0).tobytes())
         return beyond(point, direction)
 
+    def watched_point(*coordinates):
+        clipped.append(np.array(coordinates, dtype=float).tobytes())
+        return point_type(*coordinates)
+
     def watched_fit(target, **kwargs):
         received.append(np.array([target.p, target.q, target.r], dtype=float).tobytes())
         return fit(target, **kwargs)
 
     monkeypatch.setattr(atlas, "_attainable_beyond", watched_beyond)
+    monkeypatch.setattr(atlas, "PqrPoint", watched_point)
     monkeypatch.setattr(attainability, "fit", watched_fit)
     atlas.trim_and_mesh(5)
-    assert len(received) == 42
-    assert received == expected
+    assert len(clipped) == 42
+    assert clipped == expected
+    assert len(received) == 41
+    remaining = iter(clipped)
+    assert all(target in remaining for target in received)
 
 
 def test_atlas_path_carries_python_floats(monkeypatch):
@@ -278,7 +288,7 @@ def test_atlas_path_carries_python_floats(monkeypatch):
     assert mesh.vertices and all(type(v) is float for x in mesh.vertices for v in x)
 
 
-def test_trim_asks_fit_at_the_atlas_settings_for_both_verdicts(monkeypatch):
+def test_trim_asks_fit_at_its_defaults_for_both_verdicts(monkeypatch):
     # the traced atlas benchmark needs fit.attained and fit.not_found spans under
     # trim_and_mesh, so the trim must reach `fit` through the module attribute
     fit, calls, statuses = attainability.fit, [], []
@@ -292,8 +302,28 @@ def test_trim_asks_fit_at_the_atlas_settings_for_both_verdicts(monkeypatch):
     monkeypatch.setattr(attainability, "fit", counted)
     atlas.trim_and_mesh(3)
     assert "attained" in statuses and "not-found" in statuses
-    assert all(kw == dict(max_arcs=6, n_starts=6, seed=0) for kw in calls)
+    assert len(calls) == 13 and all(kw == {} for kw in calls)
     assert atlas.PROBE_EPS == 1e-3
+
+
+@pytest.mark.parametrize("resolution", [4, 7, 11])
+def test_trim_never_reaches_the_solver(monkeypatch, resolution):
+    # each probe that `fit` gets is settled by the closed form or a certificate;
+    # Conjecture Q decides the rest before `fit`, so no Gauss-Newton sweep runs
+    fit, starts = attainability.fit, []
+
+    def sweep(*args, **kwargs):
+        raise AssertionError("the atlas reached the Gauss-Newton sweep")
+
+    def counted(target, **kwargs):
+        result = fit(target, **kwargs)
+        starts.append(result.starts_used)
+        return result
+
+    monkeypatch.setattr(attainability, "_search", sweep)
+    monkeypatch.setattr(attainability, "fit", counted)
+    atlas.trim_and_mesh(resolution)
+    assert starts and set(starts) == {0}
 
 
 def test_trim_propagates_prober_bugs(monkeypatch):

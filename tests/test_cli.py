@@ -338,6 +338,21 @@ def test_atlas_files_are_pinned(tmp_path, capsys):
     )
 
 
+def test_atlas_defaults_are_pinned(tmp_path, capsys):
+    # resolution 11: the OBJ digest is OBJ_SHA256[11] and the CSV digest the
+    # strata_csv pin at 11, both in tests/test_boundary_atlas.py
+    obj_path, csv_path = tmp_path / "mesh.obj", tmp_path / "strata.csv"
+    code, out, _ = run(capsys, "atlas", "--out-obj", str(obj_path), "--out-csv", str(csv_path))
+    assert code == 0
+    assert json.loads(out)["samples"] == 1452
+    assert hashlib.sha256(obj_path.read_bytes()).hexdigest() == (
+        "20bd737027c7143b902409dc0ee21471a997727f5ff25fa17e0a771401d2a04a"
+    )
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "22def45c8feee986b5c826dae6cbde903f6070f9c38387f7e507a4f71cafccb8"
+    )
+
+
 @pytest.mark.parametrize("resolution", ["2", "3"])
 def test_atlas_samples_each_stratum_once(tmp_path, capsys, monkeypatch, resolution):
     # the mesh and the CSV are built from one sampling pass over the 30 strata
